@@ -2,13 +2,9 @@
 """Run the full default verification battery and write one certificate per
 sweep into ./certificates/ (or the directory given as the first argument).
 
-This is the scripted equivalent of:
-
-    youngquiver verify signs --max-size 10
-    youngquiver verify resolution --xi <each partition of size <= 4> --depth 6
-    youngquiver verify qdual --max-size 7
-    youngquiver verify morita --n 5
-    youngquiver verify idempotents --n 5
+The battery is the ``battery`` of each entry of ``youngquiver.cli.SWEEPS``.
+A target with several runs (resolution, one per base partition) writes one
+file per run, named after its first argument.
 """
 
 import pathlib
@@ -17,10 +13,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from youngquiver.cli import verify_branching, verify_idempotent_system, verify_signs_sweep
-from youngquiver.partitions import partitions_up_to
-from youngquiver.qdual import verify_quadratic_duality
-from youngquiver.resolution import verify_resolution
+from youngquiver.cli import SWEEPS
 
 
 def main() -> int:
@@ -28,15 +21,13 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    certificates = [
-        ("signs", verify_signs_sweep(10)),
-        ("qdual", verify_quadratic_duality(7)),
-        ("morita", verify_branching(5, 3)),
-        ("idempotents", verify_idempotent_system(5)),
-    ]
-    for xi in partitions_up_to(4):
-        name = f"resolution_{str(xi).replace(',', '-')}"
-        certificates.append((name, verify_resolution(xi, 6)))
+    certificates = []
+    for target, sweep in SWEEPS.items():
+        for args in sweep.battery:
+            name = target
+            if len(sweep.battery) > 1:
+                name += "_" + str(args[0]).replace(",", "-")
+            certificates.append((name, sweep.driver(*args)))
 
     failures = 0
     for name, certificate in certificates:

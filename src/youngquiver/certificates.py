@@ -7,6 +7,7 @@ byte-identical between runs.
 """
 
 import json
+import time
 from dataclasses import dataclass
 
 from ._version import __version__
@@ -33,6 +34,29 @@ class Certificate:
             raise ValueError("failing certificate must carry a first_failure locator")
         if self.verdict == "pass" and not self.counts:
             raise ValueError("passing certificate must report nonempty counts")
+
+    @classmethod
+    def timed(
+        cls,
+        started: float,
+        command: str,
+        parameters: dict,
+        counts: dict,
+        first_failure: dict | None = None,
+        details: dict | None = None,
+    ) -> "Certificate":
+        """Certificate of a sweep that began at ``started``, a
+        ``time.perf_counter()`` reading.  The verdict is ``pass`` exactly
+        when there is no ``first_failure``."""
+        return cls(
+            command=command,
+            parameters=parameters,
+            verdict="pass" if first_failure is None else "fail",
+            counts=counts,
+            first_failure=first_failure,
+            details=details,
+            elapsed_ms=int((time.perf_counter() - started) * 1000),
+        )
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,8 @@
 """Command-line entry point for verification sweeps and table exports.
 
 Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = usage or bounds
-error.  Certificates go to stdout as JSON (or to --out); every sweep is
+error, 3 = internal error (an arithmetic fault inside the toolkit, never a
+verdict).  Certificates go to stdout as JSON (or to --out); every sweep is
 deterministic, so certificates are byte-stable across runs apart from the
 elapsed_ms field.
 """
@@ -9,16 +10,49 @@ elapsed_ms field.
 import argparse
 import json
 import sys
-import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import qdual, quiver, resolution, signs, symgroup
 from ._version import __version__
 from .certificates import Certificate
-from .config import BoundExceededError, DEFAULT_BOUNDS, load_bounds
+from .config import BoundExceededError, load_bounds
 from .partitions import parse_partition, partitions_of, partitions_up_to
+from .qdual import verify_quadratic_duality
+from .resolution import verify_resolution
+from .signs import verify_signs_sweep
+from .symgroup import verify_branching, verify_idempotent_system
 
-USAGE_ERROR = 2
 MATH_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One ``verify`` target.  ``flags`` maps each option the target reads
+    to the driver parameter it fills; an option without a default is
+    required.  ``battery`` holds the driver arguments of each run in the
+    default battery."""
+
+    driver: Callable[..., Certificate]
+    flags: dict[str, str]
+    battery: tuple[tuple, ...]
+
+
+SWEEPS = {
+    "signs": Sweep(verify_signs_sweep, {"--max-size": "max_size"}, ((10,),)),
+    "resolution": Sweep(
+        verify_resolution,
+        {"--xi": "xi", "--depth": "depth", "--dump-matrices": "dump_matrices"},
+        tuple((xi, 6) for xi in partitions_up_to(4)),
+    ),
+    "qdual": Sweep(verify_quadratic_duality, {"--max-size": "max_size"}, ((7,),)),
+    "morita": Sweep(
+        verify_branching, {"--n": "n_max", "--direct-n": "direct_n_max"}, ((5, 3),)
+    ),
+    "idempotents": Sweep(verify_idempotent_system, {"--n": "n_max"}, ((5,),)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     quiver_p.add_argument("--out")
 
     verify_p = sub.add_parser("verify", help="run a verification sweep")
-    verify_p.add_argument(
-        "target", choices=("signs", "resolution", "qdual", "morita", "idempotents")
-    )
+    verify_p.add_argument("target", choices=tuple(SWEEPS))
     verify_p.add_argument("--max-size", type=int, help="signs/qdual sweep bound")
     verify_p.add_argument("--xi", help="base partition for resolution, e.g. 2,1")
     verify_p.add_argument("--depth", type=int, help="resolution truncation depth")
@@ -47,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument(
         "--direct-n", type=int, default=3, help="degree cap for direct idempotent ranks"
     )
-    verify_p.add_argument("--threads", type=int, default=1)
     verify_p.add_argument("--dump-matrices", action="store_true")
     verify_p.add_argument("--format", choices=("text", "json"), default="json")
     verify_p.add_argument("--out")
@@ -78,6 +109,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _check_options(args) -> None:
+    """Reject bad option values before any work.  Every integer option is a
+    size, degree, depth or count, so none may be negative; partitions are
+    parsed here."""
+    for dest, value in list(vars(args).items()):
+        if type(value) is int:
+            flag = "--" + dest.replace("_", "-")
+            _require(value >= 0, f"{flag} must be non-negative, got {value}")
+        elif dest in ("xi", "mu") and value is not None:
+            setattr(args, dest, parse_partition(value))
+
+
 def _cmd_quiver(args, bounds) -> int:
     slice_ = quiver.quiver_slice(args.max_size, bounds)
     sign_of = signs.arrow_sign if args.signs else None
@@ -102,149 +145,14 @@ def _cmd_quiver(args, bounds) -> int:
     return 0
 
 
-def verify_branching(n_max: int, direct_n_max: int, bounds=DEFAULT_BOUNDS) -> Certificate:
-    """Quiver arrows from representation theory: the character-pairing
-    multiplicity into degree n+1 is 1 exactly on one-node additions, and the
-    rank computed from actual idempotents and the injection bimodule agrees
-    where that computation is feasible."""
-    start = time.perf_counter()
-    first_failure = None
-    character_pairs = 0
-    direct_pairs = 0
-    for n in range(n_max + 1):
-        for mu in partitions_of(n, bounds):
-            for lam in partitions_of(n + 1, bounds):
-                expected = 1 if lam.contains(mu) else 0
-                by_characters = symgroup.induction_multiplicity(mu, 1, lam, bounds)
-                character_pairs += 1
-                if by_characters != expected:
-                    first_failure = {
-                        "check": "character_branching",
-                        "pair": [str(mu), str(lam)],
-                        "multiplicity": by_characters,
-                        "expected": expected,
-                    }
-                    break
-                if n <= direct_n_max:
-                    by_idempotents = symgroup.direct_hom_dimension(mu, lam, bounds)
-                    direct_pairs += 1
-                    if by_idempotents != expected:
-                        first_failure = {
-                            "check": "direct_idempotent_rank",
-                            "pair": [str(mu), str(lam)],
-                            "rank": by_idempotents,
-                            "expected": expected,
-                        }
-                        break
-            if first_failure:
-                break
-        if first_failure:
-            break
-    return Certificate(
-        command="verify morita",
-        parameters={"n": n_max, "direct_n": direct_n_max},
-        verdict="pass" if first_failure is None else "fail",
-        counts={"character_pairs": character_pairs, "direct_pairs": direct_pairs},
-        first_failure=first_failure,
-        details={
-            "transversal": "injection bimodule basis uses coset sums over the "
-            "subgroup fixing 1..n pointwise (representative independent)"
-        },
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-    )
-
-
-def verify_idempotent_system(n_max: int, bounds=DEFAULT_BOUNDS) -> Certificate:
-    """Central idempotents: idempotent, central, pairwise orthogonal, summing
-    to the identity; normalized Young symmetrizers idempotent."""
-    start = time.perf_counter()
-    first_failure = None
-    idempotents_checked = 0
-    symmetrizers_checked = 0
-    for n in range(n_max + 1):
-        blocks = [
-            (mu, symgroup.central_idempotent(mu, bounds)) for mu in partitions_of(n, bounds)
-        ]
-        total = symgroup.GroupAlgebraElement.zero(n)
-        for mu, e_mu in blocks:
-            idempotents_checked += 1
-            total = total + e_mu
-            if symgroup.multiply(e_mu, e_mu) != e_mu:
-                first_failure = {"check": "idempotent", "partition": str(mu)}
-                break
-            for g in symgroup.all_permutations(n):
-                g_elem = symgroup.GroupAlgebraElement.from_permutation(g)
-                if symgroup.multiply(e_mu, g_elem) != symgroup.multiply(g_elem, e_mu):
-                    first_failure = {"check": "central", "partition": str(mu)}
-                    break
-            if first_failure:
-                break
-            for nu, e_nu in blocks:
-                if nu != mu and not symgroup.multiply(e_mu, e_nu).is_zero():
-                    first_failure = {"check": "orthogonal", "pair": [str(mu), str(nu)]}
-                    break
-            if first_failure:
-                break
-            f_mu = symgroup.young_symmetrizer(symgroup.canonical_tableau(mu), bounds)
-            symmetrizers_checked += 1
-            if symgroup.multiply(f_mu, f_mu) != f_mu:
-                first_failure = {"check": "symmetrizer_idempotent", "partition": str(mu)}
-                break
-        if first_failure is None and total != symgroup.GroupAlgebraElement.one(n):
-            first_failure = {"check": "sum_to_identity", "degree": n}
-        if first_failure:
-            break
-    return Certificate(
-        command="verify idempotents",
-        parameters={"n": n_max},
-        verdict="pass" if first_failure is None else "fail",
-        counts={
-            "idempotents_checked": idempotents_checked,
-            "symmetrizers_checked": symmetrizers_checked,
-        },
-        first_failure=first_failure,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-    )
-
-
-def verify_signs_sweep(max_size: int, bounds=DEFAULT_BOUNDS) -> Certificate:
-    start = time.perf_counter()
-    anti = signs.verify_anticommutativity(max_size, bounds)
-    growth = signs.verify_growth_agreement(min(max_size, 8), bounds=bounds)
-    first_failure = anti.first_failure or growth.first_failure
-    return Certificate(
-        command="verify signs",
-        parameters={"max_size": max_size},
-        verdict="pass" if first_failure is None else "fail",
-        counts={**anti.counts, **growth.counts},
-        first_failure=first_failure,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-    )
-
-
 def _cmd_verify(args, bounds) -> int:
-    if args.target == "signs":
-        _require(args.max_size is not None, "verify signs requires --max-size")
-        certificate = verify_signs_sweep(args.max_size, bounds)
-    elif args.target == "resolution":
-        _require(args.xi is not None and args.depth is not None,
-                 "verify resolution requires --xi and --depth")
-        certificate = resolution.verify_resolution(
-            parse_partition(args.xi),
-            args.depth,
-            bounds,
-            threads=args.threads,
-            dump_matrices=args.dump_matrices,
-        )
-    elif args.target == "qdual":
-        _require(args.max_size is not None, "verify qdual requires --max-size")
-        certificate = qdual.verify_quadratic_duality(args.max_size, bounds)
-    elif args.target == "morita":
-        _require(args.n is not None, "verify morita requires --n")
-        certificate = verify_branching(args.n, min(args.n, args.direct_n), bounds)
-    else:
-        _require(args.n is not None, "verify idempotents requires --n")
-        certificate = verify_idempotent_system(args.n, bounds)
+    sweep = SWEEPS[args.target]
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in sweep.flags}
+    missing = [flag for flag, value in values.items() if value is None]
+    _require(not missing, f"verify {args.target} requires {' and '.join(missing)}")
+    certificate = sweep.driver(
+        **{sweep.flags[flag]: value for flag, value in values.items()}, bounds=bounds
+    )
 
     if args.format == "json":
         _emit(certificate.to_json(), args.out)
@@ -262,17 +170,15 @@ def _table_rows(args, bounds) -> list[tuple[str, int]]:
     if args.target == "pieri":
         _require(args.mu is not None and args.m is not None,
                  "table pieri requires --mu and --m")
-        mu = parse_partition(args.mu)
         return [
-            (str(lam), symgroup.pieri_coefficient(mu, args.m, lam))
-            for lam in partitions_of(mu.size + args.m, bounds)
-            if lam.contains(mu)
+            (str(lam), symgroup.pieri_coefficient(args.mu, args.m, lam))
+            for lam in partitions_of(args.mu.size + args.m, bounds)
+            if lam.contains(args.mu)
         ]
     if args.target == "betti":
         _require(args.xi is not None and args.depth is not None,
                  "table betti requires --xi and --depth")
-        xi = parse_partition(args.xi)
-        table = resolution.betti_table(xi, args.depth, bounds)
+        table = resolution.betti_table(args.xi, args.depth, bounds)
         return [
             (f"{i}:{lam}", flag)
             for (i, lam), flag in sorted(
@@ -302,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         bounds = load_bounds()
         if args.command == "quiver":
             return _cmd_quiver(args, bounds)
@@ -311,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BoundExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

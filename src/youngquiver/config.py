@@ -57,8 +57,14 @@ def load_bounds(path: str | None = None) -> Bounds:
         return DEFAULT_BOUNDS
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must hold a JSON object of bound names and values")
     known = {f.name for f in fields(Bounds)}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown bound names in {path}: {sorted(unknown)}")
+    for name, value in raw.items():
+        # bool is a subclass of int, but true/false is not a size
+        if type(value) is not int:
+            raise ValueError(f"bound {name} in {path} must be an integer, got {value!r}")
     return replace(DEFAULT_BOUNDS, **raw)

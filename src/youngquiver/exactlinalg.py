@@ -185,8 +185,3 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
             vec[pivot_col] = -reduced[row_idx][free]
         basis.append(vec)
     return basis
-
-
-def row_space_basis(m: RationalMatrix) -> list[list[Fraction]]:
-    reduced, pivots = rref(m.to_dense())
-    return [reduced[i] for i in range(len(pivots))]

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, kernel_basis, rank, row_space_basis
+from .exactlinalg import RationalMatrix, kernel_basis, rank
 from .partitions import (
     Partition,
     add_node,
@@ -88,15 +88,14 @@ def build_quadratic_dual(
             if not lam.contains(mu):
                 continue
             mids = tuple(_middle_vertices(mu, lam))
-            # multiplication map from length-2 paths onto the degree-2 hom
-            # space; with canonical generators every surviving composite is
-            # the canonical generator itself.
-            target_dim = 1 if of_lattice else hom_dim_C(mu, lam)
-            if target_dim:
-                mult = RationalMatrix.from_rows([[1] * len(mids)], len(mids))
+            # row space of the multiplication map from length-2 paths onto
+            # the degree-2 hom space: with canonical generators every
+            # surviving composite is the canonical generator itself, so it
+            # is the all-ones row when that space is nonzero
+            if of_lattice or hom_dim_C(mu, lam):
+                vectors = ((Fraction(1),) * len(mids),)
             else:
-                mult = RationalMatrix(0, len(mids), {})
-            vectors = tuple(tuple(row) for row in row_space_basis(mult))
+                vectors = ()
             relations[(mu, lam)] = RelationSpace(mids, vectors)
     return QuadraticPresentation(max_size, objects, generators, relations, of_lattice)
 
@@ -231,10 +230,10 @@ def verify_self_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certi
             if first_failure:
                 break
 
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify qdual.selfduality",
         parameters={"max_size": max_size},
-        verdict="pass" if first_failure is None else "fail",
         counts={
             "pairs_checked": pairs_checked,
             "relation_pairs_checked": relation_pairs_checked,
@@ -242,7 +241,6 @@ def verify_self_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certi
         },
         first_failure=first_failure,
         details={"generator_convention": "dual arrow mu->nu composes like path concatenation"},
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )
 
 
@@ -304,13 +302,12 @@ def verify_lattice_dual(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certi
                 break
         if first_failure:
             break
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify qdual.lattice",
         parameters={"max_size": max_size},
-        verdict="pass" if first_failure is None else "fail",
         counts={"lattice_pairs_checked": pairs_checked},
         first_failure=first_failure,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )
 
 
@@ -324,12 +321,11 @@ def verify_quadratic_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> 
         first_failure = self_cert.first_failure
     elif not lattice_cert.passed:
         first_failure = lattice_cert.first_failure
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify qdual",
         parameters={"max_size": max_size},
-        verdict="pass" if first_failure is None else "fail",
         counts={**self_cert.counts, **lattice_cert.counts},
         first_failure=first_failure,
         details=self_cert.details,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

@@ -19,7 +19,6 @@ the rank identity rank(out) + rank(in) = dim at every position.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .certificates import Certificate
@@ -152,17 +151,16 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
                 }
         if first_failure:
             break
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify resolution.complex",
         parameters={"xi": str(complex_.xi), "depth": complex_.depth},
-        verdict="pass" if first_failure is None else "fail",
         counts={
             "objects_checked": objects_checked,
             "products_checked": products_checked,
             "diamond_cancellations": cancellations,
         },
         first_failure=first_failure,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )
 
 
@@ -180,38 +178,7 @@ def _two_term_zero_cells(high: RationalMatrix, low: RationalMatrix) -> int:
     return count
 
 
-def _object_rank_report(payload) -> list[tuple[int, int, int]]:
-    """(position, dim, rank of outgoing map) per position for one object.
-
-    Takes plain data so it can cross a process boundary: a list of dense
-    integer matrices ordered by position, plus the component dimensions.
-    """
-    dims, dense_chain = payload
-    reports = []
-    ranks = []
-    for dense in dense_chain:
-        if not dense or not dense[0]:
-            ranks.append(0)
-        else:
-            ranks.append(rank(RationalMatrix.from_rows([row[:] for row in dense])))
-    ranks.append(0)  # no map out of position 0
-    for offset, dim in enumerate(dims):
-        reports.append((offset, dim, ranks[offset]))
-    return reports
-
-
-def _exactness_payloads(complex_: GradedComplex):
-    for mu in complex_.objects:
-        dims = [
-            len(complex_.components[(i, mu)]) for i in range(-complex_.depth, 1)
-        ]
-        chain = [
-            complex_.matrices[(i, mu)].to_dense() for i in range(-complex_.depth, 0)
-        ]
-        yield mu, (dims, chain)
-
-
-def verify_exactness(complex_: GradedComplex, threads: int = 1) -> Certificate:
+def verify_exactness(complex_: GradedComplex) -> Certificate:
     """Exactness away from position 0 and one-dimensional cohomology at 0,
     concentrated at the base object.
 
@@ -223,21 +190,18 @@ def verify_exactness(complex_: GradedComplex, threads: int = 1) -> Certificate:
     All three numbers are recorded per object and position.
     """
     start = time.perf_counter()
-    payload_pairs = list(_exactness_payloads(complex_))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            all_reports = list(pool.map(_object_rank_report, [p for _, p in payload_pairs]))
-    else:
-        all_reports = [_object_rank_report(p) for _, p in payload_pairs]
-
+    depth = complex_.depth
     ranks_table = []
     first_failure = None
     positions_checked = 0
-    for (mu, _), reports in zip(payload_pairs, all_reports):
-        rank_out_by_offset = {offset: rank_out for offset, _, rank_out in reports}
-        for offset, dim, rank_out in reports:
-            position = offset - complex_.depth
-            rank_in = rank_out_by_offset.get(offset - 1, 0)
+    for mu in complex_.objects:
+        dims = [len(complex_.components[(i, mu)]) for i in range(-depth, 1)]
+        # rank of the map out of each position; none leaves position 0
+        ranks_out = [rank(complex_.matrices[(i, mu)]) for i in range(-depth, 0)] + [0]
+        for offset, dim in enumerate(dims):
+            position = offset - depth
+            rank_out = ranks_out[offset]
+            rank_in = ranks_out[offset - 1] if offset else 0
             expected_cohomology = 1 if position == 0 and mu == complex_.xi else 0
             cohomology = dim - rank_out - rank_in
             positions_checked += 1
@@ -261,9 +225,9 @@ def verify_exactness(complex_: GradedComplex, threads: int = 1) -> Certificate:
                     "expected": expected_cohomology,
                 }
         # independent arithmetic cross-check of the same data
-        euler = sum((-1) ** (offset % 2) * dim for offset, dim, _ in reports)
+        euler = sum((-1) ** (offset % 2) * dim for offset, dim in enumerate(dims))
         expected_euler = 1 if mu == complex_.xi else 0
-        if complex_.depth % 2:
+        if depth % 2:
             euler = -euler
         if euler != expected_euler and first_failure is None:
             first_failure = {
@@ -272,17 +236,16 @@ def verify_exactness(complex_: GradedComplex, threads: int = 1) -> Certificate:
                 "value": euler,
                 "expected": expected_euler,
             }
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify resolution.exactness",
         parameters={"xi": str(complex_.xi), "depth": complex_.depth},
-        verdict="pass" if first_failure is None else "fail",
         counts={
-            "objects_checked": len(payload_pairs),
+            "objects_checked": len(complex_.objects),
             "positions_checked": positions_checked,
         },
         first_failure=first_failure,
         details={"ranks": ranks_table},
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )
 
 
@@ -304,7 +267,6 @@ def verify_resolution(
     xi: Partition,
     depth: int,
     bounds: Bounds = DEFAULT_BOUNDS,
-    threads: int = 1,
     dump_matrices: bool = False,
 ) -> Certificate:
     """Build the complex and run every check: linearity, complex property,
@@ -312,7 +274,7 @@ def verify_resolution(
     start = time.perf_counter()
     complex_ = build_resolution(xi, depth, bounds)
     complex_cert = verify_complex(complex_)
-    exact_cert = verify_exactness(complex_, threads=threads)
+    exact_cert = verify_exactness(complex_)
     first_failure = None
     if not complex_.linear:
         first_failure = {"check": "linearity"}
@@ -329,10 +291,10 @@ def verify_resolution(
             )
             if not matrix.is_zero()
         }
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify resolution",
         parameters={"xi": str(xi), "depth": depth},
-        verdict="pass" if first_failure is None else "fail",
         counts={
             "objects_checked": exact_cert.counts["objects_checked"],
             "positions_checked": exact_cert.counts["positions_checked"],
@@ -341,5 +303,4 @@ def verify_resolution(
         },
         first_failure=first_failure,
         details=details,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

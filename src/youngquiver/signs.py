@@ -149,13 +149,12 @@ def verify_anticommutativity(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> 
                 break
         if first_failure:
             break
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify signs.anticommutativity",
         parameters={"max_size": max_size},
-        verdict="pass" if first_failure is None else "fail",
         counts={"diamonds_checked": diamonds_checked},
         first_failure=first_failure,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )
 
 
@@ -200,15 +199,30 @@ def verify_growth_agreement(
                 break
         if first_failure:
             break
-    return Certificate(
+    return Certificate.timed(
+        start,
         command="verify signs.growth",
         parameters={
             "max_size": max_size,
             "exhaustive_limit": exhaustive_limit,
             "samples": samples,
         },
-        verdict="pass" if first_failure is None else "fail",
         counts={"partitions_checked": partitions_checked, "orders_checked": orders_checked},
         first_failure=first_failure,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
+    )
+
+
+def verify_signs_sweep(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
+    """Anticommutativity up to ``max_size`` plus growth agreement up to
+    size 8, as one certificate."""
+    start = time.perf_counter()
+    anti = verify_anticommutativity(max_size, bounds)
+    growth = verify_growth_agreement(min(max_size, 8), bounds=bounds)
+    first_failure = anti.first_failure or growth.first_failure
+    return Certificate.timed(
+        start,
+        command="verify signs",
+        parameters={"max_size": max_size},
+        counts={**anti.counts, **growth.counts},
+        first_failure=first_failure,
     )

@@ -3,17 +3,11 @@ size bound and time budget, every check exact (tolerance zero).  Each test
 prints one verdict line regardless of capture mode."""
 
 import time
+from math import comb
 
-from youngquiver.cli import (
-    main,
-    verify_branching,
-    verify_idempotent_system,
-    verify_signs_sweep,
-)
+from youngquiver.cli import SWEEPS, main
 from youngquiver.partitions import Partition, partitions_of, partitions_up_to
-from youngquiver.qdual import verify_quadratic_duality
 from youngquiver.quiver import quiver_slice
-from youngquiver.resolution import verify_resolution
 from youngquiver.signs import arrow_sign
 from youngquiver.symgroup import induction_multiplicity, pieri_coefficient
 
@@ -30,18 +24,25 @@ def _report(capsys, number: int, name: str, started: float, budget: float) -> fl
     return elapsed
 
 
+def _battery_run(target: str):
+    """The single default-battery run of ``target``: (arguments, certificate)."""
+    sweep = SWEEPS[target]
+    (args,) = sweep.battery
+    return args, sweep.driver(*args)
+
+
 def test_criterion_1_quiver_arrows_from_representation_theory(capsys):
     budget = 60.0
     started = time.perf_counter()
-    certificate = verify_branching(n_max=5, direct_n_max=3)
+    (n_max, direct_n_max), certificate = _battery_run("morita")
     assert certificate.passed, certificate.first_failure
     # the sweep covers every pair; spot-check the coverage numbers
     expected_pairs = sum(
-        len(partitions_of(n)) * len(partitions_of(n + 1)) for n in range(6)
+        len(partitions_of(n)) * len(partitions_of(n + 1)) for n in range(n_max + 1)
     )
     assert certificate.counts["character_pairs"] == expected_pairs
     assert certificate.counts["direct_pairs"] == sum(
-        len(partitions_of(n)) * len(partitions_of(n + 1)) for n in range(4)
+        len(partitions_of(n)) * len(partitions_of(n + 1)) for n in range(direct_n_max + 1)
     )
     elapsed = _report(capsys, 1, "quiver arrows, characters + idempotent ranks", started, budget)
     assert elapsed < budget
@@ -67,10 +68,14 @@ def test_criterion_2_induction_equals_pieri(capsys):
 def test_criterion_3_sign_assignment(capsys):
     budget = 30.0
     started = time.perf_counter()
-    certificate = verify_signs_sweep(10)
+    (max_size,), certificate = _battery_run("signs")
     assert certificate.passed, certificate.first_failure
-    assert certificate.counts["diamonds_checked"] == 182  # exhaustive to size 10
-    assert certificate.counts["partitions_checked"] == len(partitions_up_to(8))
+    # exhaustive: a bottom diagram with d distinct part lengths has d + 1
+    # addable nodes, so C(d + 1, 2) diamonds
+    assert certificate.counts["diamonds_checked"] == sum(
+        comb(len(set(b.rows)) + 1, 2) for b in partitions_up_to(max_size - 2)
+    )
+    assert certificate.counts["partitions_checked"] == len(partitions_up_to(min(max_size, 8)))
     elapsed = _report(capsys, 3, "diamond anticommutativity + growth agreement", started, budget)
     assert elapsed < budget
 
@@ -78,18 +83,20 @@ def test_criterion_3_sign_assignment(capsys):
 def test_criterion_4_linear_resolutions(capsys):
     budget = 120.0
     started = time.perf_counter()
-    for xi in partitions_up_to(4):
-        certificate = verify_resolution(xi, depth=6)
+    sweep = SWEEPS["resolution"]
+    for xi, depth in sweep.battery:
+        certificate = sweep.driver(xi, depth)
         assert certificate.passed, (str(xi), certificate.first_failure)
         assert certificate.details["linear"]
-    elapsed = _report(capsys, 4, "complex + exactness + linearity, 12 bases at depth 6", started, budget)
+    runs = f"{len(sweep.battery)} bases at depth {depth}"
+    elapsed = _report(capsys, 4, f"complex + exactness + linearity, {runs}", started, budget)
     assert elapsed < budget
 
 
 def test_criterion_5_quadratic_self_duality(capsys):
     budget = 60.0
     started = time.perf_counter()
-    certificate = verify_quadratic_duality(7)
+    _, certificate = _battery_run("qdual")
     assert certificate.passed, certificate.first_failure
     assert certificate.counts["relation_pairs_checked"] > 0
     assert certificate.counts["diamonds_checked"] > 0
@@ -101,9 +108,9 @@ def test_criterion_5_quadratic_self_duality(capsys):
 def test_criterion_6_idempotent_system(capsys):
     budget = 60.0
     started = time.perf_counter()
-    certificate = verify_idempotent_system(5)
+    (n_max,), certificate = _battery_run("idempotents")
     assert certificate.passed, certificate.first_failure
-    assert certificate.counts["idempotents_checked"] == len(partitions_up_to(5))
+    assert certificate.counts["idempotents_checked"] == len(partitions_up_to(n_max))
     elapsed = _report(capsys, 6, "central idempotents + symmetrizers through degree 5", started, budget)
     assert elapsed < budget
 

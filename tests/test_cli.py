@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from youngquiver import cli
 from youngquiver.cli import main
 
 
@@ -123,17 +125,36 @@ class TestVerifyCommand:
             outputs.append(json.dumps(payload, sort_keys=False))
         assert outputs[0] == outputs[1]
 
-    def test_threads_option_matches_sequential(self, capsys):
-        argv = ["verify", "resolution", "--xi", "1", "--depth", "3"]
-        code, sequential, _ = run_cli(capsys, *argv)
-        assert code == 0
-        try:
-            code, parallel, _ = run_cli(capsys, *argv, "--threads", "2")
-        except (OSError, PermissionError):
-            pytest.skip("multiprocessing unavailable in this environment")
-        assert code == 0
-        normalize = lambda text: dict(json.loads(text), elapsed_ms=0)
-        assert normalize(parallel) == normalize(sequential)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "qdual", "--max-size", "-3"),
+            ("verify", "morita", "--n", "-1"),
+            ("verify", "morita", "--n", "2", "--direct-n", "-1"),
+            ("verify", "signs", "--max-size", "-1"),
+            ("verify", "idempotents", "--n", "-2"),
+            ("quiver", "--max-size", "-1"),
+            ("table", "dualdims", "--max-size", "-1"),
+        ],
+    )
+    def test_negative_size_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be non-negative" in err
+
+    def test_internal_fault_has_its_own_exit_code(self, capsys, monkeypatch):
+        def inexact(**_):
+            raise ArithmeticError("inexact division during elimination")
+
+        monkeypatch.setitem(
+            cli.SWEEPS, "signs", dataclasses.replace(cli.SWEEPS["signs"], driver=inexact)
+        )
+        code, out, err = run_cli(capsys, "verify", "signs", "--max-size", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: inexact division during elimination\n"
 
 
 class TestTableCommand:

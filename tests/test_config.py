@@ -40,6 +40,33 @@ def test_unknown_keys_rejected(tmp_path):
         load_bounds(str(config))
 
 
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ({"max_group_degree": "7"}, "max_group_degree"),
+        ({"max_group_degree": True}, "max_group_degree"),
+        ({"max_group_degree": 7.0}, "max_group_degree"),
+        ({"max_group_degree": None}, "max_group_degree"),
+        (7, "JSON object"),
+    ],
+)
+def test_malformed_config_rejected(tmp_path, payload, match):
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_bounds(str(config))
+
+
+def test_non_integer_value_is_cli_usage_error(tmp_path, monkeypatch, capsys):
+    from youngquiver.cli import main
+
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"max_group_degree": "7"}))
+    monkeypatch.setenv(ENV_CONFIG_PATH, str(config))
+    assert main(["verify", "idempotents", "--n", "2"]) == 2
+    assert "max_group_degree" in capsys.readouterr().err
+
+
 def test_check_bound():
     check_bound(5, 5, "thing")
     with pytest.raises(BoundExceededError, match="exceeds"):

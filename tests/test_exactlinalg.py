@@ -10,7 +10,6 @@ from youngquiver.exactlinalg import (
     kernel_dim,
     multiply,
     rank,
-    row_space_basis,
 )
 
 
@@ -170,17 +169,6 @@ class TestMultiply:
             RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_fit)
         )
         assert product.to_dense() == schoolbook_product(a_rows, b_fit)
-
-
-class TestRowSpace:
-    def test_all_ones_row(self):
-        basis = row_space_basis(RationalMatrix.from_rows([[1, 1]]))
-        assert basis == [[1, 1]]
-
-    @given(matrices())
-    def test_dimension_matches_rank(self, rows):
-        m = RationalMatrix.from_rows(rows)
-        assert len(row_space_basis(m)) == rank(m)
 
 
 class TestHygiene:
