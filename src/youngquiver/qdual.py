@@ -10,8 +10,12 @@ cases: no relation (column pair), the full path space (row pair), or the
 anticommutativity line spanned by the sum of the two paths (diamond).
 
 Higher dual hom dimensions are never assumed: they are computed as the free
-path space modulo the two-sided ideal generated by the degree-2 relations,
-by exact rank over all embeddings prefix x relation x suffix.
+path space modulo the two-sided ideal generated by the degree-2 relations.
+Every relation vector has at most two nonzero entries (a killed path, or a
+two-path line across a diamond), so each embedding prefix x relation x
+suffix is a row with at most two terms, and the quotient dimension is the
+number of live components of a signed union-find over paths
+(``exactlinalg.two_term_corank``, checked against Bareiss rank in the tests).
 
 Convention: a dual generator is stored as a morphism mu -> nu along the
 lattice arrow and composition mirrors path concatenation; the dimension
@@ -20,11 +24,12 @@ statements checked here are independent of that choice.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, kernel_basis, rank
+from .exactlinalg import RationalMatrix, kernel_basis, normalize, rank, two_term_corank
 from .partitions import (
     Partition,
     add_node,
@@ -59,6 +64,19 @@ class QuadraticPresentation:
     generators: tuple[tuple[Partition, Partition], ...]
     relations: dict[tuple[Partition, Partition], RelationSpace]
     of_lattice: bool  # True: relations of the plain incidence category dual
+
+    @cached_property
+    def relation_rows(self) -> dict[tuple, tuple]:
+        """The relations in the form ``dual_hom_dim`` reads: keyed by the row
+        tuples of each pair, every vector as its nonzero ``(mid rows,
+        coefficient)`` pairs, integral coefficients as ``int``."""
+        return {
+            (mu.rows, lam.rows): tuple(
+                tuple((mid.rows, normalize(c)) for mid, c in zip(rel.mids, v) if c)
+                for v in rel.vectors
+            )
+            for (mu, lam), rel in self.relations.items()
+        }
 
 
 def _middle_vertices(mu: Partition, lam: Partition) -> list[Partition]:
@@ -100,52 +118,41 @@ def build_quadratic_dual(
     return QuadraticPresentation(max_size, objects, generators, relations, of_lattice)
 
 
-def _saturated_chains(mu: Partition, lam: Partition) -> list[tuple[Partition, ...]]:
+def _saturated_chains(mu: Partition, lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    """Every maximal chain from mu up to lam, each diagram as its row tuple
+    (building and hashing ``Partition`` objects here cost more than the
+    union-find itself)."""
     if not lam.contains(mu):
         return []
-    chains = [(mu,)]
+    top = lam.rows + (0,)
+    chains = [(mu.rows,)]
     for _ in range(lam.size - mu.size):
         grown = []
         for chain in chains:
-            for cell in addable_nodes(chain[-1]):
-                step = add_node(chain[-1], cell)
-                if lam.contains(step):
-                    grown.append(chain + (step,))
+            rows = chain[-1]
+            for r, length in enumerate(rows + (0,)):
+                if length < top[r] and (r == 0 or rows[r - 1] > length):
+                    grown.append(chain + (rows[:r] + (length + 1,) + rows[r + 1 :],))
         chains = grown
     return chains
 
 
 def dual_hom_dim(mu: Partition, lam: Partition, presentation: QuadraticPresentation) -> int:
     """Dimension of the dual hom space in degree |lam| - |mu|: free paths
-    modulo the ideal generated by the degree-2 relations, by exact rank."""
+    modulo the ideal generated by the degree-2 relations.  Each embedding
+    prefix x relation vector x suffix is a row with at most two terms over
+    the path basis, so the quotient dimension is ``two_term_corank``."""
     check_bound(lam.size, presentation.max_size, "quadratic dual size")
-    if not lam.contains(mu):
-        return 0
-    k = lam.size - mu.size
-    if k == 0:
-        return 1
     paths = _saturated_chains(mu, lam)
-    if k == 1:
-        return len(paths)
     path_index = {path: idx for idx, path in enumerate(paths)}
-    rows: list[list[Fraction]] = []
-    seen_windows = set()
-    for path in paths:
-        for j in range(k - 1):
-            window = (path[: j + 1], path[j + 2 :])
-            if window in seen_windows:
-                continue
-            seen_windows.add(window)
-            prefix, suffix = window
-            relation = presentation.relations[(prefix[-1], suffix[0])]
-            for vector in relation.vectors:
-                row = [Fraction(0)] * len(paths)
-                for mid, coeff in zip(relation.mids, vector):
-                    row[path_index[prefix + (mid,) + suffix]] = coeff
-                rows.append(row)
-    if not rows:
-        return len(paths)
-    return len(paths) - rank(RationalMatrix.from_rows(rows, len(paths)))
+    relations = presentation.relation_rows
+    rows = (
+        [(path_index[path[: j + 1] + (mid,) + path[j + 2 :]], coeff) for mid, coeff in row]
+        for path in paths
+        for j in range(len(path) - 2)
+        for row in relations[(path[j], path[j + 2])]
+    )
+    return two_term_corank(len(paths), rows)
 
 
 def annihilator_presentation(presentation: QuadraticPresentation) -> QuadraticPresentation:

@@ -7,6 +7,7 @@ import pytest
 
 from youngquiver import cli
 from youngquiver.cli import main
+from youngquiver.partitions import parse_partition
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,26 @@ class TestVerifyCommand:
 
 
 class TestTableCommand:
+    def test_three_term_relation_is_internal_error(self, capsys, monkeypatch):
+        build = cli.qdual.build_quadratic_dual
+
+        def widened(max_size, bounds):
+            # one relation vector with three nonzero entries (a mid repeated)
+            presentation = build(max_size, bounds)
+            pair = (parse_partition("1"), parse_partition("2,1"))
+            rel = presentation.relations[pair]
+            relations = {
+                **presentation.relations,
+                pair: cli.qdual.RelationSpace(rel.mids + rel.mids[:1], ((1, 1, 1),)),
+            }
+            return dataclasses.replace(presentation, relations=relations)
+
+        monkeypatch.setattr(cli.qdual, "build_quadratic_dual", widened)
+        code, out, err = run_cli(capsys, "table", "dualdims", "--max-size", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: two-term engine given a row with 3 nonzero entries\n"
+
     def test_pieri_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "pieri", "--mu", "2", "--m", "2")
         assert code == 0

@@ -10,6 +10,7 @@ from youngquiver.exactlinalg import (
     kernel_dim,
     multiply,
     rank,
+    two_term_corank,
 )
 
 
@@ -119,6 +120,75 @@ class TestRank:
         a = RationalMatrix.from_rows(a_rows)
         b = RationalMatrix.from_rows(b_square)
         assert rank(multiply(a, b)) <= min(rank(a), rank(b))
+
+
+nonzero_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=1, max_value=4),
+)
+# mostly +-1, so that cycles often close consistently, as the qdual rows do
+two_term_coefficients = st.one_of(st.sampled_from([1, -1]), nonzero_rationals)
+
+
+@st.composite
+def two_term_rows(draw, max_cols=7):
+    """Sparse rows with one or two nonzero rational terms, with repeated and
+    parallel (rescaled) rows mixed in."""
+    n_cols = draw(st.integers(min_value=1, max_value=max_cols))
+    column = st.integers(min_value=0, max_value=n_cols - 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["one", "two", "two", "two", "repeat", "parallel"]))
+        if kind in ("repeat", "parallel") and rows:
+            row = draw(st.sampled_from(rows))
+            scale = draw(nonzero_rationals) if kind == "parallel" else 1
+            rows.append([(col, scale * coeff) for col, coeff in row])
+        elif kind == "one" or n_cols == 1:
+            rows.append([(draw(column), draw(two_term_coefficients))])
+        else:
+            i, j = draw(st.lists(column, min_size=2, max_size=2, unique=True))
+            rows.append([(i, draw(two_term_coefficients)), (j, draw(two_term_coefficients))])
+    return n_cols, rows
+
+
+def dense(n_cols, rows):
+    out = []
+    for row in rows:
+        line = [0] * n_cols
+        for col, coeff in row:
+            line[col] += coeff
+        out.append(line)
+    return out
+
+
+class TestTwoTermCorank:
+    @given(two_term_rows())
+    @settings(max_examples=300)
+    def test_matches_bareiss_oracle(self, case):
+        n_cols, rows = case
+        oracle = n_cols - rank(RationalMatrix.from_rows(dense(n_cols, rows), n_cols))
+        assert two_term_corank(n_cols, rows) == oracle
+
+    def test_odd_anticommutation_cycle_dies(self):
+        # p + q, q + r, r + p force p = -q = r = -p
+        assert two_term_corank(3, [[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(2, 1), (0, 1)]]) == 0
+
+    def test_even_cycle_survives(self):
+        square = [[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(2, 1), (3, 1)], [(3, 1), (0, 1)]]
+        assert two_term_corank(4, square) == 1
+
+    def test_kill_spreads_along_chain(self):
+        chain = [[(0, 1), (1, -1)], [(1, 1), (2, 1)], [(2, Fraction(1, 2)), (3, 3)]]
+        assert two_term_corank(5, chain) == 2  # the chain, and the untouched column 4
+        assert two_term_corank(5, chain + [[(2, -7)]]) == 1
+
+    def test_zero_coefficients_are_not_terms(self):
+        assert two_term_corank(2, [[(0, 0), (1, 0)], [(0, 1), (1, 0)]]) == 1
+
+    def test_three_terms_fail_loudly(self):
+        with pytest.raises(ArithmeticError):
+            two_term_corank(3, [[(0, 1), (1, 1), (2, 1)]])
 
 
 class TestKernel:

@@ -31,6 +31,11 @@ def lattice_presentation():
     return build_quadratic_dual(7, of_lattice=True)
 
 
+@pytest.fixture(scope="module")
+def presentation8():
+    return build_quadratic_dual(8)
+
+
 class TestRelationSpaces:
     def test_column_pair_no_relation(self, presentation):
         rel = presentation.relations[(P(1), P(1, 1, 1))]
@@ -59,6 +64,16 @@ class TestRelationSpaces:
     def test_lattice_relations_always_full_image(self, lattice_presentation):
         for rel in lattice_presentation.relations.values():
             assert rel.dimension == 1
+
+    @pytest.mark.parametrize("of_lattice", [False, True])
+    def test_relations_have_at_most_two_terms(self, of_lattice):
+        # dual_hom_dim's union-find engine takes rows with at most two terms
+        presentation = build_quadratic_dual(8, of_lattice=of_lattice)
+        for side in (presentation, annihilator_presentation(presentation)):
+            for rel in side.relations.values():
+                assert len(rel.mids) <= 2
+                for vector in rel.vectors:
+                    assert sum(1 for coeff in vector if coeff) <= 2
 
 
 class TestDualHomDimensions:
@@ -137,16 +152,35 @@ class TestLatticeDual:
 
 
 class TestBeyondDefaultRange:
-    def test_top_layer_at_size_eight(self):
-        # one size past the default sweep, top layer only (the expensive part)
-        presentation = build_quadratic_dual(8)
+    def test_full_sweep_at_size_eight(self, presentation8):
+        # one size past the default sweep
         for lam in partitions_up_to(8):
-            if lam.size != 8:
-                continue
             for mu in subdiagrams(lam):
-                assert dual_hom_dim(mu, lam, presentation) == hom_dim_C(
+                assert dual_hom_dim(mu, lam, presentation8) == hom_dim_C(
                     transpose(mu), transpose(lam)
                 )
+
+
+class TestKoszulNumericalCriterion:
+    def test_hilbert_series_inverse(self, presentation8):
+        # H_C(t) H_{C!}(-t) = 1 (Beilinson-Ginzburg-Soergel 1996, 2.11): over
+        # every interval mu <= nu <= lam, the alternating sum of hom_dim_C(mu, nu)
+        # times the dual dimension of (nu, lam) is 1 if mu == lam, else 0.
+        # Neither transpose nor Bareiss rank enters.
+        intervals = {lam: subdiagrams(lam) for lam in partitions_up_to(8)}
+        dual = {
+            (nu, lam): dual_hom_dim(nu, lam, presentation8)
+            for lam, below in intervals.items()
+            for nu in below
+        }
+        for lam, below in intervals.items():
+            for mu in below:
+                total = sum(
+                    (-1) ** (nu.size - mu.size) * hom_dim_C(mu, nu) * dual[(nu, lam)]
+                    for nu in below
+                    if nu.contains(mu)
+                )
+                assert total == (1 if mu == lam else 0), (mu, lam)
 
 
 class TestInvolution:
