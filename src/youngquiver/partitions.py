@@ -37,7 +37,9 @@ class Partition:
         return self.rows[r - 1] if 1 <= r <= len(self.rows) else 0
 
     def contains(self, other: "Partition") -> bool:
-        return all(self.row(r) >= v for r, v in enumerate(other.rows, start=1))
+        return len(other.rows) <= len(self.rows) and all(
+            a >= b for a, b in zip(self.rows, other.rows)
+        )
 
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.rows) if self.rows else "0"
@@ -134,11 +136,15 @@ def add_node(lam: Partition, node: Node) -> Partition:
 
 
 def skew_classify(mu: Partition, lam: Partition) -> SkewClass:
+    """Read off the row tuples: row r holds two skew nodes iff
+    lam_r - mu_r >= 2, and rows r, r+1 share a skew column iff
+    lam_{r+1} > mu_r (a column pair anywhere implies one in adjacent rows)."""
     if not lam.contains(mu):
         return SkewClass(contained=False)
-    row_pair = any(lam.row(r) - mu.row(r) >= 2 for r in range(1, len(lam.rows) + 1))
-    lam_t, mu_t = transpose(lam), transpose(mu)
-    col_pair = any(lam_t.row(c) - mu_t.row(c) >= 2 for c in range(1, len(lam_t.rows) + 1))
+    outer = lam.rows
+    inner = mu.rows + (0,) * (len(outer) - len(mu.rows))
+    row_pair = any(a - b >= 2 for a, b in zip(outer, inner))
+    col_pair = any(a > b for a, b in zip(outer[1:], inner))
     return SkewClass(
         contained=True,
         size=lam.size - mu.size,

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, kernel_basis, normalize, rank, two_term_corank
+from .exactlinalg import RationalMatrix, kernel_basis, normalize, two_term_corank
 from .partitions import (
     Partition,
     add_node,
@@ -255,7 +255,9 @@ def _twisted_image_failure(diamond, presentation: QuadraticPresentation) -> dict
     """The duality functor sends the two commuting paths of a diamond to
     sign-twisted dual paths through the transposed diamond; it respects
     composition iff their difference lies in the relation span.  Verified by
-    an exact rank test, not by re-deriving the sign identity."""
+    an exact rank test, not by re-deriving the sign identity: adding the
+    difference to the relation rows must leave ``two_term_corank`` unchanged
+    (every one of these rows has at most two terms)."""
     mu_t = transpose(diamond.bottom)
     lam_t = transpose(diamond.top)
     left_t = transpose(diamond.mid_left)
@@ -267,13 +269,13 @@ def _twisted_image_failure(diamond, presentation: QuadraticPresentation) -> dict
     sign_right = arrow_sign(diamond.bottom, diamond.mid_right) * arrow_sign(
         diamond.mid_right, diamond.top
     )
-    twisted = [Fraction(0)] * len(relation.mids)
-    twisted[relation.mids.index(left_t)] = Fraction(sign_left)
-    twisted[relation.mids.index(right_t)] = Fraction(-sign_right)
-    base_rows = [list(v) for v in relation.vectors]
-    base_rank = rank(RationalMatrix.from_rows(base_rows, len(relation.mids)))
-    extended = rank(RationalMatrix.from_rows(base_rows + [twisted], len(relation.mids)))
-    if extended != base_rank:
+    twisted = [
+        (relation.mids.index(left_t), sign_left),
+        (relation.mids.index(right_t), -sign_right),
+    ]
+    base = [list(enumerate(v)) for v in relation.vectors]
+    n_paths = len(relation.mids)
+    if two_term_corank(n_paths, base + [twisted]) != two_term_corank(n_paths, base):
         return {
             "check": "sign_twist",
             "diamond": [

@@ -187,11 +187,10 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
     dim - rank(in) = [object == base] at position 0.  The truncation is
     exact per object: components of the first omitted position vanish at
     every object within the size window, so no boundary artifacts occur.
-    All three numbers are recorded per object and position.
+    All three numbers are recorded for the first failing object and position.
     """
     start = time.perf_counter()
     depth = complex_.depth
-    ranks_table = []
     first_failure = None
     positions_checked = 0
     for mu in complex_.objects:
@@ -205,15 +204,6 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
             expected_cohomology = 1 if position == 0 and mu == complex_.xi else 0
             cohomology = dim - rank_out - rank_in
             positions_checked += 1
-            ranks_table.append(
-                {
-                    "object": str(mu),
-                    "position": position,
-                    "dim": dim,
-                    "rank_out": rank_out,
-                    "rank_in": rank_in,
-                }
-            )
             if cohomology != expected_cohomology and first_failure is None:
                 first_failure = {
                     "object": str(mu),
@@ -245,7 +235,6 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
             "positions_checked": positions_checked,
         },
         first_failure=first_failure,
-        details={"ranks": ranks_table},
     )
 
 
@@ -282,7 +271,7 @@ def verify_resolution(
         first_failure = dict(complex_cert.first_failure, failing_check="complex")
     elif not exact_cert.passed:
         first_failure = dict(exact_cert.first_failure, failing_check="exactness")
-    details: dict = {"linear": complex_.linear, "ranks": exact_cert.details["ranks"]}
+    details: dict = {"linear": complex_.linear}
     if dump_matrices:
         details["matrices"] = {
             f"{i}@{mu}": matrix.to_text()

@@ -25,6 +25,11 @@ from .partitions import (
     skew_nodes,
 )
 
+# growth agreement tries every addition order of a diagram with at most
+# EXHAUSTIVE_LIMIT nodes and SAMPLES seeded orders of a larger one
+EXHAUSTIVE_LIMIT = 5
+SAMPLES = 3
+
 
 def row_sign(lam: Partition, row: int) -> int:
     """(-1)^(number of nodes of lam strictly above ``row``)."""
@@ -99,10 +104,10 @@ def addition_orders(lam: Partition) -> list[list[Node]]:
     return out
 
 
-def _sampled_orders(lam: Partition, samples: int, seed: int) -> list[list[Node]]:
+def _sampled_orders(lam: Partition, seed: int) -> list[list[Node]]:
     rng = random.Random(f"{seed}:{lam}")
     orders = []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         shape = lam
         reversed_nodes = []
         while shape.size:
@@ -158,16 +163,11 @@ def verify_anticommutativity(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> 
     )
 
 
-def verify_growth_agreement(
-    max_size: int,
-    exhaustive_limit: int = 5,
-    samples: int = 3,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> Certificate:
+def verify_growth_agreement(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
     """Check that the growth procedure reproduces the closed-form signs.
 
-    All addition orders are tried up to ``exhaustive_limit``; beyond that a
-    deterministic sample of orders per diagram.
+    All addition orders are tried up to ``EXHAUSTIVE_LIMIT`` nodes; beyond
+    that ``SAMPLES`` deterministic orders per diagram.
     """
     start = time.perf_counter()
     check_bound(max_size, bounds.max_partition_size, "sign verification size")
@@ -175,10 +175,10 @@ def verify_growth_agreement(
     orders_checked = 0
     first_failure = None
     for lam in partitions_up_to(max_size, bounds):
-        if lam.size <= exhaustive_limit:
+        if lam.size <= EXHAUSTIVE_LIMIT:
             orders = addition_orders(lam)
         else:
-            orders = _sampled_orders(lam, samples, seed=max_size)
+            orders = _sampled_orders(lam, seed=max_size)
         partitions_checked += 1
         for order in orders:
             grown_rows, grown_path = growth_signs(order)
@@ -204,8 +204,8 @@ def verify_growth_agreement(
         command="verify signs.growth",
         parameters={
             "max_size": max_size,
-            "exhaustive_limit": exhaustive_limit,
-            "samples": samples,
+            "exhaustive_limit": EXHAUSTIVE_LIMIT,
+            "samples": SAMPLES,
         },
         counts={"partitions_checked": partitions_checked, "orders_checked": orders_checked},
         first_failure=first_failure,

@@ -7,6 +7,7 @@ from youngquiver.partitions import (
     EMPTY,
     Node,
     Partition,
+    SkewClass,
     add_node,
     addable_nodes,
     diamonds_above,
@@ -204,6 +205,31 @@ class TestSkewClassify:
                 sk_t = skew_classify(transpose(mu), transpose(lam))
                 assert sk.has_column_pair == sk_t.has_row_pair
                 assert sk.has_row_pair == sk_t.has_column_pair
+
+    def test_matches_transpose_definition_exhaustive_to_eight(self):
+        # oracle: containment row by row, a column pair as a row pair of the
+        # transposed diagrams
+        def by_transpose(mu, lam):
+            if not all(lam.row(r) >= v for r, v in enumerate(mu.rows, start=1)):
+                return SkewClass(contained=False)
+            lam_t, mu_t = transpose(lam), transpose(mu)
+            return SkewClass(
+                contained=True,
+                size=lam.size - mu.size,
+                has_column_pair=any(
+                    lam_t.row(c) - mu_t.row(c) >= 2 for c in range(1, len(lam_t.rows) + 1)
+                ),
+                has_row_pair=any(
+                    lam.row(r) - mu.row(r) >= 2 for r in range(1, len(lam.rows) + 1)
+                ),
+            )
+
+        diagrams = partitions_up_to(8)
+        for lam in diagrams:
+            for mu in diagrams:
+                expected = by_transpose(mu, lam)
+                assert lam.contains(mu) == expected.contained
+                assert skew_classify(mu, lam) == expected
 
     @given(partitions(max_size=8))
     def test_skew_nodes_count_matches(self, lam):

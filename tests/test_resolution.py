@@ -1,7 +1,7 @@
 import pytest
 
 from youngquiver.config import BoundExceededError
-from youngquiver.exactlinalg import RationalMatrix, multiply
+from youngquiver.exactlinalg import RationalMatrix, multiply, rank
 from youngquiver.partitions import (
     EMPTY,
     Partition,
@@ -137,14 +137,9 @@ class TestVerifyComplex:
 class TestVerifyExactness:
     def test_cohomology_at_base_object(self):
         complex_ = build_resolution(EMPTY, 3)
-        cert = verify_exactness(complex_)
-        assert cert.passed
-        row = next(
-            r
-            for r in cert.details["ranks"]
-            if r["object"] == "0" and r["position"] == 0
-        )
-        assert row["dim"] == 1 and row["rank_in"] == 0
+        assert verify_exactness(complex_).passed
+        assert len(complex_.components[(0, EMPTY)]) == 1
+        assert rank(complex_.matrices[(-1, EMPTY)]) == 0  # rank into position 0
 
     def test_forced_rank_at_two_row_object(self):
         # object (2) over base 0: positions -2,-1,0 contribute dims 0,1,1
@@ -152,14 +147,41 @@ class TestVerifyExactness:
         assert len(complex_.components[(0, P(2))]) == 1
         assert len(complex_.components[(-1, P(2))]) == 1
         assert len(complex_.components[(-2, P(2))]) == 0
-        cert = verify_exactness(complex_)
-        assert cert.passed
-        row = next(
-            r
-            for r in cert.details["ranks"]
-            if r["object"] == "2" and r["position"] == -1
+        assert verify_exactness(complex_).passed
+        assert rank(complex_.matrices[(-1, P(2))]) == 1
+
+    def test_detects_broken_exactness(self):
+        # zero the differential out of position -2 at object (2,1): the
+        # products still vanish, but position -2 there now has cohomology
+        complex_ = build_resolution(P(1), 2)
+        matrices = dict(complex_.matrices)
+        dead = matrices[(-2, P(2, 1))]
+        assert (dead.n_rows, dead.n_cols, rank(dead)) == (2, 1, 1)
+        matrices[(-2, P(2, 1))] = RationalMatrix(dead.n_rows, dead.n_cols, {})
+        broken = GradedComplex(
+            complex_.xi,
+            complex_.depth,
+            complex_.strata,
+            complex_.objects,
+            complex_.components,
+            matrices,
+            complex_.linear,
         )
-        assert row["rank_out"] == 1
+        assert verify_complex(broken).passed
+        cert = verify_exactness(broken)
+        assert not cert.passed
+        assert cert.first_failure == {
+            "object": "2,1",
+            "position": -2,
+            "dim": 1,
+            "rank_out": 0,
+            "rank_in": 0,
+            "cohomology": 1,
+            "expected": 0,
+        }
+        assert cert.counts["positions_checked"] == verify_exactness(complex_).counts[
+            "positions_checked"
+        ]
 
     def test_euler_alternating_sum(self):
         complex_ = build_resolution(P(1), 4)
@@ -171,10 +193,20 @@ class TestVerifyExactness:
             assert euler == (1 if mu == complex_.xi else 0)
 
     def test_rank_identity_audit_trail(self):
-        cert = verify_exactness(build_resolution(P(2), 3))
-        for row in cert.details["ranks"]:
-            expected = 1 if row["position"] == 0 and row["object"] == "2" else 0
-            assert row["dim"] - row["rank_out"] - row["rank_in"] == expected
+        complex_ = build_resolution(P(2), 3)
+        assert verify_exactness(complex_).passed
+        for mu in complex_.objects:
+            ranks_out = [rank(complex_.matrices[(i, mu)]) for i in range(-3, 0)] + [0]
+            for offset, i in enumerate(range(-3, 1)):
+                dim = len(complex_.components[(i, mu)])
+                rank_in = ranks_out[offset - 1] if offset else 0
+                expected = 1 if i == 0 and mu == P(2) else 0
+                assert dim - ranks_out[offset] - rank_in == expected
+
+    def test_certificate_holds_no_per_object_data(self):
+        assert verify_exactness(build_resolution(P(2), 3)).details is None
+        details = verify_resolution(P(2), 3).details
+        assert details == {"linear": True}
 
     @pytest.mark.parametrize("xi", [EMPTY, P(1), P(2), P(1, 1), P(2, 1), P(3, 1)])
     def test_full_battery(self, xi):
