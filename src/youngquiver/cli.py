@@ -1,10 +1,12 @@
 """Command-line entry point for verification sweeps and table exports.
 
 Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = usage or bounds
-error, 3 = internal error (an arithmetic fault inside the toolkit, never a
-verdict).  Certificates go to stdout as JSON (or to --out); every sweep is
-deterministic, so certificates are byte-stable across runs apart from the
-elapsed_ms field.
+error (a bad option, partition or config value, a configured bound exceeded,
+or a file that cannot be read or written), 3 = internal error (an
+``ArithmeticError`` or any other ``ValueError`` raised inside the toolkit,
+never a verdict).  Certificates go to stdout as JSON (or to --out); every
+sweep is deterministic, so certificates are byte-stable across runs apart
+from the elapsed_ms field.
 """
 
 import argparse
@@ -16,7 +18,7 @@ from typing import Callable
 from . import qdual, quiver, resolution, signs, symgroup
 from ._version import __version__
 from .certificates import Certificate
-from .config import BoundExceededError, load_bounds
+from .config import BoundExceededError, Bounds, load_bounds
 from .partitions import parse_partition, partitions_of, partitions_up_to
 from .qdual import verify_quadratic_duality
 from .resolution import verify_resolution
@@ -26,6 +28,10 @@ from .symgroup import verify_branching, verify_idempotent_system
 MATH_FAILURE = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+
+class UsageError(ValueError):
+    """An option, partition or config value the command cannot run with."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ValueError(message)
+        raise UsageError(message)
 
 
 def _check_options(args) -> None:
@@ -119,6 +125,16 @@ def _check_options(args) -> None:
             _require(value >= 0, f"{flag} must be non-negative, got {value}")
         elif dest in ("xi", "mu") and value is not None:
             setattr(args, dest, parse_partition(value))
+
+
+def _checked_input(args) -> Bounds:
+    """Check the options and load the bounds.  A ``ValueError`` here comes
+    from bad input, so it is re-raised as a ``UsageError``."""
+    try:
+        _check_options(args)
+        return load_bounds()
+    except ValueError as exc:
+        raise UsageError(exc) from exc
 
 
 def _cmd_quiver(args, bounds) -> int:
@@ -150,6 +166,8 @@ def _cmd_verify(args, bounds) -> int:
     values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in sweep.flags}
     missing = [flag for flag, value in values.items() if value is None]
     _require(not missing, f"verify {args.target} requires {' and '.join(missing)}")
+    _require(args.target != "resolution" or args.depth > 0,
+             f"verify resolution requires --depth of at least 1, got {args.depth}")
     certificate = sweep.driver(
         **{sweep.flags[flag]: value for flag, value in values.items()}, bounds=bounds
     )
@@ -208,17 +226,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_options(args)
-        bounds = load_bounds()
+        bounds = _checked_input(args)
         if args.command == "quiver":
             return _cmd_quiver(args, bounds)
         if args.command == "verify":
             return _cmd_verify(args, bounds)
         return _cmd_table(args, bounds)
-    except (BoundExceededError, ValueError, OSError) as exc:
+    except (BoundExceededError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

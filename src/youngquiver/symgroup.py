@@ -1,10 +1,15 @@
 """Exact symmetric group algebra over the rationals.
 
 Permutations act on {1..n} and compose right-to-left: (a * b)(i) = a(b(i)).
-Group algebra elements are sparse rational combinations of permutations.
+Group algebra elements are sparse rational combinations of permutations,
+stored as integer numerators keyed by image tuples over one common
+denominator; a product composes the tuples directly and sums integers.
 Characters come from the Murnaghan-Nakayama recursion on border strips,
 centrally primitive idempotents from the character formula, and Young
-symmetrizers from row/column groups of a tableau.  Induction multiplicities
+symmetrizers from row/column groups of a tableau.  Centrality is checked
+against the generators (1 2) and (1 2 ... n) only: the permutations that
+commute with an element form a subgroup, so commuting with a generating
+set means commuting with the whole group.  Induction multiplicities
 are character pairings organized over cycle-type pairs weighted by class
 sizes, which keeps them feasible well past the point where summing over
 group elements would blow up.
@@ -14,11 +19,14 @@ quiver description is checked.
 """
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations as iter_permutations
-from math import factorial
+from itertools import product
+from math import factorial, gcd, lcm
+from operator import itemgetter
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
@@ -84,13 +92,10 @@ class Permutation:
         return out
 
     def cycle_type(self) -> CycleType:
-        lengths = [len(c) for c in self.cycles()]
-        fixed = self.n - sum(lengths)
-        return Partition(tuple(sorted(lengths + [1] * fixed, reverse=True)))
+        return Partition(_cycle_lengths(self.images))
 
     def sign(self) -> int:
-        transpositions = sum(len(c) - 1 for c in self.cycles())
-        return -1 if transpositions % 2 else 1
+        return _sign(self.images)
 
     def to_cycle_string(self) -> str:
         cycles = self.cycles()
@@ -110,26 +115,110 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in iter_permutations(range(1, n + 1))]
 
 
+def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation in one-line notation, fixed points
+    included, longest first."""
+    seen = [False] * (len(images) + 1)
+    lengths = []
+    for start in range(1, len(images) + 1):
+        length = 0
+        point = start
+        while not seen[point]:
+            seen[point] = True
+            point = images[point - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _sign(images: tuple[int, ...]) -> int:
+    return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
+
+
+def generating_set(n: int) -> list[Permutation]:
+    """(1 2) and (1 2 ... n), which generate the symmetric group: one
+    permutation for n = 2, none for n < 2."""
+    if n < 2:
+        return []
+    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+    if n == 2:
+        return [swap]
+    return [swap, Permutation(tuple(range(2, n + 1)) + (1,))]
+
+
+class _Terms(Mapping):
+    """An element's terms as ``Permutation -> Fraction``, read from its
+    integer store; the length is the number of nonzero terms."""
+
+    __slots__ = ("_element",)
+
+    def __init__(self, element: "GroupAlgebraElement") -> None:
+        self._element = element
+
+    def __len__(self) -> int:
+        return len(self._element.numerators)
+
+    def __iter__(self):
+        return map(Permutation, self._element.numerators)
+
+    def __getitem__(self, perm: Permutation) -> Fraction:
+        if not isinstance(perm, Permutation):
+            raise KeyError(perm)
+        return Fraction(self._element.numerators[perm.images], self._element.denominator)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class GroupAlgebraElement:
-    """Sparse rational combination of permutations of fixed degree."""
+    """Sparse rational combination of permutations of fixed degree.
+
+    The coefficient of the permutation with one-line images ``t`` is
+    ``numerators[t] / denominator``.  Construction drops zero numerators and
+    brings the fraction to lowest terms with a positive denominator (zero
+    has denominator 1), so two elements are equal exactly when their fields
+    are.  Keys are not validated: callers build them from permutations.
+    """
 
     degree: int
-    terms: dict[Permutation, Fraction]
+    numerators: dict[tuple[int, ...], int]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        clean = {}
-        for perm, coeff in self.terms.items():
-            if perm.n != self.degree:
-                raise ValueError(f"term degree {perm.n} != element degree {self.degree}")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[perm] = coeff
-        object.__setattr__(self, "terms", clean)
+        if not self.denominator:
+            raise ZeroDivisionError("group algebra element with denominator 0")
+        numerators = {images: c for images, c in self.numerators.items() if c}
+        common = gcd(self.denominator, *numerators.values())
+        if self.denominator < 0:
+            common = -common
+        if common != 1:
+            numerators = {images: c // common for images, c in numerators.items()}
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", self.denominator // common)
+
+    @staticmethod
+    def from_terms(
+        degree: int, terms: Mapping[Permutation, Fraction | int]
+    ) -> "GroupAlgebraElement":
+        """The element with the given rational coefficients."""
+        coefficients = {}
+        for perm, coeff in terms.items():
+            if perm.n != degree:
+                raise ValueError(f"term degree {perm.n} != element degree {degree}")
+            coefficients[perm.images] = Fraction(coeff)
+        denominator = lcm(*(c.denominator for c in coefficients.values()))
+        return GroupAlgebraElement(
+            degree,
+            {images: c.numerator * (denominator // c.denominator)
+             for images, c in coefficients.items()},
+            denominator,
+        )
 
     @staticmethod
     def one(degree: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(degree, {Permutation.identity(degree): Fraction(1)})
+        return GroupAlgebraElement(degree, {tuple(range(1, degree + 1)): 1})
 
     @staticmethod
     def zero(degree: int) -> "GroupAlgebraElement":
@@ -137,25 +226,35 @@ class GroupAlgebraElement:
 
     @staticmethod
     def from_permutation(perm: Permutation) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(perm.n, {perm: Fraction(1)})
+        return GroupAlgebraElement(perm.n, {perm.images: 1})
+
+    @property
+    def terms(self) -> Mapping[Permutation, Fraction]:
+        return _Terms(self)
 
     def coefficient(self, perm: Permutation) -> Fraction:
-        return self.terms.get(perm, Fraction(0))
+        return Fraction(self.numerators.get(perm.images, 0), self.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def scale(self, scalar: Fraction | int) -> "GroupAlgebraElement":
         scalar = Fraction(scalar)
-        return GroupAlgebraElement(self.degree, {p: c * scalar for p, c in self.terms.items()})
+        return GroupAlgebraElement(
+            self.degree,
+            {images: c * scalar.numerator for images, c in self.numerators.items()},
+            self.denominator * scalar.denominator,
+        )
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        acc = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            acc[perm] = acc.get(perm, Fraction(0)) + coeff
-        return GroupAlgebraElement(self.degree, acc)
+        denominator = lcm(self.denominator, other.denominator)
+        mine, theirs = denominator // self.denominator, denominator // other.denominator
+        acc = {images: c * mine for images, c in self.numerators.items()}
+        for images, c in other.numerators.items():
+            acc[images] = acc.get(images, 0) + c * theirs
+        return GroupAlgebraElement(self.degree, acc, denominator)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + other.scale(-1)
@@ -164,28 +263,48 @@ class GroupAlgebraElement:
         return multiply(self, other)
 
     def embed(self, degree: int) -> "GroupAlgebraElement":
+        """View inside a larger symmetric group, fixing the new points."""
+        if degree < self.degree:
+            raise ValueError(f"cannot extend degree {self.degree} to {degree}")
+        tail = tuple(range(self.degree + 1, degree + 1))
         return GroupAlgebraElement(
-            degree, {perm.extend(degree): coeff for perm, coeff in self.terms.items()}
+            degree,
+            {images + tail: c for images, c in self.numerators.items()},
+            self.denominator,
         )
 
     def __str__(self) -> str:
         """Cycle notation with exact rational coefficients, e.g. 1/2*(1 2)."""
-        if not self.terms:
+        if not self.numerators:
             return "0"
-        ordered = sorted(self.terms, key=lambda p: p.images)
-        return " + ".join(f"{self.terms[p]}*{p.to_cycle_string()}" for p in ordered)
+        return " + ".join(
+            f"{Fraction(self.numerators[images], self.denominator)}"
+            f"*{Permutation(images).to_cycle_string()}"
+            for images in sorted(self.numerators)
+        )
 
 
 def multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product (bilinear extension of composition)."""
+    """Convolution product (bilinear extension of composition).
+
+    The images of p*q are p's images read at q's images, so one
+    ``itemgetter`` per term of ``b`` composes it with every term of ``a``.
+    """
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    acc: dict[Permutation, Fraction] = {}
-    for p, x in a.terms.items():
-        for q, y in b.terms.items():
-            r = p * q
-            acc[r] = acc.get(r, Fraction(0)) + x * y
-    return GroupAlgebraElement(a.degree, acc)
+    acc: dict[tuple[int, ...], int] = {}
+    if a.degree < 2:
+        # the trivial group; itemgetter returns a tuple only for two or more indices
+        for p, x in a.numerators.items():
+            for y in b.numerators.values():
+                acc[p] = acc.get(p, 0) + x * y
+    else:
+        left, left_numerators = tuple(a.numerators), tuple(a.numerators.values())
+        for q, y in b.numerators.items():
+            compose = itemgetter(*[j - 1 for j in q])
+            for r, x in zip(map(compose, left), left_numerators):
+                acc[r] = acc.get(r, 0) + x * y
+    return GroupAlgebraElement(a.degree, acc, a.denominator * b.denominator)
 
 
 @dataclass(frozen=True)
@@ -320,52 +439,33 @@ def central_idempotent(mu: Partition, bounds: Bounds = DEFAULT_BOUNDS) -> GroupA
     """(dim/n!) * sum over the group of character values times permutations."""
     n = mu.size
     check_bound(n, bounds.max_group_degree, "group degree")
-    lead = Fraction(specht_dimension(mu), factorial(n))
-    terms: dict[Permutation, Fraction] = {}
-    for perm in all_permutations(n):
-        chi = character_value(mu, perm.cycle_type())
+    dim = specht_dimension(mu)
+    numerators = {}
+    for images in iter_permutations(range(1, n + 1)):
+        chi = _mn_character(mu.rows, _cycle_lengths(images))
         if chi:
-            terms[perm] = lead * chi
-    return GroupAlgebraElement(n, terms)
+            numerators[images] = dim * chi
+    return GroupAlgebraElement(n, numerators, factorial(n))
 
 
-def _block_stabilizer(blocks: tuple[tuple[int, ...], ...], n: int, signed: bool):
-    """Permutations preserving each block setwise, with their signs."""
-    per_block = [list(iter_permutations(block)) for block in blocks]
+def is_central(x: GroupAlgebraElement) -> bool:
+    """Whether x commutes with every permutation.  The permutations that
+    commute with x form a subgroup, so checking a generating set suffices."""
+    for g in generating_set(x.degree):
+        g_elem = GroupAlgebraElement.from_permutation(g)
+        if multiply(x, g_elem) != multiply(g_elem, x):
+            return False
+    return True
 
-    def rec(idx: int, images: dict[int, int], parity: int):
-        if idx == len(blocks):
-            full = tuple(images.get(i, i) for i in range(1, n + 1))
-            yield Permutation(full), parity
-            return
-        block = blocks[idx]
-        for arrangement in per_block[idx]:
-            sub_parity = _arrangement_parity(block, arrangement) if signed else 1
-            new_images = dict(images)
+
+def _block_stabilizer(blocks: tuple[tuple[int, ...], ...], n: int):
+    """Image tuples of the permutations preserving each block setwise."""
+    for arrangements in product(*map(iter_permutations, blocks)):
+        images = list(range(n + 1))
+        for block, arrangement in zip(blocks, arrangements):
             for src, dst in zip(block, arrangement):
-                new_images[src] = dst
-            yield from rec(idx + 1, new_images, parity * sub_parity)
-
-    yield from rec(0, {}, 1)
-
-
-def _arrangement_parity(original: tuple[int, ...], arranged: tuple[int, ...]) -> int:
-    index = {v: i for i, v in enumerate(original)}
-    perm = [index[v] for v in arranged]
-    parity = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        point = start
-        while not seen[point]:
-            seen[point] = True
-            point = perm[point]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+                images[src] = dst
+        yield tuple(images[1:])
 
 
 def young_symmetrizer(tableau: Tableau, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
@@ -375,14 +475,13 @@ def young_symmetrizer(tableau: Tableau, bounds: Bounds = DEFAULT_BOUNDS) -> Grou
     check_bound(n, bounds.max_group_degree, "group degree")
     rows = tableau.entries
     cols = tuple(tableau.column(c) for c in range(1, (tableau.shape.rows or (0,))[0] + 1))
-    row_sum = GroupAlgebraElement(
-        n, {perm: Fraction(1) for perm, _ in _block_stabilizer(rows, n, signed=False)}
-    )
+    row_sum = GroupAlgebraElement(n, {images: 1 for images in _block_stabilizer(rows, n)})
     col_sum = GroupAlgebraElement(
-        n, {perm: Fraction(sign) for perm, sign in _block_stabilizer(cols, n, signed=True)}
+        n, {images: _sign(images) for images in _block_stabilizer(cols, n)}
     )
-    product = multiply(row_sum, col_sum)
-    return product.scale(Fraction(specht_dimension(tableau.shape), factorial(n)))
+    return multiply(row_sum, col_sum).scale(
+        Fraction(specht_dimension(tableau.shape), factorial(n))
+    )
 
 
 def injection_bimodule(n: int, m: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[GroupAlgebraElement]:
@@ -398,11 +497,11 @@ def injection_bimodule(n: int, m: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[
     basis = []
     for image in iter_permutations(values, n):
         rest = sorted(set(values) - set(image))
-        terms = {
-            Permutation(image + completion): Fraction(1)
-            for completion in iter_permutations(rest)
-        }
-        basis.append(GroupAlgebraElement(total, terms))
+        basis.append(
+            GroupAlgebraElement(
+                total, {image + completion: 1 for completion in iter_permutations(rest)}
+            )
+        )
     return basis
 
 
@@ -416,11 +515,12 @@ def direct_hom_dimension(mu: Partition, lam: Partition, bounds: Bounds = DEFAULT
     check_bound(n, bounds.max_direct_hom_degree, "direct hom degree")
     e_lam = young_symmetrizer(canonical_tableau(lam), bounds)
     e_mu = young_symmetrizer(canonical_tableau(mu), bounds).embed(n + 1)
-    group_order = all_permutations(n + 1)
+    group_order = list(iter_permutations(range(1, n + 2)))
     rows = []
     for element in injection_bimodule(n, 1, bounds):
-        product = multiply(multiply(e_lam, element), e_mu)
-        rows.append([product.coefficient(perm) for perm in group_order])
+        # numerators only: scaling a row by its denominator keeps the rank
+        numerators = multiply(multiply(e_lam, element), e_mu).numerators
+        rows.append([numerators.get(images, 0) for images in group_order])
     return rank(RationalMatrix.from_rows(rows, len(group_order)))
 
 
@@ -523,8 +623,9 @@ def verify_branching(
 
 
 def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
-    """Central idempotents: idempotent, central, pairwise orthogonal, summing
-    to the identity; normalized Young symmetrizers idempotent."""
+    """Central idempotents: idempotent, central (by ``is_central``, on two
+    generators), pairwise orthogonal, summing to the identity; normalized
+    Young symmetrizers idempotent."""
     start = time.perf_counter()
     first_failure = None
     idempotents_checked = 0
@@ -538,12 +639,8 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
             if multiply(e_mu, e_mu) != e_mu:
                 first_failure = {"check": "idempotent", "partition": str(mu)}
                 break
-            for g in all_permutations(n):
-                g_elem = GroupAlgebraElement.from_permutation(g)
-                if multiply(e_mu, g_elem) != multiply(g_elem, e_mu):
-                    first_failure = {"check": "central", "partition": str(mu)}
-                    break
-            if first_failure:
+            if not is_central(e_mu):
+                first_failure = {"check": "central", "partition": str(mu)}
                 break
             for nu, e_nu in blocks:
                 if nu != mu and not multiply(e_mu, e_nu).is_zero():

@@ -157,6 +157,24 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "internal error: inexact division during elimination\n"
 
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def mismatched(**_):
+            raise ValueError("degree mismatch: 2 vs 3")
+
+        monkeypatch.setitem(
+            cli.SWEEPS, "signs", dataclasses.replace(cli.SWEEPS["signs"], driver=mismatched)
+        )
+        code, out, err = run_cli(capsys, "verify", "signs", "--max-size", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: degree mismatch: 2 vs 3\n"
+
+    def test_zero_resolution_depth_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "resolution", "--xi", "1", "--depth", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify resolution requires --depth of at least 1, got 0\n"
+
 
 class TestTableCommand:
     def test_three_term_relation_is_internal_error(self, capsys, monkeypatch):

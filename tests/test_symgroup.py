@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from youngquiver import symgroup
 from youngquiver.config import BoundExceededError, Bounds
 from youngquiver.partitions import EMPTY, Partition, partitions_of
 from youngquiver.symgroup import (
@@ -19,12 +20,15 @@ from youngquiver.symgroup import (
     character_value,
     cycle_type_class_size,
     direct_hom_dimension,
+    generating_set,
     induction_multiplicity,
     injection_bimodule,
+    is_central,
     multiply,
     pieri_coefficient,
     specht_dimension,
     standard_tableaux,
+    verify_idempotent_system,
     young_symmetrizer,
 )
 
@@ -288,6 +292,153 @@ class TestMultiply:
         b = GroupAlgebraElement.from_permutation(Permutation((2, 3, 1)))
         c = young_symmetrizer(canonical_tableau(P(2, 1)))
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+def slow_multiply(a_terms, b_terms):
+    """Convolution on Fraction coefficients and checked Permutation products;
+    the oracle for the integer kernel.  Zero coefficients are dropped."""
+    acc = {}
+    for p, x in a_terms.items():
+        for q, y in b_terms.items():
+            r = p * q
+            acc[r] = acc.get(r, Fraction(0)) + x * y
+    return {perm: coeff for perm, coeff in acc.items() if coeff}
+
+
+@st.composite
+def raw_elements(draw, n):
+    """Integer numerators, zeros included, over a denominator of either sign
+    that need not be in lowest terms, with the Fraction coefficients they
+    stand for."""
+    perms = draw(st.lists(st.sampled_from(all_permutations(n)), max_size=8))
+    numerators = {p.images: draw(st.integers(-4, 4)) for p in perms}
+    denominator = draw(st.integers(1, 12)) * draw(st.sampled_from((1, -1)))
+    coefficients = {
+        Permutation(images): Fraction(c, denominator)
+        for images, c in numerators.items()
+        if c
+    }
+    return GroupAlgebraElement(n, numerators, denominator), coefficients
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    return draw(raw_elements(n)), draw(raw_elements(n))
+
+
+class TestIntegerKernel:
+    @given(element_pairs())
+    def test_multiply_matches_fraction_oracle(self, pair):
+        (a, a_terms), (b, b_terms) = pair
+        expected = slow_multiply(a_terms, b_terms)
+        product = multiply(a, b)
+        assert product.terms == expected
+        assert len(product.terms) == len(expected)
+        assert product == GroupAlgebraElement.from_terms(a.degree, expected)
+        # nonzero integers over a positive denominator in lowest terms
+        assert product.denominator > 0
+        assert all(type(c) is int and c for c in product.numerators.values())
+        assert gcd(product.denominator, *product.numerators.values()) == 1
+
+    @given(element_pairs())
+    def test_cancelling_sum(self, pair):
+        (a, a_terms), (b, b_terms) = pair
+        zero = GroupAlgebraElement.zero(a.degree)
+        assert multiply(a, b - b) == zero
+        assert multiply(a, b) + multiply(a, b.scale(-1)) == zero
+        assert a.terms == a_terms and b.terms == b_terms
+
+    def test_cancelling_products(self):
+        swap = GroupAlgebraElement.from_permutation(Permutation((2, 1, 3)))
+        one = GroupAlgebraElement.one(3)
+        product = multiply(one - swap, one + swap)
+        assert product.is_zero()
+        assert product.denominator == 1
+
+    def test_canonical_form(self):
+        x = central_idempotent(P(2, 1))
+        assert x.scale(2).scale(Fraction(1, 2)) == x
+        assert (x - x).is_zero()
+        assert x - x == GroupAlgebraElement.zero(3)
+        assert x.scale(0) == GroupAlgebraElement.zero(3)
+        assert GroupAlgebraElement(2, {(2, 1): 6, (1, 2): 0}, -4) == GroupAlgebraElement(
+            2, {(2, 1): -3}, 2
+        )
+
+    def test_built_two_ways(self):
+        swap = Permutation((2, 1))
+        one = GroupAlgebraElement.one(2)
+        by_sum = (one + GroupAlgebraElement.from_permutation(swap)).scale(Fraction(1, 2))
+        by_terms = GroupAlgebraElement.from_terms(
+            2, {Permutation((1, 2)): Fraction(2, 4), swap: Fraction(1, 2)}
+        )
+        assert central_idempotent(P(2)) == by_sum == by_terms
+        assert young_symmetrizer(canonical_tableau(P(2))) == by_sum
+        assert by_terms.coefficient(swap) == Fraction(1, 2)
+        assert by_terms.coefficient(Permutation((2, 1, 3))) == 0
+
+    def test_embed_fixes_new_points(self):
+        x = central_idempotent(P(1, 1)).embed(3)
+        assert x.terms == {
+            Permutation((1, 2, 3)): Fraction(1, 2),
+            Permutation((2, 1, 3)): Fraction(-1, 2),
+        }
+        with pytest.raises(ValueError):
+            x.embed(2)
+
+    def test_from_terms_rejects_wrong_degree(self):
+        with pytest.raises(ValueError):
+            GroupAlgebraElement.from_terms(3, {Permutation((2, 1)): 1})
+
+
+def commutes_with_every_permutation(x):
+    return all(
+        multiply(x, g) == multiply(g, x)
+        for g in map(GroupAlgebraElement.from_permutation, all_permutations(x.degree))
+    )
+
+
+class TestCentralityByGenerators:
+    @pytest.mark.parametrize("n", range(6))
+    def test_generating_set_generates(self, n):
+        group = {Permutation.identity(n)}
+        frontier = list(group)
+        while frontier:
+            frontier = [p * g for p in frontier for g in generating_set(n)]
+            frontier = [p for p in frontier if p not in group]
+            group.update(frontier)
+        assert len(group) == factorial(n)
+        assert len(generating_set(n)) == min(max(n - 1, 0), 2)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_agrees_with_all_permutations(self, n):
+        non_central = 0
+        for mu in partitions_of(n):
+            for x in (central_idempotent(mu), young_symmetrizer(canonical_tableau(mu))):
+                expected = commutes_with_every_permutation(x)
+                assert is_central(x) == expected
+                non_central += not expected
+        if n >= 3:
+            assert non_central > 0
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_agrees_on_single_permutations(self, n):
+        # (1 2) commutes with itself but not with (1 2 ... n) once n >= 3,
+        # and an n-cycle the other way round
+        for g in all_permutations(n):
+            x = GroupAlgebraElement.from_permutation(g)
+            assert is_central(x) == commutes_with_every_permutation(x)
+
+    def test_sweep_finds_a_non_central_idempotent(self, monkeypatch):
+        monkeypatch.setattr(
+            symgroup,
+            "central_idempotent",
+            lambda mu, bounds: young_symmetrizer(canonical_tableau(mu), bounds),
+        )
+        certificate = verify_idempotent_system(3)
+        assert certificate.verdict == "fail"
+        assert certificate.first_failure == {"check": "central", "partition": "2,1"}
 
 
 class TestInjectionBimodule:
