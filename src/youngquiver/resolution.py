@@ -7,9 +7,13 @@ the same row (a vertical strip).  The position-i term of the complex is the
 direct sum of the projectives generated at the stratum members, shifted so
 the whole complex is linear.  A projective generated at lam contributes a
 canonical basis vector at evaluation object mu exactly when the hom space
-lam -> mu survives the column relations; the differential entry between two
-stratum members is the arrow sign when they differ by one node and both are
-present, else zero.
+lam -> mu survives the column relations, that is when mu/lam is a
+horizontal strip.  So the objects where lam is present are listed straight
+from the interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... of the row
+tuples, instead of probing every object.  The differential entry between
+two stratum members is the arrow sign when they differ by one node and both
+are present, else zero; the arrows between adjacent strata are found once,
+by removing each corner of each member of the larger stratum.
 
 Because exactness of a complex of modules over the category holds iff it
 holds at every evaluation object, the whole verification reduces to exact
@@ -23,9 +27,8 @@ from dataclasses import dataclass
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, multiply, rank
+from .exactlinalg import RationalMatrix, Scalar, multiply, rank
 from .partitions import Partition, partitions_of, partitions_up_to
-from .quiver import hom_dim_C
 from .signs import arrow_sign
 
 
@@ -85,41 +88,88 @@ class GradedComplex:
     matrices: dict[tuple[int, Partition], RationalMatrix]
     linear: bool
 
-    def stratum_at(self, index: int) -> Stratum:
-        return self.strata[index + self.depth]
-
 
 def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS) -> GradedComplex:
     if depth < 1:
         raise ValueError("depth must be positive")
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
     strata = tuple(stratum(xi, i, bounds) for i in range(-depth, 1))
-    objects = tuple(partitions_up_to(xi.size + depth, bounds))
+    max_size = xi.size + depth
+    objects = tuple(partitions_up_to(max_size, bounds))
 
+    # present[offset][k]: the members of strata[offset] present at objects[k]
+    present: list[list[tuple[Partition, ...]]] = []
     components: dict[tuple[int, Partition], tuple[Partition, ...]] = {}
     for st in strata:
-        for mu in objects:
-            components[(st.index, mu)] = tuple(
-                lam for lam in st.members if hom_dim_C(lam, mu) == 1
-            )
+        above: dict[tuple[int, ...], list[Partition]] = {}
+        for lam in st.members:
+            for rows in _horizontal_strip_extensions(lam.rows, max_size):
+                above.setdefault(rows, []).append(lam)
+        column = [tuple(above.get(mu.rows, ())) for mu in objects]
+        present.append(column)
+        for mu, found in zip(objects, column):
+            components[(st.index, mu)] = found
 
     matrices: dict[tuple[int, Partition], RationalMatrix] = {}
-    for i in range(-depth, 0):
-        for mu in objects:
-            rows = components[(i + 1, mu)]
-            cols = components[(i, mu)]
+    for offset in range(depth):
+        arrows = _arrows_into(strata[offset], strata[offset + 1])
+        for mu, rows, cols in zip(objects, present[offset + 1], present[offset]):
             entries = {}
-            for r, lam in enumerate(rows):
+            if rows and cols:
+                row_index = {lam: r for r, lam in enumerate(rows)}
                 for c, nu in enumerate(cols):
-                    if nu.size == lam.size + 1 and nu.contains(lam):
-                        entries[(r, c)] = arrow_sign(lam, nu)
-            matrices[(i, mu)] = RationalMatrix(len(rows), len(cols), entries)
+                    for lam, sign in arrows[nu]:
+                        r = row_index.get(lam)
+                        if r is not None:
+                            entries[(r, c)] = sign
+            matrices[(offset - depth, mu)] = RationalMatrix(len(rows), len(cols), entries)
 
     # linearity: the position -n term is generated in internal degree n
     linear = all(
         lam.size == xi.size - st.index for st in strata for lam in st.members
     )
     return GradedComplex(xi, depth, strata, objects, components, matrices, linear)
+
+
+def _horizontal_strip_extensions(rows: tuple[int, ...], max_size: int) -> list[tuple[int, ...]]:
+    """Row tuples of every mu of size at most ``max_size`` such that mu/lam
+    is a horizontal strip, where lam has row tuple ``rows``: the interlacing
+    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... >= mu_(l+1) >= 0."""
+    results: list[tuple[int, ...]] = []
+
+    def rec(r: int, spare: int, acc: tuple[int, ...]) -> None:
+        low = rows[r] if r < len(rows) else 0
+        high = low + spare if r == 0 else min(rows[r - 1], low + spare)
+        for value in range(low, high + 1):
+            extended = acc + (value,) if value else acc
+            if r < len(rows):
+                rec(r + 1, spare - value + low, extended)
+            else:
+                results.append(extended)
+
+    spare = max_size - sum(rows)
+    if spare >= 0:
+        rec(0, spare, ())
+    return results
+
+
+def _arrows_into(upper: Stratum, lower: Stratum) -> dict[Partition, list[tuple[Partition, int]]]:
+    """For each member nu of ``upper``, the members lam of ``lower`` that
+    nu covers, with the sign of the arrow lam -> nu: remove each corner of
+    nu and keep the results that lie in ``lower``."""
+    by_rows = {lam.rows: lam for lam in lower.members}
+    arrows: dict[Partition, list[tuple[Partition, int]]] = {}
+    for nu in upper.members:
+        rows = nu.rows
+        found = []
+        for r, length in enumerate(rows):
+            if r + 1 == len(rows) or length > rows[r + 1]:
+                smaller = rows[:r] + (length - 1,) + rows[r + 1 :] if length > 1 else rows[:r]
+                lam = by_rows.get(smaller)
+                if lam is not None:
+                    found.append((lam, arrow_sign(lam, nu)))
+        arrows[nu] = found
+    return arrows
 
 
 def verify_complex(complex_: GradedComplex) -> Certificate:
@@ -165,17 +215,16 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
 
 
 def _two_term_zero_cells(high: RationalMatrix, low: RationalMatrix) -> int:
-    count = 0
-    for r in range(high.n_rows):
-        for c in range(low.n_cols):
-            terms = [
-                high.entry(r, k) * low.entry(k, c)
-                for k in range(high.n_cols)
-                if high.entry(r, k) and low.entry(k, c)
-            ]
-            if len(terms) == 2 and sum(terms) == 0:
-                count += 1
-    return count
+    """Cells of high*low that receive exactly two nonzero terms, summing to
+    zero."""
+    low_by_row: dict[int, list[tuple[int, Scalar]]] = {}
+    for (k, c), y in low.entries.items():
+        low_by_row.setdefault(k, []).append((c, y))
+    terms: dict[tuple[int, int], list[Scalar]] = {}
+    for (r, k), x in high.entries.items():
+        for c, y in low_by_row.get(k, ()):
+            terms.setdefault((r, c), []).append(x * y)
+    return sum(1 for cell in terms.values() if len(cell) == 2 and cell[0] + cell[1] == 0)
 
 
 def verify_exactness(complex_: GradedComplex) -> Certificate:

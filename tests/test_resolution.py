@@ -13,6 +13,8 @@ from youngquiver.partitions import (
 from youngquiver.quiver import hom_dim_C
 from youngquiver.resolution import (
     GradedComplex,
+    _horizontal_strip_extensions,
+    _two_term_zero_cells,
     betti_table,
     build_resolution,
     stratum,
@@ -76,7 +78,7 @@ class TestBuild:
 
     def test_first_term_is_addable_nodes(self):
         complex_ = build_resolution(P(2, 1), 1)
-        assert complex_.stratum_at(-1).members == (P(3, 1), P(2, 2), P(2, 1, 1))
+        assert complex_.strata[-1 + complex_.depth].members == (P(3, 1), P(2, 2), P(2, 1, 1))
 
     def test_hand_computed_matrices_at_one_object(self):
         # base (1), object (2,1): one diamond cancellation
@@ -100,6 +102,88 @@ class TestBuild:
         complex_ = build_resolution(P(2), 4)
         for matrix in complex_.matrices.values():
             assert all(v in (1, -1) for v in matrix.entries.values())
+
+
+def slow_components(complex_):
+    """Presence by the 0/1 hom space, probed for every member and object."""
+    return {
+        (st.index, mu): tuple(lam for lam in st.members if hom_dim_C(lam, mu) == 1)
+        for st in complex_.strata
+        for mu in complex_.objects
+    }
+
+
+def slow_matrix(rows, cols):
+    """Differential by testing every row/column pair for an arrow."""
+    entries = {}
+    for r, lam in enumerate(rows):
+        for c, nu in enumerate(cols):
+            if nu.size == lam.size + 1 and nu.contains(lam):
+                entries[(r, c)] = arrow_sign(lam, nu)
+    return RationalMatrix(len(rows), len(cols), entries)
+
+
+def slow_two_term_zero_cells(high, low):
+    """Dense triple loop over every cell and every summand."""
+    count = 0
+    for r in range(high.n_rows):
+        for c in range(low.n_cols):
+            terms = [
+                high.entry(r, k) * low.entry(k, c)
+                for k in range(high.n_cols)
+                if high.entry(r, k) and low.entry(k, c)
+            ]
+            if len(terms) == 2 and sum(terms) == 0:
+                count += 1
+    return count
+
+
+SMALL_COMPLEXES = [
+    (xi, depth) for xi in partitions_up_to(4) for depth in range(1, 7)
+]
+
+
+class TestAssemblyOracle:
+    """The strip enumeration and the corner-removal arrows against the
+    hom_dim_C probe of every member at every object."""
+
+    @pytest.mark.parametrize("xi, depth", SMALL_COMPLEXES)
+    def test_components_and_matrices(self, xi, depth):
+        complex_ = build_resolution(xi, depth)
+        expected = slow_components(complex_)
+        assert complex_.components == expected
+        assert list(complex_.components) == list(expected)
+        for i in range(-depth, 0):
+            for mu in complex_.objects:
+                oracle = slow_matrix(expected[(i + 1, mu)], expected[(i, mu)])
+                assert complex_.matrices[(i, mu)] == oracle
+
+    @pytest.mark.parametrize("lam", partitions_up_to(6))
+    def test_horizontal_strips(self, lam):
+        for max_size in range(9):
+            found = _horizontal_strip_extensions(lam.rows, max_size)
+            assert len(found) == len(set(found))
+            assert sorted(found) == sorted(
+                mu.rows for mu in partitions_up_to(max_size) if hom_dim_C(lam, mu) == 1
+            )
+
+    @pytest.mark.parametrize("xi, depth", SMALL_COMPLEXES)
+    def test_diamond_count_matches_dense(self, xi, depth):
+        complex_ = build_resolution(xi, depth)
+        for mu in complex_.objects:
+            for i in range(-depth, -1):
+                low = complex_.matrices[(i, mu)]
+                high = complex_.matrices[(i + 1, mu)]
+                assert _two_term_zero_cells(high, low) == slow_two_term_zero_cells(high, low)
+
+    def test_diamond_count_skips_three_term_cells(self):
+        # cell (0,0) has three terms 1, -1, 1 (its first two cancel), cell
+        # (0,1) two summing to 2, cell (0,2) two summing to zero, cell (1,0)
+        # one term
+        high = RationalMatrix.from_rows([[1, -1, 1], [0, 1, 0]])
+        low = RationalMatrix.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert slow_two_term_zero_cells(high, low) == 1
+        assert _two_term_zero_cells(high, low) == 1
 
 
 class TestVerifyComplex:
@@ -255,7 +339,7 @@ def mirrored_matrix(complex_, i, mu):
     def present(stratum_index):
         return tuple(
             transpose(lam)
-            for lam in complex_.stratum_at(stratum_index).members
+            for lam in complex_.strata[stratum_index + complex_.depth].members
             if hom_dim_C(lam, mu) == 1
         )
 
