@@ -1,4 +1,4 @@
-"""Exact rational sparse matrices and the two exact rank engines.
+"""Exact rational sparse matrices and the exact elimination engines.
 
 This is the homology engine: every exactness statement in the package
 reduces to ranks computed here.  No floating point anywhere.
@@ -8,8 +8,11 @@ reduces to ranks computed here.  No floating point anywhere.
   rank); entries of the resolution differentials are already in {0, +1, -1}
   and skip the scaling entirely.
 - ``two_term_corank`` takes a matrix whose rows have at most two nonzero
-  entries, such as the quadratic-dual relation ideals, and counts its
-  kernel by a weighted union-find over columns; ``rank`` is its test oracle.
+  entries, such as the quadratic-dual relation spaces of a diamond, and
+  counts its kernel by a weighted union-find over columns; ``rank`` is its
+  test oracle.
+- ``rref`` is reduced row echelon form over the rationals; the quadratic
+  dual reads each quotient space and its projection from it.
 """
 
 from dataclasses import dataclass, field

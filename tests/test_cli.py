@@ -9,6 +9,8 @@ from youngquiver import cli
 from youngquiver.cli import main
 from youngquiver.partitions import parse_partition
 
+from test_qdual import chain_dim_bareiss, widened
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -169,6 +171,28 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "internal error: degree mismatch: 2 vs 3\n"
 
+    def test_broken_self_duality_is_a_verdict(self, capsys, monkeypatch):
+        build = cli.qdual.build_quadratic_dual
+        pair = (parse_partition("1"), parse_partition("2,1"))
+
+        def without_anticommutativity(max_size, bounds, of_lattice=False):
+            presentation = build(max_size, bounds, of_lattice=of_lattice)
+            rel = presentation.relations[pair]
+            relations = {**presentation.relations, pair: cli.qdual.RelationSpace(rel.mids, ())}
+            return dataclasses.replace(presentation, relations=relations)
+
+        monkeypatch.setattr(cli.qdual, "build_quadratic_dual", without_anticommutativity)
+        code, out, err = run_cli(capsys, "verify", "qdual", "--max-size", "4")
+        assert code == 1 and err == ""
+        certificate = json.loads(out)
+        assert certificate["verdict"] == "fail"
+        assert certificate["first_failure"] == {
+            "check": "dimension",
+            "pair": ["0", "2,1"],
+            "dual_dim": 1,
+            "transposed_hom_dim": 0,
+        }
+
     def test_zero_resolution_depth_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "resolution", "--xi", "1", "--depth", "0")
         assert code == 2
@@ -177,25 +201,27 @@ class TestVerifyCommand:
 
 
 class TestTableCommand:
-    def test_three_term_relation_is_internal_error(self, capsys, monkeypatch):
+    def test_widened_relations_give_the_bareiss_dimensions(self, capsys, monkeypatch):
+        # a relation vector with three nonzero entries (a mid repeated) is
+        # fine for the quotient walk's general eliminator
         build = cli.qdual.build_quadratic_dual
+        built = []
 
-        def widened(max_size, bounds):
-            # one relation vector with three nonzero entries (a mid repeated)
-            presentation = build(max_size, bounds)
-            pair = (parse_partition("1"), parse_partition("2,1"))
-            rel = presentation.relations[pair]
-            relations = {
-                **presentation.relations,
-                pair: cli.qdual.RelationSpace(rel.mids + rel.mids[:1], ((1, 1, 1),)),
-            }
-            return dataclasses.replace(presentation, relations=relations)
+        def widened_dual(max_size, bounds):
+            built.append(widened(build(max_size, bounds)))
+            return built[-1]
 
-        monkeypatch.setattr(cli.qdual, "build_quadratic_dual", widened)
+        monkeypatch.setattr(cli.qdual, "build_quadratic_dual", widened_dual)
         code, out, err = run_cli(capsys, "table", "dualdims", "--max-size", "3")
-        assert code == 3
-        assert out == ""
-        assert err == "internal error: two-term engine given a row with 3 nonzero entries\n"
+        assert code == 0 and err == ""
+        (presentation,) = built
+        table = {}
+        for line in out.splitlines():
+            key, value = line.split(": ")
+            mu, lam = map(parse_partition, key.split("->"))
+            table[key] = int(value)
+            assert table[key] == chain_dim_bareiss(mu, lam, presentation), key
+        assert len(table) == 22  # every contained pair up to size 3
 
     def test_pieri_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "pieri", "--mu", "2", "--m", "2")

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from youngquiver.config import BoundExceededError
+from youngquiver.config import DEFAULT_BOUNDS, BoundExceededError
+from youngquiver.exactlinalg import RationalMatrix, rank, two_term_corank
 from youngquiver.partitions import (
     Partition,
     partitions_up_to,
@@ -9,6 +12,7 @@ from youngquiver.partitions import (
     transpose,
 )
 from youngquiver.qdual import (
+    RelationSpace,
     annihilator_presentation,
     build_quadratic_dual,
     dual_hom_dim,
@@ -19,6 +23,67 @@ from youngquiver.qdual import (
 from youngquiver.quiver import hom_dim_C, hom_dim_Cprime_mod_J
 
 P = lambda *rows: Partition(tuple(rows))
+
+
+def saturated_chains(mu, lam):
+    """Every maximal chain from mu up to lam, each diagram as its row tuple."""
+    if not lam.contains(mu):
+        return []
+    top = lam.rows + (0,)
+    chains = [(mu.rows,)]
+    for _ in range(lam.size - mu.size):
+        grown = []
+        for chain in chains:
+            rows = chain[-1]
+            for r, length in enumerate(rows + (0,)):
+                if length < top[r] and (r == 0 or rows[r - 1] > length):
+                    grown.append(chain + (rows[:r] + (length + 1,) + rows[r + 1 :],))
+        chains = grown
+    return chains
+
+
+def chain_rows(mu, lam, presentation):
+    """The path count from mu to lam and every prefix x relation vector x
+    suffix as a sparse row over the path basis (a repeated path keeps one
+    entry per term, so a consumer must add them up)."""
+    paths = saturated_chains(mu, lam)
+    path_index = {path: idx for idx, path in enumerate(paths)}
+    relations = presentation.relation_rows
+    rows = [
+        [(path_index[path[: j + 1] + (mid,) + path[j + 2 :]], coeff) for mid, coeff in row]
+        for path in paths
+        for j in range(len(path) - 2)
+        for row in relations[(path[j], path[j + 2])]
+    ]
+    return len(paths), rows
+
+
+def chain_dim_union_find(mu, lam, presentation):
+    """The chain oracle: paths modulo the ideal, ranked by the signed
+    union-find (every relation vector of the real presentations has at most
+    two terms)."""
+    return two_term_corank(*chain_rows(mu, lam, presentation))
+
+
+def chain_dim_bareiss(mu, lam, presentation):
+    """The chain oracle for any relation vectors, ranked by Bareiss."""
+    n_paths, rows = chain_rows(mu, lam, presentation)
+    entries = {}
+    for r, row in enumerate(rows):
+        for col, coeff in row:
+            entries[(r, col)] = entries.get((r, col), 0) + coeff
+    return n_paths - rank(RationalMatrix(len(rows), n_paths, entries))
+
+
+def widened(presentation, vectors=((3, 5, -1),)):
+    """Every diamond relation rewritten over the mids (left, right, left)
+    with the given vectors.  The default has three nonzero terms and spans
+    the line 2 left + 5 right instead of the sum."""
+    relations = dict(presentation.relations)
+    for pair, rel in presentation.relations.items():
+        if len(rel.mids) == 2 and rel.vectors:
+            relations[pair] = RelationSpace(rel.mids + rel.mids[:1], vectors)
+    return dataclasses.replace(presentation, relations=relations)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +132,8 @@ class TestRelationSpaces:
 
     @pytest.mark.parametrize("of_lattice", [False, True])
     def test_relations_have_at_most_two_terms(self, of_lattice):
-        # dual_hom_dim's union-find engine takes rows with at most two terms
+        # the sign-twist check and the chain oracle rank relation rows with
+        # the union-find, which takes rows with at most two terms
         presentation = build_quadratic_dual(8, of_lattice=of_lattice)
         for side in (presentation, annihilator_presentation(presentation)):
             for rel in side.relations.values():
@@ -103,7 +169,7 @@ class TestDualHomDimensions:
         with pytest.raises(BoundExceededError):
             dual_hom_dim(P(1), P(8), presentation)
         with pytest.raises(BoundExceededError):
-            build_quadratic_dual(13)
+            build_quadratic_dual(DEFAULT_BOUNDS.max_qdual_size + 1)
 
     def test_closed_form_vertical_strips(self, presentation):
         # computed from paths-modulo-relations; compared against the strip rule
@@ -112,6 +178,46 @@ class TestDualHomDimensions:
                 sk = skew_classify(mu, lam)
                 expected = 0 if sk.has_row_pair else 1
                 assert dual_hom_dim(mu, lam, presentation) == expected
+
+
+class TestChainOracle:
+    @pytest.mark.parametrize("of_lattice", [False, True])
+    def test_walk_matches_chains_through_size_nine(self, of_lattice):
+        presentation = build_quadratic_dual(9, of_lattice=of_lattice)
+        pairs = 0
+        for lam in partitions_up_to(9):
+            for mu in partitions_up_to(lam.size):
+                pairs += 1
+                assert dual_hom_dim(mu, lam, presentation) == chain_dim_union_find(
+                    mu, lam, presentation
+                ), (mu, lam)
+        assert pairs == 5614
+
+    @pytest.mark.parametrize("of_lattice", [False, True])
+    @pytest.mark.parametrize(
+        "vectors, largest",
+        [
+            (((3, 5, -1),), 1),  # one rescaled three-term line
+            (((3, 5, -1), (1, 2, -1)), 1),  # kills both paths of every diamond
+            ((), 6),  # no diamond relation: dimensions above 1
+        ],
+    )
+    def test_widened_relations_match_bareiss(self, of_lattice, vectors, largest):
+        presentation = widened(build_quadratic_dual(6, of_lattice=of_lattice), vectors)
+        dims = [
+            (dual_hom_dim(mu, lam, presentation), chain_dim_bareiss(mu, lam, presentation))
+            for lam in partitions_up_to(6)
+            for mu in subdiagrams(lam)
+        ]
+        assert all(walked == oracle for walked, oracle in dims)
+        assert max(walked for walked, _ in dims) >= largest
+
+    def test_walk_is_memoized_per_bottom(self, presentation):
+        first = presentation.walk(P(1).rows)
+        assert presentation.walk(P(1).rows) is first
+        assert set(first) == {
+            lam.rows for lam in partitions_up_to(7) if dual_hom_dim(P(1), lam, presentation)
+        }
 
 
 class TestSelfDuality:

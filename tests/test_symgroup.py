@@ -440,6 +440,22 @@ class TestCentralityByGenerators:
         assert certificate.verdict == "fail"
         assert certificate.first_failure == {"check": "central", "partition": "2,1"}
 
+    def test_sweep_finds_a_non_orthogonal_pair(self, monkeypatch):
+        # e_(2,1) + e_(1,1,1) is a central idempotent that overlaps e_(2,1);
+        # the pair is found from its earlier factor, as when every ordered
+        # pair was multiplied
+        original = symgroup.central_idempotent
+
+        def overlapping(mu, bounds):
+            if mu == P(1, 1, 1):
+                return original(P(2, 1), bounds) + original(mu, bounds)
+            return original(mu, bounds)
+
+        monkeypatch.setattr(symgroup, "central_idempotent", overlapping)
+        certificate = verify_idempotent_system(3)
+        assert certificate.verdict == "fail"
+        assert certificate.first_failure == {"check": "orthogonal", "pair": ["2,1", "1,1,1"]}
+
 
 class TestInjectionBimodule:
     def test_no_added_points(self):
