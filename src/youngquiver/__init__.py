@@ -8,85 +8,6 @@ cross-checked by brute-force symmetric group algebra.
 """
 
 from ._version import __version__
-from .certificates import Certificate
-from .config import BoundExceededError, Bounds, DEFAULT_BOUNDS, load_bounds
-from .partitions import (
-    EMPTY,
-    Diamond,
-    Node,
-    Partition,
-    SkewClass,
-    add_node,
-    addable_nodes,
-    diamonds_above,
-    lattice_join,
-    parse_partition,
-    partitions_of,
-    partitions_up_to,
-    skew_classify,
-    transpose,
-)
-from .quiver import HomSpace, QuiverSlice, hom_dim_C, hom_dim_Cprime_mod_J, quiver_slice
-from .signs import SignTable, arrow_sign, build_sign_table, verify_anticommutativity
-from .symgroup import (
-    CycleType,
-    GroupAlgebraElement,
-    Permutation,
-    Tableau,
-    canonical_tableau,
-    central_idempotent,
-    character_value,
-    direct_hom_dimension,
-    induction_multiplicity,
-    injection_bimodule,
-    pieri_coefficient,
-    specht_dimension,
-    standard_tableaux,
-    young_symmetrizer,
-)
+from .partitions import Partition
 
-__all__ = [
-    "__version__",
-    "BoundExceededError",
-    "Bounds",
-    "Certificate",
-    "CycleType",
-    "DEFAULT_BOUNDS",
-    "Diamond",
-    "EMPTY",
-    "GroupAlgebraElement",
-    "HomSpace",
-    "Node",
-    "Partition",
-    "Permutation",
-    "QuiverSlice",
-    "SignTable",
-    "SkewClass",
-    "Tableau",
-    "add_node",
-    "addable_nodes",
-    "arrow_sign",
-    "build_sign_table",
-    "canonical_tableau",
-    "central_idempotent",
-    "character_value",
-    "diamonds_above",
-    "direct_hom_dimension",
-    "hom_dim_C",
-    "hom_dim_Cprime_mod_J",
-    "induction_multiplicity",
-    "injection_bimodule",
-    "lattice_join",
-    "load_bounds",
-    "parse_partition",
-    "partitions_of",
-    "partitions_up_to",
-    "pieri_coefficient",
-    "quiver_slice",
-    "skew_classify",
-    "specht_dimension",
-    "standard_tableaux",
-    "transpose",
-    "verify_anticommutativity",
-    "young_symmetrizer",
-]
+__all__ = ["__version__", "Partition"]

@@ -23,10 +23,8 @@ class BoundExceededError(ValueError):
 
 @dataclass(frozen=True)
 class Bounds:
-    # partitions_of, quiver slices, sign tables
+    # partitions_of, quiver slices, the signs sweep
     max_partition_size: int = 30
-    # standard tableau enumeration
-    max_tableau_size: int = 9
     # group algebra elements of S_n; 7 is opt-in via config override
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}]

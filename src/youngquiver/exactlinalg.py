@@ -57,23 +57,11 @@ class RationalMatrix:
         }
         return cls(len(rows), n_cols or 0, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def entry(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), 0)
-
     def to_dense(self) -> list[list[Scalar]]:
         rows = [[0] * self.n_cols for _ in range(self.n_rows)]
         for (r, c), value in self.entries.items():
             rows[r][c] = value
         return rows
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.n_cols, self.n_rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -149,10 +137,6 @@ def rank(m: RationalMatrix) -> int:
     if m.is_zero():
         return 0
     return _fraction_free_rank(_integer_rows(m))
-
-
-def kernel_dim(m: RationalMatrix) -> int:
-    return m.n_cols - rank(m)
 
 
 def _exact_ratio(num: Scalar, den: Scalar) -> Scalar:
@@ -242,17 +226,3 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
             break
     return work, pivots
 
-
-def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, deterministic (one vector per free column)."""
-    reduced, pivots = rref(m.to_dense())
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.n_cols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * m.n_cols
-        vec[free] = Fraction(1)
-        for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -reduced[row_idx][free]
-        basis.append(vec)
-    return basis

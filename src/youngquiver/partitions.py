@@ -10,7 +10,6 @@ diagram ("" is also accepted on input).
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 
@@ -199,21 +198,6 @@ def partitions_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Par
     for k in range(max_size + 1):
         out.extend(partitions_of(k, bounds))
     return out
-
-
-def subdiagrams(lam: Partition) -> list[Partition]:
-    """All partitions contained in ``lam``, in reverse lexicographic order."""
-
-    def rec(r: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if r > len(lam.rows):
-            yield ()
-            return
-        for v in range(min(lam.rows[r - 1], prev), 0, -1):
-            for rest in rec(r + 1, v):
-                yield (v,) + rest
-        yield ()
-
-    return [Partition(rows) for rows in rec(1, lam.rows[0] if lam.rows else 0)]
 
 
 def skew_nodes(mu: Partition, lam: Partition) -> list[Node]:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, kernel_basis, normalize, rref, two_term_corank
+from .exactlinalg import normalize, rref, two_term_corank
 from .partitions import (
     Partition,
     add_node,
@@ -213,23 +213,6 @@ def dual_hom_dim(mu: Partition, lam: Partition, presentation: QuadraticPresentat
     by Bareiss rank."""
     check_bound(lam.size, presentation.max_size, "quadratic dual size")
     return presentation.walk(mu.rows).get(lam.rows, 0)
-
-
-def annihilator_presentation(presentation: QuadraticPresentation) -> QuadraticPresentation:
-    """Presentation whose relation spaces are the annihilators of the given
-    ones (quadratic duality applied once more, at the level of relations)."""
-    relations = {}
-    for pair, rel in presentation.relations.items():
-        matrix = RationalMatrix.from_rows([list(v) for v in rel.vectors], len(rel.mids))
-        vectors = tuple(tuple(v) for v in kernel_basis(matrix))
-        relations[pair] = RelationSpace(rel.mids, vectors)
-    return QuadraticPresentation(
-        presentation.max_size,
-        presentation.objects,
-        presentation.generators,
-        relations,
-        of_lattice=presentation.of_lattice,
-    )
 
 
 def _expected_relation_dimension(mu: Partition, lam: Partition) -> int:

@@ -1,9 +1,8 @@
 """The Young lattice as a quiver, with and without the column relations.
 
 Hom spaces of the column-relation category are at most one-dimensional, so a
-morphism space is represented by its dimension (0 or 1) together with the
-degree; no path algebra is ever materialized.  The degree of a morphism is
-the node-count difference between target and source.
+morphism space is represented by its dimension, 0 or 1; no path algebra is
+ever materialized.
 """
 
 from dataclasses import dataclass
@@ -14,17 +13,9 @@ from .partitions import (
     Partition,
     add_node,
     addable_nodes,
-    partitions_of,
+    partitions_up_to,
     skew_classify,
 )
-
-
-@dataclass(frozen=True)
-class HomSpace:
-    source: Partition
-    target: Partition
-    dimension: int
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -50,15 +41,9 @@ def hom_dim_Cprime_mod_J(mu: Partition, lam: Partition) -> int:
     return 1 if sk.contained and not sk.has_column_pair and not sk.has_row_pair else 0
 
 
-def hom_space(mu: Partition, lam: Partition) -> HomSpace:
-    return HomSpace(mu, lam, hom_dim_C(mu, lam), lam.size - mu.size)
-
-
 def quiver_slice(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> QuiverSlice:
     check_bound(max_size, bounds.max_partition_size, "quiver slice size")
-    nodes: list[Partition] = []
-    for k in range(max_size + 1):
-        nodes.extend(partitions_of(k, bounds))
+    nodes = partitions_up_to(max_size, bounds)
     arrows = [
         (node, add_node(node, cell))
         for node in nodes
@@ -66,17 +51,6 @@ def quiver_slice(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> QuiverSlice:
         for cell in addable_nodes(node)
     ]
     return QuiverSlice(max_size, tuple(nodes), tuple(arrows))
-
-
-def projective_graded_dims(
-    lam: Partition, max_degree: int, bounds: Bounds = DEFAULT_BOUNDS
-) -> dict[int, list[tuple[Partition, int]]]:
-    """Graded support of the projective generated at ``lam``: for each degree
-    d, every diagram of size |lam|+d with its 0/1 hom dimension from lam."""
-    out: dict[int, list[tuple[Partition, int]]] = {}
-    for d in range(max_degree + 1):
-        out[d] = [(mu, hom_dim_C(lam, mu)) for mu in partitions_of(lam.size + d, bounds)]
-    return out
 
 
 def to_dot(slice_: QuiverSlice, sign_of: Callable[[Partition, Partition], int] | None = None) -> str:

@@ -10,7 +10,6 @@ of the two on every addition order is checked by the verification sweep.
 
 import random
 import time
-from dataclasses import dataclass
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
@@ -19,7 +18,6 @@ from .partitions import (
     Node,
     Partition,
     add_node,
-    addable_nodes,
     diamonds_above,
     partitions_up_to,
     skew_nodes,
@@ -46,27 +44,6 @@ def arrow_sign(lam: Partition, mu: Partition) -> int:
     if len(added) != 1:
         raise ValueError(f"{lam} -> {mu} is not an arrow")
     return row_sign(lam, added[0].row)
-
-
-@dataclass(frozen=True)
-class SignTable:
-    max_size: int
-    arrow_signs: dict[tuple[Partition, Partition], int]
-    row_signs: dict[tuple[Partition, int], int]
-
-
-def build_sign_table(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> SignTable:
-    check_bound(max_size, bounds.max_partition_size, "sign table size")
-    arrows: dict[tuple[Partition, Partition], int] = {}
-    rows: dict[tuple[Partition, int], int] = {}
-    for lam in partitions_up_to(max_size, bounds):
-        for r in range(1, len(lam.rows) + 2):
-            rows[(lam, r)] = row_sign(lam, r)
-        if lam.size < max_size:
-            for cell in addable_nodes(lam):
-                mu = add_node(lam, cell)
-                arrows[(lam, mu)] = row_sign(lam, cell.row)
-    return SignTable(max_size, arrows, rows)
 
 
 def growth_signs(additions: list[Node]) -> tuple[list[int], list[int]]:
@@ -125,52 +102,6 @@ def _sampled_orders(lam: Partition, seed: int) -> list[list[Node]]:
     return orders
 
 
-def verify_anticommutativity(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
-    """Check the diamond sign identity on every diamond whose top has at
-    most ``max_size`` nodes.  Failure is a verdict, not an exception."""
-    start = time.perf_counter()
-    bottoms_checked, diamonds_checked, first_failure = _check_diamonds(max_size, bounds)
-    return Certificate.timed(
-        start,
-        command="verify signs.anticommutativity",
-        parameters={"max_size": max_size},
-        counts={"bottoms_checked": bottoms_checked, "diamonds_checked": diamonds_checked},
-        first_failure=first_failure,
-    )
-
-
-def _check_diamonds(max_size: int, bounds: Bounds) -> tuple[int, int, dict | None]:
-    """Bottoms scanned, diamonds checked and the first failing diamond."""
-    check_bound(max_size, bounds.max_partition_size, "sign verification size")
-    bottoms_checked = 0
-    diamonds_checked = 0
-    first_failure = None
-    bottom_limit = max_size - 2
-    bottoms = partitions_up_to(bottom_limit, bounds) if bottom_limit >= 0 else []
-    for bottom in bottoms:
-        bottoms_checked += 1
-        for diamond in diamonds_above(bottom):
-            if diamond.top.size > max_size:
-                continue
-            left = arrow_sign(diamond.mid_left, diamond.top) * arrow_sign(diamond.bottom, diamond.mid_left)
-            right = arrow_sign(diamond.mid_right, diamond.top) * arrow_sign(diamond.bottom, diamond.mid_right)
-            diamonds_checked += 1
-            if left != -right and first_failure is None:
-                first_failure = {
-                    "diamond": [
-                        str(diamond.bottom),
-                        str(diamond.mid_left),
-                        str(diamond.mid_right),
-                        str(diamond.top),
-                    ],
-                    "products": [left, right],
-                }
-                break
-        if first_failure:
-            break
-    return bottoms_checked, diamonds_checked, first_failure
-
-
 def verify_growth_agreement(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
     """Check that the growth procedure reproduces the closed-form signs.
 
@@ -221,18 +152,35 @@ def verify_growth_agreement(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> C
 
 
 def verify_signs_sweep(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
-    """Anticommutativity up to ``max_size`` plus growth agreement up to
-    size 8, as one certificate."""
+    """The diamond sign identity on every diamond whose top has at most
+    ``max_size`` nodes, plus growth agreement up to size 8, as one
+    certificate.  Failure is a verdict, not an exception."""
     start = time.perf_counter()
-    # the diamonds get no certificate of their own: below size 2 the scan
-    # checks nothing, and a certificate that checked nothing cannot pass
-    _, diamonds_checked, anti_failure = _check_diamonds(max_size, bounds)
+    check_bound(max_size, bounds.max_partition_size, "sign verification size")
+    diamonds_checked = 0
+    first_failure = None
+    # a diamond adds two nodes to its bottom; below size 2 no bottom is in range
+    bottoms = partitions_up_to(max_size - 2, bounds)
+    for diamond in (d for bottom in bottoms for d in diamonds_above(bottom)):
+        left = arrow_sign(diamond.mid_left, diamond.top) * arrow_sign(diamond.bottom, diamond.mid_left)
+        right = arrow_sign(diamond.mid_right, diamond.top) * arrow_sign(diamond.bottom, diamond.mid_right)
+        diamonds_checked += 1
+        if left != -right:
+            first_failure = {
+                "diamond": [
+                    str(diamond.bottom),
+                    str(diamond.mid_left),
+                    str(diamond.mid_right),
+                    str(diamond.top),
+                ],
+                "products": [left, right],
+            }
+            break
     growth = verify_growth_agreement(min(max_size, 8), bounds=bounds)
-    first_failure = anti_failure or growth.first_failure
     return Certificate.timed(
         start,
         command="verify signs",
         parameters={"max_size": max_size},
         counts={"diamonds_checked": diamonds_checked, **growth.counts},
-        first_failure=first_failure,
+        first_failure=first_failure or growth.first_failure,
     )

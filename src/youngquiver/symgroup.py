@@ -1,6 +1,7 @@
 """Exact symmetric group algebra over the rationals.
 
-Permutations act on {1..n} and compose right-to-left: (a * b)(i) = a(b(i)).
+Permutations act on {1..n}; a product pq composes right-to-left,
+(pq)(i) = p(q(i)).
 Group algebra elements are sparse rational combinations of permutations,
 stored as integer numerators keyed by image tuples over one common
 denominator; a product composes the tuples directly and sums integers.
@@ -22,7 +23,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial, gcd, lcm
@@ -56,23 +57,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            images[j - 1] = i
-        return Permutation(tuple(images))
-
-    def extend(self, degree: int) -> "Permutation":
-        """View inside a larger symmetric group, fixing the new points."""
-        if degree < self.n:
-            raise ValueError(f"cannot extend degree {self.n} to {degree}")
-        return Permutation(self.images + tuple(range(self.n + 1, degree + 1)))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
         seen = set()
@@ -91,12 +75,6 @@ class Permutation:
                 out.append(tuple(cycle))
         return out
 
-    def cycle_type(self) -> CycleType:
-        return Partition(_cycle_lengths(self.images))
-
-    def sign(self) -> int:
-        return _sign(self.images)
-
     def to_cycle_string(self) -> str:
         cycles = self.cycles()
         if not cycles:
@@ -105,14 +83,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.to_cycle_string()
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-
-def all_permutations(n: int) -> list[Permutation]:
-    return [Permutation(images) for images in iter_permutations(range(1, n + 1))]
 
 
 def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,24 +169,6 @@ class GroupAlgebraElement:
         object.__setattr__(self, "denominator", self.denominator // common)
 
     @staticmethod
-    def from_terms(
-        degree: int, terms: Mapping[Permutation, Fraction | int]
-    ) -> "GroupAlgebraElement":
-        """The element with the given rational coefficients."""
-        coefficients = {}
-        for perm, coeff in terms.items():
-            if perm.n != degree:
-                raise ValueError(f"term degree {perm.n} != element degree {degree}")
-            coefficients[perm.images] = Fraction(coeff)
-        denominator = lcm(*(c.denominator for c in coefficients.values()))
-        return GroupAlgebraElement(
-            degree,
-            {images: c.numerator * (denominator // c.denominator)
-             for images, c in coefficients.items()},
-            denominator,
-        )
-
-    @staticmethod
     def one(degree: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement(degree, {tuple(range(1, degree + 1)): 1})
 
@@ -230,10 +182,8 @@ class GroupAlgebraElement:
 
     @property
     def terms(self) -> Mapping[Permutation, Fraction]:
+        # read only by the symgroup.multiply term-pair counter of perfbench/tracing.py
         return _Terms(self)
-
-    def coefficient(self, perm: Permutation) -> Fraction:
-        return Fraction(self.numerators.get(perm.images, 0), self.denominator)
 
     def is_zero(self) -> bool:
         return not self.numerators
@@ -255,12 +205,6 @@ class GroupAlgebraElement:
         for images, c in other.numerators.items():
             acc[images] = acc.get(images, 0) + c * theirs
         return GroupAlgebraElement(self.degree, acc, denominator)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return multiply(self, other)
 
     def embed(self, degree: int) -> "GroupAlgebraElement":
         """View inside a larger symmetric group, fixing the new points."""
@@ -323,46 +267,8 @@ class Tableau:
         if flat != list(range(1, self.shape.size + 1)):
             raise ValueError("entries must be a bijective filling with 1..n")
 
-    @cached_property
-    def is_standard(self) -> bool:
-        for row in self.entries:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for c in range(self.shape.rows[0] if self.shape.rows else 0):
-            col = [row[c] for row in self.entries if len(row) > c]
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return True
-
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c - 1] for row in self.entries if len(row) >= c)
-
-
-@cache
-def _standard_fillings(rows: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    n = sum(rows)
-    if n == 0:
-        return ((),)
-    out = []
-    for r in range(len(rows)):
-        if r + 1 < len(rows) and rows[r] == rows[r + 1]:
-            continue  # not a removable corner
-        smaller = list(rows)
-        smaller[r] -= 1
-        if smaller[r] == 0:
-            smaller.pop()
-        for filling in _standard_fillings(tuple(smaller)):
-            grown = [list(row) for row in filling]
-            while len(grown) <= r:
-                grown.append([])
-            grown[r].append(n)
-            out.append(tuple(tuple(row) for row in grown))
-    return tuple(out)
-
-
-def standard_tableaux(lam: Partition, bounds: Bounds = DEFAULT_BOUNDS) -> list[Tableau]:
-    check_bound(lam.size, bounds.max_tableau_size, "tableau size")
-    return [Tableau(lam, filling) for filling in _standard_fillings(lam.rows)]
 
 
 def canonical_tableau(mu: Partition) -> Tableau:
@@ -418,11 +324,6 @@ def specht_dimension(lam: Partition) -> int:
         for j in range(row_len):
             denominator *= (row_len - j) + (cols[j] - 1 - i)
     return factorial(lam.size) // denominator
-
-
-def cycle_type_class_size(cycle_type: CycleType) -> int:
-    """Size of the conjugacy class with the given cycle type."""
-    return factorial(cycle_type.size) // centralizer_order(cycle_type)
 
 
 def centralizer_order(cycle_type: CycleType) -> int:
@@ -577,6 +478,11 @@ def verify_branching(
     which is capped at ``n_max``)."""
     start = time.perf_counter()
     direct_n_max = min(direct_n_max, n_max)
+    # every bound the sweep reaches at its top degree, checked before any
+    # work; the direct ranks at degree n work inside C[S_{n+1}]
+    check_bound(n_max + 1, bounds.max_induction_degree, "induction degree")
+    check_bound(direct_n_max, bounds.max_direct_hom_degree, "direct hom degree")
+    check_bound(direct_n_max + 1, bounds.max_group_degree, "group degree")
     first_failure = None
     character_pairs = 0
     direct_pairs = 0
@@ -628,6 +534,7 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
     earlier factor is already central), summing to the identity; normalized
     Young symmetrizers idempotent."""
     start = time.perf_counter()
+    check_bound(n_max, bounds.max_group_degree, "group degree")
     first_failure = None
     idempotents_checked = 0
     symmetrizers_checked = 0

@@ -199,6 +199,32 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: verify resolution requires --depth of at least 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("idempotents", "--n", "7"), "group degree 7 exceeds configured bound 6"),
+            (
+                ("morita", "--n", "12", "--direct-n", "0"),
+                "induction degree 13 exceeds configured bound 12",
+            ),
+            (
+                ("morita", "--n", "5", "--direct-n", "5"),
+                "direct hom degree 5 exceeds configured bound 4",
+            ),
+        ],
+    )
+    def test_symgroup_bounds_fail_before_any_work(self, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started before checking its bounds")
+
+        monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
+        monkeypatch.setattr(cli.symgroup, "central_idempotent", no_work)
+        monkeypatch.setattr(cli.symgroup, "induction_multiplicity", no_work)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestTableCommand:
     def test_widened_relations_give_the_bareiss_dimensions(self, capsys, monkeypatch):

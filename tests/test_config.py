@@ -40,6 +40,17 @@ def test_unknown_keys_rejected(tmp_path):
         load_bounds(str(config))
 
 
+def test_retired_tableau_bound_is_unknown(tmp_path, monkeypatch, capsys):
+    from youngquiver.cli import main
+
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"max_tableau_size": 9}))
+    monkeypatch.setenv(ENV_CONFIG_PATH, str(config))
+    assert main(["verify", "signs", "--max-size", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown bound names in {config}: ['max_tableau_size']\n"
+
+
 @pytest.mark.parametrize(
     "payload, match",
     [

@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 
 from youngquiver.exactlinalg import (
     RationalMatrix,
-    kernel_basis,
-    kernel_dim,
     multiply,
     rank,
+    rref,
     two_term_corank,
 )
+
+from test_qdual import kernel_basis
+
+
+def identity(n):
+    return RationalMatrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def gaussian_rank(rows):
@@ -60,7 +65,7 @@ def matrices(draw, max_dim=6):
 
 class TestRank:
     def test_identity(self):
-        assert rank(RationalMatrix.identity(4)) == 4
+        assert rank(identity(4)) == 4
 
     def test_zero_matrix(self):
         assert rank(RationalMatrix(3, 5, {})) == 0
@@ -100,7 +105,10 @@ class TestRank:
     @given(matrices())
     def test_transpose_invariant(self, rows):
         m = RationalMatrix.from_rows(rows)
-        assert rank(m) == rank(m.transpose())
+        transposed = RationalMatrix(
+            m.n_cols, m.n_rows, {(c, r): v for (r, c), v in m.entries.items()}
+        )
+        assert rank(m) == rank(transposed)
 
     @given(matrices(), st.randoms(use_true_random=False))
     def test_permutation_invariant(self, rows, rng):
@@ -192,35 +200,40 @@ class TestTwoTermCorank:
 
 
 class TestKernel:
+    """The kernel as ``rref`` reads it: one free parameter per non-pivot
+    column; ``kernel_basis`` is the quadratic-dual tests' reading of it."""
+
     def test_identity_has_trivial_kernel(self):
-        assert kernel_dim(RationalMatrix.identity(3)) == 0
+        assert rref(identity(3).to_dense())[1] == [0, 1, 2]
 
     def test_single_row(self):
-        assert kernel_dim(RationalMatrix.from_rows([[1, 1]])) == 1
+        reduced, pivots = rref([[1, 1]])
+        assert pivots == [0]
+        assert reduced == [[1, 1]]
 
     @given(matrices())
     def test_rank_nullity(self, rows):
-        m = RationalMatrix.from_rows(rows)
-        assert rank(m) + kernel_dim(m) == m.n_cols
+        _, pivots = rref(rows)
+        assert len(pivots) == rank(RationalMatrix.from_rows(rows))
 
     @given(matrices())
     def test_kernel_basis_vectors_annihilate(self, rows):
         m = RationalMatrix.from_rows(rows)
-        basis = kernel_basis(m)
-        assert len(basis) == kernel_dim(m)
+        basis = kernel_basis(rows, m.n_cols)
+        assert len(basis) == m.n_cols - rank(m)
         for vec in basis:
             column = RationalMatrix.from_rows([[v] for v in vec])
             assert multiply(m, column).is_zero()
 
     def test_kernel_of_empty_relation_matrix_is_everything(self):
-        basis = kernel_basis(RationalMatrix(0, 3, {}))
+        basis = kernel_basis([], 3)
         assert len(basis) == 3
 
 
 class TestMultiply:
     def test_identity_neutral(self):
         a = RationalMatrix.from_rows([[1, 2], [3, 4]])
-        assert multiply(a, RationalMatrix.identity(2)) == a
+        assert multiply(a, identity(2)) == a
 
     def test_cancellation_in_miniature(self):
         a = RationalMatrix.from_rows([[1, 1]])
@@ -229,7 +242,7 @@ class TestMultiply:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(RationalMatrix.identity(2), RationalMatrix.identity(3))
+            multiply(identity(2), identity(3))
 
     @given(matrices(max_dim=5), matrices(max_dim=5))
     def test_matches_schoolbook(self, a_rows, b_rows):
@@ -252,7 +265,7 @@ class TestHygiene:
 
     def test_integer_fractions_stored_as_ints(self):
         m = RationalMatrix(1, 1, {(0, 0): Fraction(4, 2)})
-        assert isinstance(m.entry(0, 0), int)
+        assert isinstance(m.entries[(0, 0)], int)
 
     def test_text_dump(self):
         dump = RationalMatrix.from_rows([[1, 0], [0, -1]]).to_text()

@@ -17,11 +17,14 @@ from youngquiver.partitions import (
     partitions_up_to,
     skew_classify,
     skew_nodes,
-    subdiagrams,
     transpose,
 )
 
 P = lambda *rows: Partition(tuple(rows))
+
+
+def subdiagrams(lam):
+    return [mu for mu in partitions_up_to(lam.size) if lam.contains(mu)]
 
 
 @st.composite
@@ -324,20 +327,3 @@ class TestPartitionsOf:
 
     def test_partitions_up_to(self):
         assert len(partitions_up_to(4)) == sum(PARTITION_COUNTS[:5])
-
-
-class TestSubdiagrams:
-    def test_chain(self):
-        assert subdiagrams(P(2)) == [P(2), P(1), EMPTY]
-
-    @given(partitions(max_size=7))
-    def test_exactly_the_contained_ones(self, lam):
-        expected = {
-            mu.rows
-            for k in range(lam.size + 1)
-            for mu in partitions_of(k)
-            if lam.contains(mu)
-        }
-        got = [mu.rows for mu in subdiagrams(lam)]
-        assert set(got) == expected
-        assert len(got) == len(expected)

@@ -1,19 +1,18 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from youngquiver.config import DEFAULT_BOUNDS, BoundExceededError
-from youngquiver.exactlinalg import RationalMatrix, rank, two_term_corank
+from youngquiver.exactlinalg import RationalMatrix, rank, rref, two_term_corank
 from youngquiver.partitions import (
     Partition,
     partitions_up_to,
     skew_classify,
-    subdiagrams,
     transpose,
 )
 from youngquiver.qdual import (
     RelationSpace,
-    annihilator_presentation,
     build_quadratic_dual,
     dual_hom_dim,
     verify_lattice_dual,
@@ -23,6 +22,34 @@ from youngquiver.qdual import (
 from youngquiver.quiver import hom_dim_C, hom_dim_Cprime_mod_J
 
 P = lambda *rows: Partition(tuple(rows))
+
+
+def subdiagrams(lam):
+    return [mu for mu in partitions_up_to(lam.size) if lam.contains(mu)]
+
+
+def kernel_basis(rows, n_cols):
+    """Basis of the right kernel of ``rows``, one vector per free column of
+    the reduced echelon form."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for free in (col for col in range(n_cols) if col not in pivots):
+        vector = [Fraction(0)] * n_cols
+        vector[free] = Fraction(1)
+        for row, pivot in zip(reduced, pivots):
+            vector[pivot] = -row[free]
+        basis.append(tuple(vector))
+    return basis
+
+
+def annihilator_presentation(presentation):
+    """The presentation whose relation spaces are the annihilators of the
+    given ones: quadratic duality applied once more, on the relations."""
+    relations = {
+        pair: RelationSpace(rel.mids, tuple(kernel_basis(rel.vectors, len(rel.mids))))
+        for pair, rel in presentation.relations.items()
+    }
+    return dataclasses.replace(presentation, relations=relations)
 
 
 def saturated_chains(mu, lam):

@@ -125,13 +125,14 @@ def slow_matrix(rows, cols):
 
 def slow_two_term_zero_cells(high, low):
     """Dense triple loop over every cell and every summand."""
+    high_rows, low_rows = high.to_dense(), low.to_dense()
     count = 0
     for r in range(high.n_rows):
         for c in range(low.n_cols):
             terms = [
-                high.entry(r, k) * low.entry(k, c)
+                high_rows[r][k] * low_rows[k][c]
                 for k in range(high.n_cols)
-                if high.entry(r, k) and low.entry(k, c)
+                if high_rows[r][k] and low_rows[k][c]
             ]
             if len(terms) == 2 and sum(terms) == 0:
                 count += 1

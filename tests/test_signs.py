@@ -13,12 +13,12 @@ from youngquiver.partitions import (
 from youngquiver.signs import (
     addition_orders,
     arrow_sign,
-    build_sign_table,
     growth_signs,
     row_sign,
-    verify_anticommutativity,
     verify_growth_agreement,
+    verify_signs_sweep,
 )
+from youngquiver.quiver import quiver_slice
 
 P = lambda *rows: Partition(tuple(rows))
 
@@ -82,15 +82,10 @@ class TestClosedForm:
 
 class TestSignTable:
     def test_table_matches_closed_form(self):
-        table = build_sign_table(4)
-        assert len(table.arrow_signs) == 14
-        for (lam, mu), sign in LATTICE_SIGNS_UP_TO_FOUR.items():
-            assert table.arrow_signs[(lam, mu)] == sign
-
-    def test_row_signs_populated(self):
-        table = build_sign_table(3)
-        assert table.row_signs[(P(2, 1), 3)] == -1
-        assert table.row_signs[(EMPTY, 1)] == 1
+        # the labels `quiver --signs` prints are exactly the frozen table
+        table = {(lam, mu): arrow_sign(lam, mu) for lam, mu in quiver_slice(4).arrows}
+        assert len(table) == 14
+        assert table == LATTICE_SIGNS_UP_TO_FOUR
 
 
 class TestGrowthProcedure:
@@ -130,7 +125,7 @@ class TestGrowthProcedure:
 
 class TestAnticommutativity:
     def test_no_diamonds_below_size_two(self):
-        cert = verify_anticommutativity(2)
+        cert = verify_signs_sweep(2)
         assert cert.passed
         assert cert.counts["diamonds_checked"] == 0
 
@@ -141,7 +136,7 @@ class TestAnticommutativity:
         assert (left, right) == (-1, 1)
 
     def test_sweep_to_ten(self):
-        cert = verify_anticommutativity(10)
+        cert = verify_signs_sweep(10)
         assert cert.passed
         assert cert.counts["diamonds_checked"] == 182
 

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from youngquiver import symgroup
 from youngquiver.config import BoundExceededError, Bounds
 from youngquiver.partitions import EMPTY, Partition, partitions_of
+from youngquiver.signs import addition_orders
 from youngquiver.symgroup import (
     GroupAlgebraElement,
     Permutation,
     Tableau,
-    all_permutations,
+    _cycle_lengths,
+    _sign,
     canonical_tableau,
     central_idempotent,
     centralizer_order,
     character_value,
-    cycle_type_class_size,
     direct_hom_dimension,
     generating_set,
     induction_multiplicity,
@@ -27,7 +28,6 @@ from youngquiver.symgroup import (
     multiply,
     pieri_coefficient,
     specht_dimension,
-    standard_tableaux,
     verify_idempotent_system,
     young_symmetrizer,
 )
@@ -35,11 +35,26 @@ from youngquiver.symgroup import (
 P = lambda *rows: Partition(tuple(rows))
 
 
-def perm_strategy(max_n=6):
+def all_permutations(n):
+    return [Permutation(images) for images in iter_permutations(range(1, n + 1))]
+
+
+def compose_images(a, b):
+    """Independent composition oracle on image tuples: (a*b)(i) = a(b(i))."""
+    return tuple(a[b[i] - 1] for i in range(len(a)))
+
+
+def inverse_images(a):
+    return tuple(a.index(i) + 1 for i in range(1, len(a) + 1))
+
+
+def class_size(cycle_type):
+    return factorial(cycle_type.size) // centralizer_order(cycle_type)
+
+
+def image_tuples(max_n=6):
     return st.integers(min_value=0, max_value=max_n).flatmap(
-        lambda n: st.permutations(list(range(1, n + 1))).map(
-            lambda images: Permutation(tuple(images))
-        )
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
     )
 
 
@@ -49,38 +64,33 @@ class TestPermutation:
             Permutation((1, 1, 3))
 
     def test_composition_convention(self):
-        # (a*b)(i) = a(b(i))
+        # (a*b)(i) = a(b(i)), read off a product in the group algebra
         a = Permutation((2, 1, 3))  # swaps 1,2
         b = Permutation((3, 2, 1))  # swaps 1,3
-        assert (a * b).images == (3, 1, 2)
+        product = multiply(
+            GroupAlgebraElement.from_permutation(a), GroupAlgebraElement.from_permutation(b)
+        )
+        assert product.numerators == {(3, 1, 2): 1}
 
     def test_cycle_type(self):
-        assert Permutation((2, 3, 1, 4)).cycle_type() == P(3, 1)
-        assert Permutation(()).cycle_type() == EMPTY
+        assert _cycle_lengths((2, 3, 1, 4)) == (3, 1)
+        assert _cycle_lengths(()) == ()
 
     def test_cycle_string(self):
         assert Permutation((2, 1, 3)).to_cycle_string() == "(1 2)"
         assert Permutation((1, 2)).to_cycle_string() == "()"
         assert str(Permutation((2, 3, 1, 5, 4))) == "(1 2 3)(4 5)"
 
-    def test_extend_fixes_new_points(self):
-        assert Permutation((2, 1)).extend(4).images == (2, 1, 3, 4)
-
-    @given(perm_strategy())
-    def test_inverse(self, p):
-        identity = Permutation.identity(p.n)
-        assert p * p.inverse() == identity
-        assert p.inverse() * p == identity
-
-    @given(perm_strategy(max_n=5), perm_strategy(max_n=5))
+    @given(image_tuples(max_n=5), image_tuples(max_n=5))
     def test_sign_multiplicative(self, a, b):
-        if a.n == b.n:
-            assert (a * b).sign() == a.sign() * b.sign()
+        if len(a) == len(b):
+            assert _sign(compose_images(a, b)) == _sign(a) * _sign(b)
 
-    @given(perm_strategy())
+    @given(image_tuples())
     def test_cycle_type_conjugation_invariant(self, p):
-        for q in all_permutations(p.n)[:6]:
-            assert (q * p * q.inverse()).cycle_type() == p.cycle_type()
+        for q in list(iter_permutations(range(1, len(p) + 1)))[:6]:
+            conjugate = compose_images(compose_images(q, p), inverse_images(q))
+            assert _cycle_lengths(conjugate) == _cycle_lengths(p)
 
 
 def brute_force_standard_fillings(shape):
@@ -105,32 +115,39 @@ def brute_force_standard_fillings(shape):
     return sorted(fillings)
 
 
+def fillings_by_addition_orders(shape):
+    """A second count: the k-th node added to grow ``shape`` gets entry k."""
+    fillings = []
+    for order in addition_orders(shape):
+        grid = [[0] * length for length in shape.rows]
+        for k, node in enumerate(order, start=1):
+            grid[node.row - 1][node.col - 1] = k
+        fillings.append(tuple(tuple(row) for row in grid))
+    return sorted(fillings)
+
+
 class TestTableaux:
     def test_single_row_unique(self):
-        assert len(standard_tableaux(P(4))) == 1
+        assert brute_force_standard_fillings(P(4)) == [((1, 2, 3, 4),)]
+        assert fillings_by_addition_orders(P(4)) == [((1, 2, 3, 4),)]
 
     @pytest.mark.parametrize(
         "shape,count", [(P(2, 1), 2), (P(2, 2), 2), (P(3, 2), 5), (P(2, 1, 1), 3)]
     )
     def test_counts_against_brute_force(self, shape, count):
-        tableaux = standard_tableaux(shape)
-        assert len(tableaux) == count
-        assert sorted(t.entries for t in tableaux) == brute_force_standard_fillings(shape)
-        assert all(t.is_standard for t in tableaux)
+        fillings = fillings_by_addition_orders(shape)
+        assert len(fillings) == count == specht_dimension(shape)
+        assert fillings == brute_force_standard_fillings(shape)
 
     def test_canonical_tableau(self):
         assert canonical_tableau(P(2, 1)).entries == ((1, 2), (3,))
         assert canonical_tableau(P(1, 1, 1)).entries == ((1,), (2,), (3,))
         assert canonical_tableau(P(3)).entries == ((1, 2, 3),)
-        assert canonical_tableau(P(3, 2)).is_standard
+        assert canonical_tableau(P(3, 2)).entries in brute_force_standard_fillings(P(3, 2))
 
     def test_bad_filling_rejected(self):
         with pytest.raises(ValueError):
             Tableau(P(2), ((1, 3),))
-
-    def test_bound(self):
-        with pytest.raises(BoundExceededError):
-            standard_tableaux(P(10))
 
 
 class TestCharacters:
@@ -168,12 +185,11 @@ class TestCharacters:
             by_character = character_value(lam, identity_type)
             by_hooks = specht_dimension(lam)
             assert by_character == by_hooks
-            if n <= 6:
-                assert by_hooks == len(standard_tableaux(lam))
+            assert by_hooks == len(addition_orders(lam))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_class_sizes_sum_to_group_order(self, n):
-        assert sum(cycle_type_class_size(c) for c in partitions_of(n)) == factorial(n)
+        assert sum(class_size(c) for c in partitions_of(n)) == factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_row_orthogonality(self, n):
@@ -181,7 +197,7 @@ class TestCharacters:
         for mu in partitions_of(n):
             for nu in partitions_of(n):
                 total = sum(
-                    cycle_type_class_size(c)
+                    class_size(c)
                     * character_value(mu, c)
                     * character_value(nu, c)
                     for c in partitions_of(n)
@@ -228,11 +244,6 @@ class TestCentralIdempotents:
             central_idempotent(P(7))
         # opt-in via looser bounds is allowed (not executed at degree 7 here)
         central_idempotent(P(3, 3), Bounds(max_group_degree=7))
-
-
-def compose_images(a, b):
-    """Independent composition oracle for frozen-term checks."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
 
 
 class TestYoungSymmetrizers:
@@ -300,7 +311,7 @@ def slow_multiply(a_terms, b_terms):
     acc = {}
     for p, x in a_terms.items():
         for q, y in b_terms.items():
-            r = p * q
+            r = Permutation(compose_images(p.images, q.images))
             acc[r] = acc.get(r, Fraction(0)) + x * y
     return {perm: coeff for perm, coeff in acc.items() if coeff}
 
@@ -335,7 +346,6 @@ class TestIntegerKernel:
         product = multiply(a, b)
         assert product.terms == expected
         assert len(product.terms) == len(expected)
-        assert product == GroupAlgebraElement.from_terms(a.degree, expected)
         # nonzero integers over a positive denominator in lowest terms
         assert product.denominator > 0
         assert all(type(c) is int and c for c in product.numerators.values())
@@ -345,22 +355,22 @@ class TestIntegerKernel:
     def test_cancelling_sum(self, pair):
         (a, a_terms), (b, b_terms) = pair
         zero = GroupAlgebraElement.zero(a.degree)
-        assert multiply(a, b - b) == zero
+        assert multiply(a, b + b.scale(-1)) == zero
         assert multiply(a, b) + multiply(a, b.scale(-1)) == zero
         assert a.terms == a_terms and b.terms == b_terms
 
     def test_cancelling_products(self):
         swap = GroupAlgebraElement.from_permutation(Permutation((2, 1, 3)))
         one = GroupAlgebraElement.one(3)
-        product = multiply(one - swap, one + swap)
+        product = multiply(one + swap.scale(-1), one + swap)
         assert product.is_zero()
         assert product.denominator == 1
 
     def test_canonical_form(self):
         x = central_idempotent(P(2, 1))
         assert x.scale(2).scale(Fraction(1, 2)) == x
-        assert (x - x).is_zero()
-        assert x - x == GroupAlgebraElement.zero(3)
+        assert (x + x.scale(-1)).is_zero()
+        assert x + x.scale(-1) == GroupAlgebraElement.zero(3)
         assert x.scale(0) == GroupAlgebraElement.zero(3)
         assert GroupAlgebraElement(2, {(2, 1): 6, (1, 2): 0}, -4) == GroupAlgebraElement(
             2, {(2, 1): -3}, 2
@@ -370,13 +380,10 @@ class TestIntegerKernel:
         swap = Permutation((2, 1))
         one = GroupAlgebraElement.one(2)
         by_sum = (one + GroupAlgebraElement.from_permutation(swap)).scale(Fraction(1, 2))
-        by_terms = GroupAlgebraElement.from_terms(
-            2, {Permutation((1, 2)): Fraction(2, 4), swap: Fraction(1, 2)}
-        )
-        assert central_idempotent(P(2)) == by_sum == by_terms
+        by_numerators = GroupAlgebraElement(2, {(1, 2): 2, (2, 1): 2}, 4)
+        assert central_idempotent(P(2)) == by_sum == by_numerators
         assert young_symmetrizer(canonical_tableau(P(2))) == by_sum
-        assert by_terms.coefficient(swap) == Fraction(1, 2)
-        assert by_terms.coefficient(Permutation((2, 1, 3))) == 0
+        assert by_numerators.terms[swap] == Fraction(1, 2)
 
     def test_embed_fixes_new_points(self):
         x = central_idempotent(P(1, 1)).embed(3)
@@ -386,10 +393,6 @@ class TestIntegerKernel:
         }
         with pytest.raises(ValueError):
             x.embed(2)
-
-    def test_from_terms_rejects_wrong_degree(self):
-        with pytest.raises(ValueError):
-            GroupAlgebraElement.from_terms(3, {Permutation((2, 1)): 1})
 
 
 def commutes_with_every_permutation(x):
@@ -402,10 +405,10 @@ def commutes_with_every_permutation(x):
 class TestCentralityByGenerators:
     @pytest.mark.parametrize("n", range(6))
     def test_generating_set_generates(self, n):
-        group = {Permutation.identity(n)}
+        group = {tuple(range(1, n + 1))}
         frontier = list(group)
         while frontier:
-            frontier = [p * g for p in frontier for g in generating_set(n)]
+            frontier = [compose_images(p, g.images) for p in frontier for g in generating_set(n)]
             frontier = [p for p in frontier if p not in group]
             group.update(frontier)
         assert len(group) == factorial(n)
@@ -512,6 +515,16 @@ class TestDirectHomDimension:
         for mu in partitions_of(n):
             for lam in partitions_of(n + 1):
                 assert direct_hom_dimension(mu, lam) == induction_multiplicity(mu, 1, lam)
+
+
+class TestBranchingBounds:
+    def test_group_degree_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started before checking its bounds")
+
+        monkeypatch.setattr(symgroup, "induction_multiplicity", no_work)
+        with pytest.raises(BoundExceededError, match="group degree 7 exceeds configured bound 6"):
+            symgroup.verify_branching(6, 6, Bounds(max_direct_hom_degree=6))
 
 
 class TestInductionMultiplicity:
