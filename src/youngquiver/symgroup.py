@@ -54,36 +54,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point."""
-        seen = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            point = self(start)
-            while point != start:
-                cycle.append(point)
-                seen.add(point)
-                point = self(point)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
-
-    def to_cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
-
-    def __str__(self) -> str:
-        return self.to_cycle_string()
-
 
 def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths of a permutation in one-line notation, fixed points
@@ -215,16 +185,6 @@ class GroupAlgebraElement:
             degree,
             {images + tail: c for images, c in self.numerators.items()},
             self.denominator,
-        )
-
-    def __str__(self) -> str:
-        """Cycle notation with exact rational coefficients, e.g. 1/2*(1 2)."""
-        if not self.numerators:
-            return "0"
-        return " + ".join(
-            f"{Fraction(self.numerators[images], self.denominator)}"
-            f"*{Permutation(images).to_cycle_string()}"
-            for images in sorted(self.numerators)
         )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from youngquiver.config import BoundExceededError
@@ -12,7 +14,7 @@ from youngquiver.partitions import (
 )
 from youngquiver.quiver import hom_dim_C
 from youngquiver.resolution import (
-    GradedComplex,
+    ObjectChain,
     _horizontal_strip_extensions,
     _two_term_zero_cells,
     betti_table,
@@ -25,6 +27,30 @@ from youngquiver.resolution import (
 from youngquiver.signs import arrow_sign
 
 P = lambda *rows: Partition(tuple(rows))
+
+
+def chain_at(complex_, mu):
+    return complex_.chains[complex_.objects.index(mu)]
+
+
+def components_at(complex_, i, mu):
+    return chain_at(complex_, mu).components[i + complex_.depth]
+
+
+def matrix_at(complex_, i, mu):
+    """The differential out of position i at mu: the stored map, or the
+    zero map between the listed components where the chain stores none."""
+    chain = chain_at(complex_, mu)
+    offset = i + complex_.depth
+    zero = RationalMatrix(len(chain.components[offset + 1]), len(chain.components[offset]))
+    return chain.maps.get(offset, zero)
+
+
+def with_chain(complex_, mu, chain):
+    """``complex_`` with the chain at ``mu`` replaced."""
+    chains = list(complex_.chains)
+    chains[complex_.objects.index(mu)] = chain
+    return replace(complex_, chains=tuple(chains))
 
 
 class TestStratum:
@@ -83,8 +109,8 @@ class TestBuild:
     def test_hand_computed_matrices_at_one_object(self):
         # base (1), object (2,1): one diamond cancellation
         complex_ = build_resolution(P(1), 2)
-        outgoing = complex_.matrices[(-1, P(2, 1))]
-        incoming = complex_.matrices[(-2, P(2, 1))]
+        outgoing = matrix_at(complex_, -1, P(2, 1))
+        incoming = matrix_at(complex_, -2, P(2, 1))
         assert outgoing.to_dense() == [[1, -1]]
         assert incoming.to_dense() == [[1], [1]]
         assert multiply(outgoing, incoming).is_zero()
@@ -93,15 +119,17 @@ class TestBuild:
         complex_ = build_resolution(P(1), 3)
         for st in complex_.strata:
             for mu in complex_.objects:
-                present = complex_.components[(st.index, mu)]
+                present = components_at(complex_, st.index, mu)
                 assert present == tuple(
                     lam for lam in st.members if hom_dim_C(lam, mu) == 1
                 )
 
     def test_entries_in_zero_plus_minus_one(self):
         complex_ = build_resolution(P(2), 4)
-        for matrix in complex_.matrices.values():
-            assert all(v in (1, -1) for v in matrix.entries.values())
+        for chain in complex_.chains:
+            for matrix in chain.maps.values():
+                assert matrix.entries
+                assert all(v in (1, -1) for v in matrix.entries.values())
 
 
 def slow_components(complex_):
@@ -152,12 +180,23 @@ class TestAssemblyOracle:
     def test_components_and_matrices(self, xi, depth):
         complex_ = build_resolution(xi, depth)
         expected = slow_components(complex_)
-        assert complex_.components == expected
-        assert list(complex_.components) == list(expected)
-        for i in range(-depth, 0):
-            for mu in complex_.objects:
+        assert len(complex_.chains) == len(complex_.objects)
+        for mu, chain in zip(complex_.objects, complex_.chains):
+            assert chain.components == tuple(
+                expected[(i, mu)] for i in range(-depth, 1)
+            )
+            assert set(chain.maps) <= set(range(depth))
+            for offset in range(depth):
+                i = offset - depth
                 oracle = slow_matrix(expected[(i + 1, mu)], expected[(i, mu)])
-                assert complex_.matrices[(i, mu)] == oracle
+                stored = chain.maps.get(offset)
+                if stored is None:
+                    # a map the chain leaves out is zero
+                    assert oracle.is_zero()
+                else:
+                    assert not stored.is_zero()
+                    assert (stored.n_rows, stored.n_cols) == (oracle.n_rows, oracle.n_cols)
+                    assert stored == oracle
 
     @pytest.mark.parametrize("lam", partitions_up_to(6))
     def test_horizontal_strips(self, lam):
@@ -173,8 +212,8 @@ class TestAssemblyOracle:
         complex_ = build_resolution(xi, depth)
         for mu in complex_.objects:
             for i in range(-depth, -1):
-                low = complex_.matrices[(i, mu)]
-                high = complex_.matrices[(i + 1, mu)]
+                low = matrix_at(complex_, i, mu)
+                high = matrix_at(complex_, i + 1, mu)
                 assert _two_term_zero_cells(high, low) == slow_two_term_zero_cells(high, low)
 
     def test_diamond_count_skips_three_term_cells(self):
@@ -200,58 +239,79 @@ class TestVerifyComplex:
     def test_detects_wrong_signs(self):
         # corrupt one differential entry and watch the product survive
         complex_ = build_resolution(P(1), 2)
-        matrices = dict(complex_.matrices)
-        bad = matrices[(-1, P(2, 1))]
-        matrices[(-1, P(2, 1))] = RationalMatrix(
-            bad.n_rows, bad.n_cols, {(0, 0): 1, (0, 1): 1}
-        )
-        broken = GradedComplex(
-            complex_.xi,
-            complex_.depth,
-            complex_.strata,
-            complex_.objects,
-            complex_.components,
-            matrices,
-            complex_.linear,
-        )
+        chain = chain_at(complex_, P(2, 1))
+        bad = chain.maps[1]
+        maps = dict(chain.maps)
+        maps[1] = RationalMatrix(bad.n_rows, bad.n_cols, {(0, 0): 1, (0, 1): 1})
+        broken = with_chain(complex_, P(2, 1), replace(chain, maps=maps))
         cert = verify_complex(broken)
         assert not cert.passed
-        assert cert.first_failure["object"] == "2,1"
+        assert cert.first_failure == {
+            "object": "2,1",
+            "position": -2,
+            "nonzero_entries": [[0, 0, "2"]],
+        }
+        assert cert.counts == {
+            "objects_checked": 6,
+            "products_checked": 6,
+            "diamond_cancellations": 0,
+        }
+
+    def test_multiplies_a_map_that_build_resolution_leaves_out(self):
+        # build_resolution stores no map out of position -2 at object (2), whose
+        # position -2 is empty; give it a component and a nonzero map there.
+        # Both verifiers must use the stored map: the product is nonzero
+        # and the rank into position -1 is 1.
+        complex_ = build_resolution(P(1), 2)
+        chain = chain_at(complex_, P(2))
+        assert chain.components[0] == () and 0 not in chain.maps
+        forged = ObjectChain(
+            ((P(2, 1),),) + chain.components[1:],
+            {0: RationalMatrix(1, 1, {(0, 0): 1}), **chain.maps},
+        )
+        broken = with_chain(complex_, P(2), forged)
+        cert = verify_complex(broken)
+        assert cert.first_failure == {
+            "object": "2",
+            "position": -2,
+            "nonzero_entries": [[0, 0, "1"]],
+        }
+        assert verify_exactness(broken).first_failure == {
+            "object": "2",
+            "position": -1,
+            "dim": 1,
+            "rank_out": 1,
+            "rank_in": 1,
+            "cohomology": -1,
+            "expected": 0,
+        }
 
 
 class TestVerifyExactness:
     def test_cohomology_at_base_object(self):
         complex_ = build_resolution(EMPTY, 3)
         assert verify_exactness(complex_).passed
-        assert len(complex_.components[(0, EMPTY)]) == 1
-        assert rank(complex_.matrices[(-1, EMPTY)]) == 0  # rank into position 0
+        assert len(components_at(complex_, 0, EMPTY)) == 1
+        assert rank(matrix_at(complex_, -1, EMPTY)) == 0  # rank into position 0
 
     def test_forced_rank_at_two_row_object(self):
         # object (2) over base 0: positions -2,-1,0 contribute dims 0,1,1
         complex_ = build_resolution(EMPTY, 2)
-        assert len(complex_.components[(0, P(2))]) == 1
-        assert len(complex_.components[(-1, P(2))]) == 1
-        assert len(complex_.components[(-2, P(2))]) == 0
+        assert len(components_at(complex_, 0, P(2))) == 1
+        assert len(components_at(complex_, -1, P(2))) == 1
+        assert len(components_at(complex_, -2, P(2))) == 0
         assert verify_exactness(complex_).passed
-        assert rank(complex_.matrices[(-1, P(2))]) == 1
+        assert rank(matrix_at(complex_, -1, P(2))) == 1
 
     def test_detects_broken_exactness(self):
-        # zero the differential out of position -2 at object (2,1): the
+        # leave out the differential out of position -2 at object (2,1): the
         # products still vanish, but position -2 there now has cohomology
         complex_ = build_resolution(P(1), 2)
-        matrices = dict(complex_.matrices)
-        dead = matrices[(-2, P(2, 1))]
+        chain = chain_at(complex_, P(2, 1))
+        dead = chain.maps[0]
         assert (dead.n_rows, dead.n_cols, rank(dead)) == (2, 1, 1)
-        matrices[(-2, P(2, 1))] = RationalMatrix(dead.n_rows, dead.n_cols, {})
-        broken = GradedComplex(
-            complex_.xi,
-            complex_.depth,
-            complex_.strata,
-            complex_.objects,
-            complex_.components,
-            matrices,
-            complex_.linear,
-        )
+        maps = {offset: m for offset, m in chain.maps.items() if offset != 0}
+        broken = with_chain(complex_, P(2, 1), replace(chain, maps=maps))
         assert verify_complex(broken).passed
         cert = verify_exactness(broken)
         assert not cert.passed
@@ -264,15 +324,13 @@ class TestVerifyExactness:
             "cohomology": 1,
             "expected": 0,
         }
-        assert cert.counts["positions_checked"] == verify_exactness(complex_).counts[
-            "positions_checked"
-        ]
+        assert cert.counts == {"objects_checked": 7, "positions_checked": 21}
 
     def test_euler_alternating_sum(self):
         complex_ = build_resolution(P(1), 4)
         for mu in complex_.objects:
             euler = sum(
-                (-1) ** (i % 2) * len(complex_.components[(i, mu)])
+                (-1) ** (i % 2) * len(components_at(complex_, i, mu))
                 for i in range(-complex_.depth, 1)
             )
             assert euler == (1 if mu == complex_.xi else 0)
@@ -281,9 +339,9 @@ class TestVerifyExactness:
         complex_ = build_resolution(P(2), 3)
         assert verify_exactness(complex_).passed
         for mu in complex_.objects:
-            ranks_out = [rank(complex_.matrices[(i, mu)]) for i in range(-3, 0)] + [0]
+            ranks_out = [rank(matrix_at(complex_, i, mu)) for i in range(-3, 0)] + [0]
             for offset, i in enumerate(range(-3, 1)):
-                dim = len(complex_.components[(i, mu)])
+                dim = len(components_at(complex_, i, mu))
                 rank_in = ranks_out[offset - 1] if offset else 0
                 expected = 1 if i == 0 and mu == P(2) else 0
                 assert dim - ranks_out[offset] - rank_in == expected
@@ -363,7 +421,7 @@ class TestTransposedMirror:
         complex_ = build_resolution(xi, 4)
         for mu in complex_.objects:
             for i in range(-4, 0):
-                original = complex_.matrices[(i, mu)]
+                original = matrix_at(complex_, i, mu)
                 mirror = mirrored_matrix(complex_, i, mu)
                 assert set(mirror.entries) == set(original.entries)
                 assert all(v in (1, -1) for v in mirror.entries.values())

@@ -76,11 +76,6 @@ class TestPermutation:
         assert _cycle_lengths((2, 3, 1, 4)) == (3, 1)
         assert _cycle_lengths(()) == ()
 
-    def test_cycle_string(self):
-        assert Permutation((2, 1, 3)).to_cycle_string() == "(1 2)"
-        assert Permutation((1, 2)).to_cycle_string() == "()"
-        assert str(Permutation((2, 3, 1, 5, 4))) == "(1 2 3)(4 5)"
-
     @given(image_tuples(max_n=5), image_tuples(max_n=5))
     def test_sign_multiplicative(self, a, b):
         if len(a) == len(b):
@@ -219,10 +214,6 @@ class TestCentralIdempotents:
             Permutation((1, 2)): half,
             Permutation((2, 1)): -half,
         }
-
-    def test_human_readable_form(self):
-        assert str(central_idempotent(P(2))) == "1/2*() + 1/2*(1 2)"
-        assert str(GroupAlgebraElement.zero(3)) == "0"
 
     @pytest.mark.parametrize("n", range(5))
     def test_idempotent_system(self, n):
