@@ -25,7 +25,9 @@ class BoundExceededError(ValueError):
 class Bounds:
     # partitions_of, quiver slices, the signs sweep
     max_partition_size: int = 30
-    # group algebra elements of S_n; 7 is opt-in via config override
+    # group algebra elements of S_n; 7 is opt-in via config override.
+    # verify idempotents --n 6 takes 0.65-1.05 s and --n 7 35-40 s on 2
+    # shared vCPUs (Python 3.11), almost all of it Young symmetrizer products
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}]
     max_direct_hom_degree: int = 4

@@ -7,13 +7,13 @@ stored as integer numerators keyed by image tuples over one common
 denominator; a product composes the tuples directly and sums integers.
 Characters come from the Murnaghan-Nakayama recursion on border strips,
 centrally primitive idempotents from the character formula, and Young
-symmetrizers from row/column groups of a tableau.  Centrality is checked
-against the generators (1 2) and (1 2 ... n) only: the permutations that
-commute with an element form a subgroup, so commuting with a generating
-set means commuting with the whole group.  Induction multiplicities
-are character pairings organized over cycle-type pairs weighted by class
-sizes, which keeps them feasible well past the point where summing over
-group elements would blow up.
+symmetrizers from row/column groups of a tableau.  An element is central
+exactly when its coefficients are constant on each conjugacy class, which
+one scan over its terms decides; central elements are then multiplied in
+the basis of class sums by the class multiplication constants, not in the
+group algebra.  Induction multiplicities are character pairings organized
+over cycle-type pairs weighted by class sizes, which keeps them feasible
+well past the point where summing over group elements would blow up.
 
 These are the brute-force ground truth against which the combinatorial
 quiver description is checked.
@@ -23,7 +23,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial, gcd, lcm
@@ -74,17 +74,6 @@ def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
 
 def _sign(images: tuple[int, ...]) -> int:
     return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
-
-
-def generating_set(n: int) -> list[Permutation]:
-    """(1 2) and (1 2 ... n), which generate the symmetric group: one
-    permutation for n = 2, none for n < 2."""
-    if n < 2:
-        return []
-    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
-    if n == 2:
-        return [swap]
-    return [swap, Permutation(tuple(range(2, n + 1)) + (1,))]
 
 
 class _Terms(Mapping):
@@ -309,14 +298,81 @@ def central_idempotent(mu: Partition, bounds: Bounds = DEFAULT_BOUNDS) -> GroupA
     return GroupAlgebraElement(n, numerators, factorial(n))
 
 
-def is_central(x: GroupAlgebraElement) -> bool:
-    """Whether x commutes with every permutation.  The permutations that
-    commute with x form a subgroup, so checking a generating set suffices."""
-    for g in generating_set(x.degree):
-        g_elem = GroupAlgebraElement.from_permutation(g)
-        if multiply(x, g_elem) != multiply(g_elem, x):
-            return False
-    return True
+class ClassSums:
+    """The centre Z(C[S_n]) in the basis of class sums C_k, one per cycle
+    type, numbered in the order of ``partitions_of(n)``.
+
+    A central element is constant on each class, so it is a vector of class
+    coefficients, and a product of two such vectors needs only the class
+    multiplication constants: C_i C_j = sum_k c_ijk C_k, where c_ijk counts
+    the x in C_i with x^-1 z_k in C_j for a fixed z_k in C_k (Isaacs,
+    *Character Theory of Finite Groups*, ch. 2).  The constants are counted
+    on first use, one pass over the group per class.
+    """
+
+    def __init__(self, n: int, bounds: Bounds = DEFAULT_BOUNDS) -> None:
+        check_bound(n, bounds.max_group_degree, "group degree")
+        self.degree = n
+        number = {mu.rows: k for k, mu in enumerate(partitions_of(n, bounds))}
+        self.class_of = {
+            images: number[_cycle_lengths(images)]
+            for images in iter_permutations(range(1, n + 1))
+        }
+        self.sizes = [0] * len(number)
+        for k in self.class_of.values():
+            self.sizes[k] += 1
+        self.identity = self.class_of[tuple(range(1, n + 1))]
+
+    def coefficients(self, x: GroupAlgebraElement) -> list[int] | None:
+        """x's numerator on each class sum, or None if x is not central: the
+        numerators must be constant on each class, and a class is either
+        wholly present or wholly absent."""
+        if x.degree != self.degree:
+            raise ValueError(f"degree mismatch: {x.degree} vs {self.degree}")
+        coefficients = [0] * len(self.sizes)
+        present = [0] * len(self.sizes)
+        for images, c in x.numerators.items():
+            k = self.class_of[images]
+            if coefficients[k] not in (0, c):
+                return None
+            coefficients[k] = c
+            present[k] += 1
+        if any(count not in (0, size) for count, size in zip(present, self.sizes)):
+            return None
+        return coefficients
+
+    @cached_property
+    def constants(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """(i, j) -> the nonzero (k, c_ijk).  Every permutation of S_n is
+        conjugate to its inverse, so c_ijk also counts the x in C_i with
+        x z_k in C_j, which composes z_k into x as ``multiply`` does."""
+        if self.degree < 2:
+            # the trivial group; itemgetter returns a tuple only for two or more indices
+            return {(0, 0): [(0, 1)]}
+        representatives: dict[int, tuple[int, ...]] = {}
+        for images, k in self.class_of.items():
+            representatives.setdefault(k, images)
+        counts: dict[tuple[int, int, int], int] = {}
+        for k, z in representatives.items():
+            compose = itemgetter(*[j - 1 for j in z])
+            for x, i in self.class_of.items():
+                key = (i, self.class_of[compose(x)], k)
+                counts[key] = counts.get(key, 0) + 1
+        constants: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j, k), c in counts.items():
+            constants.setdefault((i, j), []).append((k, c))
+        return constants
+
+    def product(self, a: list[int], b: list[int]) -> list[int]:
+        """Class coefficients of the product of two central elements given
+        by their class coefficients (numerators: the denominators multiply)."""
+        acc = [0] * len(self.sizes)
+        for (i, j), terms in self.constants.items():
+            if a[i] and b[j]:
+                weight = a[i] * b[j]
+                for k, c in terms:
+                    acc[k] += weight * c
+        return acc
 
 
 def _block_stabilizer(blocks: tuple[tuple[int, ...], ...], n: int):
@@ -489,31 +545,49 @@ def verify_branching(
 
 
 def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
-    """Central idempotents: idempotent, central (by ``is_central``, on two
-    generators), pairwise orthogonal (each unordered pair once, as the
-    earlier factor is already central), summing to the identity; normalized
-    Young symmetrizers idempotent."""
+    """Central idempotents: idempotent, central, pairwise orthogonal (each
+    unordered pair once, as the earlier factor is already central), summing
+    to the identity; normalized Young symmetrizers idempotent.
+
+    Centrality is the class scan of ``ClassSums.coefficients``, and the
+    products of central elements are taken on their class coefficients.  A
+    non-central element is multiplied in the group algebra instead, so it is
+    still reported as not idempotent before not central, and as a
+    non-orthogonal later factor."""
     start = time.perf_counter()
     check_bound(n_max, bounds.max_group_degree, "group degree")
     first_failure = None
     idempotents_checked = 0
     symmetrizers_checked = 0
     for n in range(n_max + 1):
+        centre = ClassSums(n, bounds)
         blocks = [(mu, central_idempotent(mu, bounds)) for mu in partitions_of(n, bounds)]
-        total = GroupAlgebraElement.zero(n)
+        vectors = [centre.coefficients(e_mu) for _, e_mu in blocks]
+        # the sum of the e_mu on the class sums, over one denominator
+        total, total_denominator = [0] * len(centre.sizes), 1
         for index, (mu, e_mu) in enumerate(blocks):
             idempotents_checked += 1
-            total = total + e_mu
-            if multiply(e_mu, e_mu) != e_mu:
+            v = vectors[index]
+            if v is None:
+                check = "idempotent" if multiply(e_mu, e_mu) != e_mu else "central"
+                first_failure = {"check": check, "partition": str(mu)}
+                break
+            # (v/d)^2 = v/d with d the denominator of e_mu
+            if centre.product(v, v) != [c * e_mu.denominator for c in v]:
                 first_failure = {"check": "idempotent", "partition": str(mu)}
                 break
-            if not is_central(e_mu):
-                first_failure = {"check": "central", "partition": str(mu)}
-                break
+            denominator = lcm(total_denominator, e_mu.denominator)
+            mine, theirs = denominator // total_denominator, denominator // e_mu.denominator
+            total = [t * mine + c * theirs for t, c in zip(total, v)]
+            total_denominator = denominator
             # for nu before mu, e_nu is central and e_nu * e_mu was found to
             # be zero, so e_mu * e_nu is the same zero product
-            for nu, e_nu in blocks[index + 1 :]:
-                if not multiply(e_mu, e_nu).is_zero():
+            for (nu, e_nu), w in zip(blocks[index + 1 :], vectors[index + 1 :]):
+                if w is None:
+                    orthogonal = multiply(e_mu, e_nu).is_zero()
+                else:
+                    orthogonal = not any(centre.product(v, w))
+                if not orthogonal:
                     first_failure = {"check": "orthogonal", "pair": [str(mu), str(nu)]}
                     break
             if first_failure:
@@ -523,7 +597,8 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
             if multiply(f_mu, f_mu) != f_mu:
                 first_failure = {"check": "symmetrizer_idempotent", "partition": str(mu)}
                 break
-        if first_failure is None and total != GroupAlgebraElement.one(n):
+        identity = [total_denominator if k == centre.identity else 0 for k in range(len(total))]
+        if first_failure is None and total != identity:
             first_failure = {"check": "sum_to_identity", "degree": n}
         if first_failure:
             break

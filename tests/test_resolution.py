@@ -326,6 +326,34 @@ class TestVerifyExactness:
         }
         assert cert.counts == {"objects_checked": 7, "positions_checked": 21}
 
+    def test_empty_chain_at_the_base_still_fails(self):
+        # with no component at the base, position 0 there has no cohomology
+        complex_ = build_resolution(P(1), 2)
+        nothing = ObjectChain(tuple(() for _ in complex_.strata), {})
+        cert = verify_exactness(with_chain(complex_, P(1), nothing))
+        assert cert.first_failure == {
+            "object": "1",
+            "position": 0,
+            "dim": 0,
+            "rank_out": 0,
+            "rank_in": 0,
+            "cohomology": 0,
+            "expected": 1,
+        }
+        assert cert.counts == {"objects_checked": 7, "positions_checked": 21}
+
+    def test_objects_with_no_component_count_every_position(self):
+        complex_ = build_resolution(P(2, 1), 3)
+        empty = [chain for chain in complex_.chains if not any(chain.components)]
+        assert empty
+        cert = verify_exactness(complex_)
+        assert cert.passed
+        positions = len(complex_.objects) * (complex_.depth + 1)
+        assert cert.counts == {
+            "objects_checked": len(complex_.objects),
+            "positions_checked": positions,
+        }
+
     def test_euler_alternating_sum(self):
         complex_ = build_resolution(P(1), 4)
         for mu in complex_.objects:

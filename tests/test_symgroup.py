@@ -11,6 +11,7 @@ from youngquiver.config import BoundExceededError, Bounds
 from youngquiver.partitions import EMPTY, Partition, partitions_of
 from youngquiver.signs import addition_orders
 from youngquiver.symgroup import (
+    ClassSums,
     GroupAlgebraElement,
     Permutation,
     Tableau,
@@ -21,10 +22,8 @@ from youngquiver.symgroup import (
     centralizer_order,
     character_value,
     direct_hom_dimension,
-    generating_set,
     induction_multiplicity,
     injection_bimodule,
-    is_central,
     multiply,
     pieri_coefficient,
     specht_dimension,
@@ -393,6 +392,133 @@ def commutes_with_every_permutation(x):
     )
 
 
+def generating_set(n):
+    """(1 2) and (1 2 ... n), which generate the symmetric group: one
+    permutation for n = 2, none for n < 2."""
+    if n < 2:
+        return []
+    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+    if n == 2:
+        return [swap]
+    return [swap, Permutation(tuple(range(2, n + 1)) + (1,))]
+
+
+def commutes_with_generators(x):
+    """The permutations that commute with x form a subgroup, so commuting
+    with a generating set means commuting with the whole group."""
+    return all(
+        multiply(x, g) == multiply(g, x)
+        for g in map(GroupAlgebraElement.from_permutation, generating_set(x.degree))
+    )
+
+
+def is_central(x):
+    """The class scan of the sweep."""
+    return ClassSums(x.degree, Bounds(max_group_degree=7)).coefficients(x) is not None
+
+
+def slow_idempotent_sweep(n_max):
+    """The sweep with every central check done by ``multiply`` in C[S_n]
+    and centrality by the generators: (counts, first_failure) in the order
+    and with the locators of ``verify_idempotent_system``."""
+    first_failure = None
+    counts = {"idempotents_checked": 0, "symmetrizers_checked": 0}
+    for n in range(n_max + 1):
+        blocks = [(mu, symgroup.central_idempotent(mu, Bounds())) for mu in partitions_of(n)]
+        total = GroupAlgebraElement.zero(n)
+        for index, (mu, e_mu) in enumerate(blocks):
+            counts["idempotents_checked"] += 1
+            total = total + e_mu
+            if multiply(e_mu, e_mu) != e_mu:
+                first_failure = {"check": "idempotent", "partition": str(mu)}
+                break
+            if not commutes_with_generators(e_mu):
+                first_failure = {"check": "central", "partition": str(mu)}
+                break
+            for nu, e_nu in blocks[index + 1 :]:
+                if not multiply(e_mu, e_nu).is_zero():
+                    first_failure = {"check": "orthogonal", "pair": [str(mu), str(nu)]}
+                    break
+            if first_failure:
+                break
+            f_mu = symgroup.young_symmetrizer(canonical_tableau(mu), Bounds())
+            counts["symmetrizers_checked"] += 1
+            if multiply(f_mu, f_mu) != f_mu:
+                first_failure = {"check": "symmetrizer_idempotent", "partition": str(mu)}
+                break
+        if first_failure is None and total != GroupAlgebraElement.one(n):
+            first_failure = {"check": "sum_to_identity", "degree": n}
+        if first_failure:
+            break
+    return counts, first_failure
+
+
+def class_sum(n, cycle_type):
+    return GroupAlgebraElement(
+        n,
+        {
+            images: 1
+            for images in iter_permutations(range(1, n + 1))
+            if _cycle_lengths(images) == cycle_type.rows
+        },
+    )
+
+
+class TestClassSums:
+    @pytest.mark.parametrize("n", range(6))
+    def test_constants_match_products_of_class_sums(self, n):
+        centre = ClassSums(n)
+        sums = [class_sum(n, c) for c in partitions_of(n)]
+        for i, a in enumerate(sums):
+            for j, b in enumerate(sums):
+                left = [int(k == i) for k in range(len(sums))]
+                right = [int(k == j) for k in range(len(sums))]
+                assert centre.product(left, right) == centre.coefficients(multiply(a, b))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_constants_match_frobenius_formula(self, n):
+        # c_ijk = |C_i| |C_j| / n! * sum over chi of chi(C_i) chi(C_j) chi(C_k) / chi(1)
+        types = partitions_of(n)
+        centre = ClassSums(n, Bounds(max_group_degree=7))
+        assert centre.sizes == [class_size(c) for c in types]
+        found = {(i, j, k): c for (i, j), terms in centre.constants.items() for k, c in terms}
+        for i, ci in enumerate(types):
+            for j, cj in enumerate(types):
+                for k, ck in enumerate(types):
+                    total = sum(
+                        Fraction(
+                            character_value(lam, ci)
+                            * character_value(lam, cj)
+                            * character_value(lam, ck),
+                            specht_dimension(lam),
+                        )
+                        for lam in types
+                    )
+                    expected = total * class_size(ci) * class_size(cj) / factorial(n)
+                    assert found.get((i, j, k), 0) == expected
+        assert all(c for c in found.values())
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_products_of_central_idempotents(self, n):
+        centre = ClassSums(n)
+        blocks = [central_idempotent(mu) for mu in partitions_of(n)]
+        for e in blocks:
+            for f in blocks:
+                by_classes = centre.product(centre.coefficients(e), centre.coefficients(f))
+                numerators = {images: by_classes[k] for images, k in centre.class_of.items()}
+                assert GroupAlgebraElement(
+                    n, numerators, e.denominator * f.denominator
+                ) == multiply(e, f)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            ClassSums(3).coefficients(GroupAlgebraElement.one(2))
+
+    def test_bound(self):
+        with pytest.raises(BoundExceededError):
+            ClassSums(7)
+
+
 class TestCentralityByGenerators:
     @pytest.mark.parametrize("n", range(6))
     def test_generating_set_generates(self, n):
@@ -411,7 +537,7 @@ class TestCentralityByGenerators:
         for mu in partitions_of(n):
             for x in (central_idempotent(mu), young_symmetrizer(canonical_tableau(mu))):
                 expected = commutes_with_every_permutation(x)
-                assert is_central(x) == expected
+                assert is_central(x) == commutes_with_generators(x) == expected
                 non_central += not expected
         if n >= 3:
             assert non_central > 0
@@ -422,7 +548,30 @@ class TestCentralityByGenerators:
         # and an n-cycle the other way round
         for g in all_permutations(n):
             x = GroupAlgebraElement.from_permutation(g)
+            assert is_central(x) == commutes_with_generators(x)
             assert is_central(x) == commutes_with_every_permutation(x)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_class_sums_with_one_term_changed(self, n):
+        # a class sum is central; removing one of its terms, or changing
+        # the coefficient of one, leaves a non-central element unless the
+        # class has a single element
+        for c in partitions_of(n):
+            x = class_sum(n, c)
+            assert is_central(x) and commutes_with_every_permutation(x)
+            last = next(reversed(x.numerators))
+            removed = GroupAlgebraElement(n, {**x.numerators, last: 0})
+            changed = GroupAlgebraElement(n, {**x.numerators, last: 2})
+            for y in (removed, changed):
+                expected = class_size(c) == 1
+                assert is_central(y) == commutes_with_every_permutation(y) == expected
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_sweep_matches_the_multiply_oracle(self, n):
+        certificate = verify_idempotent_system(n)
+        counts, first_failure = slow_idempotent_sweep(n)
+        assert certificate.verdict == "pass"
+        assert (certificate.counts, certificate.first_failure) == (counts, first_failure)
 
     def test_sweep_finds_a_non_central_idempotent(self, monkeypatch):
         monkeypatch.setattr(
@@ -433,6 +582,7 @@ class TestCentralityByGenerators:
         certificate = verify_idempotent_system(3)
         assert certificate.verdict == "fail"
         assert certificate.first_failure == {"check": "central", "partition": "2,1"}
+        assert (certificate.counts, certificate.first_failure) == slow_idempotent_sweep(3)
 
     def test_sweep_finds_a_non_orthogonal_pair(self, monkeypatch):
         # e_(2,1) + e_(1,1,1) is a central idempotent that overlaps e_(2,1);
@@ -449,6 +599,39 @@ class TestCentralityByGenerators:
         certificate = verify_idempotent_system(3)
         assert certificate.verdict == "fail"
         assert certificate.first_failure == {"check": "orthogonal", "pair": ["2,1", "1,1,1"]}
+        assert (certificate.counts, certificate.first_failure) == slow_idempotent_sweep(3)
+
+    @pytest.mark.parametrize(
+        "replaced,replacement,first_failure",
+        [
+            # central, not idempotent
+            (P(2, 1), lambda e, f: e.scale(2), {"check": "idempotent", "partition": "2,1"}),
+            # neither central nor idempotent: idempotence is reported first
+            (P(2, 1), lambda e, f: f.scale(2), {"check": "idempotent", "partition": "2,1"}),
+            # a non-central later factor that overlaps e_(2,1)
+            (P(1, 1, 1), lambda e, f: young_symmetrizer(canonical_tableau(P(2, 1))),
+             {"check": "orthogonal", "pair": ["2,1", "1,1,1"]}),
+            # a missing block: every check passes but the sum
+            (P(1, 1, 1), lambda e, f: e.scale(0), {"check": "sum_to_identity", "degree": 3}),
+        ],
+    )
+    def test_sweep_locators_match_the_multiply_oracle(
+        self, monkeypatch, replaced, replacement, first_failure
+    ):
+        original = symgroup.central_idempotent
+
+        def mutant(mu, bounds):
+            e = original(mu, bounds)
+            if mu != replaced:
+                return e
+            return replacement(e, young_symmetrizer(canonical_tableau(mu), bounds))
+
+        monkeypatch.setattr(symgroup, "central_idempotent", mutant)
+        for n in (3, 4):
+            certificate = verify_idempotent_system(n)
+            assert certificate.verdict == "fail"
+            assert certificate.first_failure == first_failure
+            assert (certificate.counts, certificate.first_failure) == slow_idempotent_sweep(n)
 
 
 class TestInjectionBimodule:
