@@ -19,7 +19,13 @@ from . import qdual, quiver, resolution, signs, symgroup
 from ._version import __version__
 from .certificates import Certificate
 from .config import BoundExceededError, Bounds, load_bounds
-from .partitions import parse_partition, partitions_of, partitions_up_to
+from .partitions import (
+    format_partition,
+    parse_partition,
+    partitions_of,
+    partitions_up_to,
+    subdiagram_rows,
+)
 from .qdual import verify_quadratic_duality
 from .resolution import verify_resolution
 from .signs import verify_signs_sweep
@@ -205,12 +211,11 @@ def _table_rows(args, bounds) -> list[tuple[str, int]]:
         ]
     _require(args.max_size is not None, "table dualdims requires --max-size")
     presentation = qdual.build_quadratic_dual(args.max_size, bounds)
-    rows = []
-    for lam in presentation.objects:
-        for mu in partitions_up_to(lam.size, bounds):
-            if lam.contains(mu):
-                rows.append((f"{mu}->{lam}", qdual.dual_hom_dim(mu, lam, presentation)))
-    return rows
+    return [
+        (f"{format_partition(mu)}->{lam}", presentation.walk(mu).get(lam.rows, 0))
+        for lam in presentation.objects
+        for mu in subdiagram_rows(lam.rows)
+    ]
 
 
 def _cmd_table(args, bounds) -> int:

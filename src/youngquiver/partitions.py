@@ -41,10 +41,15 @@ class Partition:
         )
 
     def __str__(self) -> str:
-        return ",".join(str(r) for r in self.rows) if self.rows else "0"
+        return format_partition(self.rows)
 
 
 EMPTY = Partition(())
+
+
+def format_partition(rows: tuple[int, ...]) -> str:
+    """The text form of a row tuple: "3,1,1", or "0" for the empty diagram."""
+    return ",".join(str(r) for r in rows) if rows else "0"
 
 
 def parse_partition(text: str) -> Partition:
@@ -132,6 +137,71 @@ def add_node(lam: Partition, node: Node) -> Partition:
     else:
         rows[node.row - 1] += 1
     return Partition(tuple(rows))
+
+
+def grown_rows(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Row tuples of the one-node extensions of ``rows``, in the order of
+    ``addable_nodes``."""
+    padded = rows + (0,)
+    return [
+        rows[:r] + (length + 1,) + rows[r + 1 :]
+        for r, length in enumerate(padded)
+        if r == 0 or padded[r - 1] > length
+    ]
+
+
+def strip_tops(
+    bottom: tuple[int, ...], max_size: int, rook: bool = False
+) -> list[tuple[int, ...]]:
+    """Row tuples of every lam containing ``bottom`` with |lam| <= max_size
+    and lam/bottom a vertical strip (no two skew nodes in one row), or with
+    ``rook`` a rook strip (nor two in one column).
+
+    Within a run of equal rows of ``bottom`` the skew nodes sit in the top
+    rows of the run: any number of them in a vertical strip, at most one in
+    a rook strip.  Below the last row a vertical strip adds any number of
+    rows of length 1, a rook strip at most one."""
+    budget = max_size - sum(bottom)
+    if budget < 0:
+        return []
+    tops = [(bottom, 0)]
+    start = 0
+    for end in range(1, len(bottom) + 1):
+        if end < len(bottom) and bottom[end] == bottom[start]:
+            continue
+        most = 1 if rook else end - start
+        longer = (bottom[start] + 1,)
+        tops = [
+            (rows[:start] + longer * k + rows[start + k :], added + k)
+            for rows, added in tops
+            for k in range(min(most, budget - added) + 1)
+        ]
+        start = end
+    return [
+        rows + (1,) * k
+        for rows, added in tops
+        for k in range(min(1 if rook else budget, budget - added) + 1)
+    ]
+
+
+def subdiagram_rows(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Row tuples of every diagram contained in ``lam``, in the order of
+    ``partitions_up_to``: smaller sizes first, reverse lexicographic within
+    a size."""
+
+    @cache
+    def below(r: int, cap: int) -> tuple[tuple[int, ...], ...]:
+        if r == len(lam):
+            return ((),)
+        out = [
+            (first,) + rest
+            for first in range(min(lam[r], cap), 0, -1)
+            for rest in below(r + 1, first)
+        ]
+        return (*out, ())
+
+    # generated in reverse lexicographic order; the sort by size is stable
+    return sorted(below(0, lam[0] if lam else 0), key=sum)
 
 
 def skew_classify(mu: Partition, lam: Partition) -> SkewClass:

@@ -7,7 +7,7 @@ import pytest
 
 from youngquiver import cli
 from youngquiver.cli import main
-from youngquiver.partitions import parse_partition
+from youngquiver.partitions import parse_partition, partitions_up_to
 
 from test_qdual import chain_dim_bareiss, widened
 
@@ -248,6 +248,25 @@ class TestTableCommand:
             table[key] = int(value)
             assert table[key] == chain_dim_bareiss(mu, lam, presentation), key
         assert len(table) == 22  # every contained pair up to size 3
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dualdims_matches_the_containment_scan(self, capsys, fmt):
+        # the table as a scan of every diagram up to |lam| filtered by
+        # containment would print it, byte for byte
+        presentation = cli.qdual.build_quadratic_dual(8)
+        rows = [
+            (f"{mu}->{lam}", cli.qdual.dual_hom_dim(mu, lam, presentation))
+            for lam in partitions_up_to(8)
+            for mu in partitions_up_to(lam.size)
+            if lam.contains(mu)
+        ]
+        if fmt == "json":
+            expected = json.dumps({"target": "dualdims", "rows": rows}, indent=2)
+        else:
+            expected = "\n".join(f"{key}: {value}" for key, value in rows)
+        code, out, err = run_cli(capsys, "table", "dualdims", "--max-size", "8", "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == expected + "\n"
 
     def test_pieri_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "pieri", "--mu", "2", "--m", "2")

@@ -11,12 +11,15 @@ from youngquiver.partitions import (
     add_node,
     addable_nodes,
     diamonds_above,
+    format_partition,
+    grown_rows,
     lattice_join,
     parse_partition,
     partitions_of,
     partitions_up_to,
     skew_classify,
     skew_nodes,
+    subdiagram_rows,
     transpose,
 )
 
@@ -138,6 +141,20 @@ class TestAddableNodes:
     @given(partitions())
     def test_count_is_distinct_row_lengths_plus_one(self, lam):
         assert len(addable_nodes(lam)) == len(set(lam.rows)) + 1
+
+
+class TestRowTupleHelpers:
+    def test_grown_rows_match_add_node_exhaustive_to_nine(self):
+        for lam in partitions_up_to(9):
+            assert grown_rows(lam.rows) == [add_node(lam, cell).rows for cell in addable_nodes(lam)]
+
+    def test_subdiagram_rows_match_the_containment_scan_to_nine(self):
+        for lam in partitions_up_to(9):
+            assert subdiagram_rows(lam.rows) == [mu.rows for mu in subdiagrams(lam)]
+
+    def test_format_partition(self):
+        assert format_partition(()) == "0"
+        assert format_partition((3, 1, 1)) == str(P(3, 1, 1)) == "3,1,1"
 
 
 class TestAddNode:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from youngquiver.partitions import (
     Partition,
     partitions_up_to,
     skew_classify,
+    strip_tops,
     transpose,
 )
 from youngquiver.qdual import (
     RelationSpace,
+    _first_dimension_failure,
     build_quadratic_dual,
     dual_hom_dim,
     verify_lattice_dual,
@@ -111,6 +114,50 @@ def widened(presentation, vectors=((3, 5, -1),)):
         if len(rel.mids) == 2 and rel.vectors:
             relations[pair] = RelationSpace(rel.mids + rel.mids[:1], vectors)
     return dataclasses.replace(presentation, relations=relations)
+
+
+def with_relations(presentation, changed):
+    """The presentation with the relation spaces of some pairs replaced."""
+    return dataclasses.replace(presentation, relations={**presentation.relations, **changed})
+
+
+def dense_first_failure(presentation, expected_dim, check, expected_key):
+    """The dense expected side: every pair |mu| <= |lam|, scanned lam, then
+    mu, in object order, with ``expected_dim`` of the transposed pair from
+    ``skew_classify``; returns the pairs checked and the first mismatch."""
+    transposed = {p.rows: transpose(p) for p in presentation.objects}
+    pairs_checked = 0
+    for lam in presentation.objects:
+        for mu in presentation.objects:
+            if mu.size > lam.size:
+                break
+            computed = presentation.walk(mu.rows).get(lam.rows, 0)
+            expected = expected_dim(transposed[mu.rows], transposed[lam.rows])
+            pairs_checked += 1
+            if computed != expected:
+                return pairs_checked, {
+                    "check": check,
+                    "pair": [str(mu), str(lam)],
+                    "dual_dim": computed,
+                    expected_key: expected,
+                }
+    return pairs_checked, None
+
+
+# the expected sides of verify_self_duality and verify_lattice_dual: the rook
+# flag of the strip enumeration and the dense oracle's hom dimension
+EXPECTED_SIDES = {
+    "vertical": (False, hom_dim_C, "dimension", "transposed_hom_dim"),
+    "rook": (True, hom_dim_Cprime_mod_J, "lattice_dual_dimension", "expected"),
+}
+
+
+def both_expected_sides(presentation, side):
+    rook, expected_dim, check, expected_key = EXPECTED_SIDES[side]
+    return (
+        _first_dimension_failure(presentation, rook, check, expected_key),
+        dense_first_failure(presentation, expected_dim, check, expected_key),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +292,56 @@ class TestChainOracle:
         assert set(first) == {
             lam.rows for lam in partitions_up_to(7) if dual_hom_dim(P(1), lam, presentation)
         }
+
+
+class TestStripExpectedSide:
+    @pytest.mark.parametrize("rook", [False, True])
+    def test_strip_tops_match_skew_classify_through_size_ten(self, rook):
+        objects = partitions_up_to(10)
+        for mu in objects:
+            expected = set()
+            for lam in objects:
+                sk = skew_classify(mu, lam)
+                if sk.contained and not sk.has_row_pair and not (rook and sk.has_column_pair):
+                    expected.add(lam.rows)
+            tops = strip_tops(mu.rows, 10, rook)
+            assert len(tops) == len(expected) and set(tops) == expected, mu
+
+    @pytest.mark.parametrize("of_lattice", [False, True])
+    @pytest.mark.parametrize("side", ["vertical", "rook"])
+    def test_matches_dense_scan_through_size_ten(self, of_lattice, side):
+        # the presentation checked against the other side's rule fails,
+        # which exercises the failure locator on every size
+        passing = of_lattice == (side == "rook")
+        for max_size in range(11):
+            presentation = build_quadratic_dual(max_size, of_lattice=of_lattice)
+            strips, dense = both_expected_sides(presentation, side)
+            assert strips == dense, max_size
+            assert (strips[1] is None) == (passing or max_size < 2)
+
+    @pytest.mark.parametrize("of_lattice", [False, True])
+    def test_mutants_match_dense_scan(self, of_lattice):
+        base = build_quadratic_dual(7, of_lattice=of_lattice)
+        side = "rook" if of_lattice else "vertical"
+        rng = random.Random("strip-expected-side")
+        full = [pair for pair, rel in base.relations.items() if rel.vectors]
+        diamonds = [pair for pair in full if len(base.relations[pair].mids) == 2]
+        dropped = [
+            with_relations(base, {pair: RelationSpace(base.relations[pair].mids, ())})
+            for pair in rng.sample(full, 8)
+        ]
+        # some of these pass: a sign can often be absorbed into a generator
+        differences = [
+            with_relations(base, {pair: RelationSpace(base.relations[pair].mids, ((1, -1),))})
+            for pair in rng.sample(diamonds, 8)
+        ]
+        others = [widened(base), widened(base, ()), annihilator_presentation(base)]
+        failed = []
+        for mutant in dropped + differences + others:
+            strips, dense = both_expected_sides(mutant, side)
+            assert strips == dense
+            failed.append(strips[1] is not None)
+        assert all(failed[:8]) and any(failed[8:16]) and failed[16:] == [False, True, True]
 
 
 class TestSelfDuality:
