@@ -34,7 +34,7 @@ class Bounds:
     # character-pairing multiplicities, bound on n+m
     max_induction_degree: int = 12
     max_resolution_depth: int = 12
-    # verify qdual --max-size 18 takes 3.0-3.4 s on 2 shared vCPUs (Python 3.11)
+    # verify qdual --max-size 18 takes 7.4-10.1 s on 2 shared vCPUs (Python 3.11)
     max_qdual_size: int = 18
 
 

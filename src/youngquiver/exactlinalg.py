@@ -12,9 +12,7 @@ reduces to ranks computed here.  No floating point anywhere.
   counts its kernel by a weighted union-find over columns; ``rank`` is its
   test oracle.
 - ``rref`` is reduced row echelon form over the rationals; the quadratic
-  dual reads each quotient space and its projection from it.  Its rows
-  stay integer while the pivots are +-1, as they are on the real
-  presentations.
+  dual reads each quotient space and its projection from it.
 """
 
 from dataclasses import dataclass, field
@@ -204,14 +202,9 @@ def two_term_corank(n_cols: int, rows: Iterable[Sequence[tuple[int, Scalar]]]) -
     return sum(1 for col in range(n_cols) if parent[col] == col and not dead[col])
 
 
-def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot cols).
-
-    Integer rows stay ``int`` while every pivot is +1 or -1; only a row
-    scaled by another pivot turns into ``Fraction``s, and rows reduced by it
-    after that.  The reduced form is unique, so the entry types do not
-    change its values."""
-    work = [list(row) for row in rows]
+def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (rows, pivot cols)."""
+    work = [[Fraction(value) for value in row] for row in rows]
     n_rows = len(work)
     n_cols = len(work[0]) if n_rows else 0
     pivots: list[int] = []
@@ -221,12 +214,8 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][col]
-        if pivot == -1:
-            work[r] = [-value for value in work[r]]
-        elif pivot != 1:
-            inv = 1 / Fraction(pivot)
-            work[r] = [value * inv for value in work[r]]
+        inv = 1 / work[r][col]
+        work[r] = [value * inv for value in work[r]]
         for i in range(n_rows):
             if i != r and work[i][col]:
                 factor = work[i][col]
@@ -236,3 +225,4 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
         if r == n_rows:
             break
     return work, pivots
+

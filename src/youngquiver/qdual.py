@@ -40,6 +40,7 @@ from .partitions import (
     addable_nodes,
     diamonds_above,
     grown_rows,
+    partitions_of,
     partitions_up_to,
     skew_classify,
     strip_tops,
@@ -108,23 +109,14 @@ def build_quadratic_dual(
 ) -> QuadraticPresentation:
     check_bound(max_size, bounds.max_qdual_size, "quadratic dual size")
     objects = tuple(partitions_up_to(max_size, bounds))
-    by_rows = {p.rows: p for p in objects}
-    # top rows -> (bottom, mids) for every two-node pair, found by adding two
-    # nodes to each bottom in object order; the mids of a pair come in the
-    # order of the bottom's addable nodes, as ``_middle_vertices`` lists them
-    pairs_below: dict[tuple, list] = {}
-    for mu in objects:
-        if mu.size > max_size - 2:
-            break
-        mids_of: dict[tuple, list] = {}
-        for mid in grown_rows(mu.rows):
-            for lam in grown_rows(mid):
-                mids_of.setdefault(lam, []).append(by_rows[mid])
-        for lam, mids in mids_of.items():
-            pairs_below.setdefault(lam, []).append((mu, tuple(mids)))
     relations: dict[tuple[Partition, Partition], RelationSpace] = {}
     for lam in objects:
-        for mu, mids in pairs_below.get(lam.rows, ()):
+        if lam.size < 2:
+            continue
+        for mu in partitions_of(lam.size - 2, bounds):
+            if not lam.contains(mu):
+                continue
+            mids = tuple(_middle_vertices(mu, lam))
             # row space of the multiplication map from length-2 paths onto
             # the degree-2 hom space: with canonical generators every
             # surviving composite is the canonical generator itself, so it

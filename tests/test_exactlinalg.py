@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -229,88 +228,6 @@ class TestKernel:
     def test_kernel_of_empty_relation_matrix_is_everything(self):
         basis = kernel_basis([], 3)
         assert len(basis) == 3
-
-
-def fraction_rref(rows):
-    """Independent oracle: reduced row echelon form with every entry turned
-    into a ``Fraction`` first and every pivot row scaled by its inverse."""
-    work = [[Fraction(value) for value in row] for row in rows]
-    n_cols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [value * inv for value in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return work, pivots
-
-
-def unit_pivot_rows(rng):
-    """A random integer matrix whose reduction meets only pivots +-1, and
-    its reduced form: echelon rows E with integer entries, mixed by a unit
-    lower-triangular matrix and random row signs, then dependent rows."""
-    n_cols = rng.randint(1, 9)
-    pivots = sorted(rng.sample(range(n_cols), rng.randint(1, n_cols)))
-    echelon = []
-    for p in pivots:
-        row = [0] * n_cols
-        row[p] = 1
-        for col in range(p + 1, n_cols):
-            if col not in pivots:
-                row[col] = rng.randint(-3, 3)
-        echelon.append(row)
-
-    def combination(weights):
-        return [sum(w * row[col] for w, row in zip(weights, echelon)) for col in range(n_cols)]
-
-    rows = []
-    for i in range(len(pivots)):
-        sign = rng.choice((1, -1))
-        rows.append([sign * x for x in combination([rng.randint(-2, 2) for _ in range(i)] + [1])])
-    extra = rng.randint(0, 3)
-    rows += [combination([rng.randint(-2, 2) for _ in pivots]) for _ in range(extra)]
-    return rows, (echelon + [[0] * n_cols for _ in range(extra)], pivots)
-
-
-def entry_types(reduced):
-    return {type(value) for row in reduced for value in row}
-
-
-class TestRref:
-    def test_unit_pivots_keep_integer_entries(self):
-        rng = random.Random("rref-unit-pivots")
-        for _ in range(200):
-            rows, expected = unit_pivot_rows(rng)
-            reduced = rref(rows)
-            assert reduced == expected == fraction_rref(rows)
-            assert entry_types(reduced[0]) <= {int}
-
-    @given(matrices())
-    @settings(max_examples=200)
-    def test_matches_fraction_reduction(self, rows):
-        # entries up to 9 in size: most of these meet a pivot other than +-1
-        reduced = rref(rows)
-        assert reduced == fraction_rref(rows)
-        assert entry_types(reduced[0]) <= {int, Fraction}
-
-    def test_non_unit_pivot_gives_fractions(self):
-        reduced, pivots = rref([[1, 1, 0], [1, -1, 1]])
-        assert pivots == [0, 1]
-        assert reduced == [[1, 0, Fraction(1, 2)], [0, 1, Fraction(-1, 2)]]
-        assert entry_types(reduced) == {Fraction}
-
-    def test_fraction_input(self):
-        rows = [[Fraction(1, 2), 1], [Fraction(-1), 3]]
-        assert rref(rows) == fraction_rref(rows) == ([[1, 0], [0, 1]], [0, 1])
 
 
 class TestMultiply:
