@@ -1,23 +1,26 @@
-"""Exact rational sparse matrices and the exact elimination engines.
+"""Exact sparse integer matrices and the exact elimination engines.
 
 This is the homology engine: every exactness statement in the package
 reduces to ranks computed here.  No floating point anywhere.
 
-- ``rank`` is Bareiss-style fraction-free elimination over the integers
-  (rows are scaled by their denominator lcm first, which does not change the
-  rank); entries of the resolution differentials are already in {0, +1, -1}
-  and skip the scaling entirely.
+- ``IntMatrix`` holds integers only: the resolution differentials, with
+  entries in {+1, -1}, and the integer numerator rows of the direct
+  idempotent ranks.  A ``Fraction`` or ``float`` entry is a ``TypeError``.
+- ``rank`` is Bareiss-style fraction-free elimination over the integers;
+  a nonzero single row or column, the shape of most resolution maps, has
+  rank 1 without elimination.
 - ``two_term_corank`` takes a matrix whose rows have at most two nonzero
   entries, such as the quadratic-dual relation spaces of a diamond, and
   counts its kernel by a weighted union-find over columns; ``rank`` is its
   test oracle.
 - ``rref`` is reduced row echelon form over the rationals; the quadratic
-  dual reads each quotient space and its projection from it.
+  dual reads each quotient space and its projection from it.  It and
+  ``two_term_corank`` take ``Scalar`` rows, since a relation of the dual
+  may have rational coefficients.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -30,23 +33,24 @@ def normalize(value: Scalar) -> Scalar:
 
 
 @dataclass(frozen=True)
-class RationalMatrix:
+class IntMatrix:
     n_rows: int
     n_cols: int
-    entries: dict[tuple[int, int], Scalar] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        clean: dict[tuple[int, int], Scalar] = {}
+        clean: dict[tuple[int, int], int] = {}
         for (r, c), value in self.entries.items():
             if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
                 raise ValueError(f"entry ({r},{c}) outside {self.n_rows}x{self.n_cols}")
-            value = normalize(value)
+            if type(value) is not int:
+                raise TypeError(f"entry ({r},{c}) is {value!r}, not an int")
             if value:
                 clean[(r, c)] = value
         object.__setattr__(self, "entries", clean)
 
     @classmethod
-    def from_rows(cls, rows: list[list[Scalar]], n_cols: int | None = None) -> "RationalMatrix":
+    def from_rows(cls, rows: list[list[int]], n_cols: int | None = None) -> "IntMatrix":
         if rows and n_cols is None:
             n_cols = len(rows[0])
         entries = {
@@ -57,7 +61,7 @@ class RationalMatrix:
         }
         return cls(len(rows), n_cols or 0, entries)
 
-    def to_dense(self) -> list[list[Scalar]]:
+    def to_dense(self) -> list[list[int]]:
         rows = [[0] * self.n_cols for _ in range(self.n_rows)]
         for (r, c), value in self.entries.items():
             rows[r][c] = value
@@ -74,29 +78,17 @@ class RationalMatrix:
         return "\n".join(lines)
 
 
-def multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.n_cols != b.n_rows:
         raise ValueError(f"shape mismatch: {a.n_rows}x{a.n_cols} times {b.n_rows}x{b.n_cols}")
-    b_by_row: dict[int, list[tuple[int, Scalar]]] = {}
+    b_by_row: dict[int, list[tuple[int, int]]] = {}
     for (r, c), value in b.entries.items():
         b_by_row.setdefault(r, []).append((c, value))
-    acc: dict[tuple[int, int], Scalar] = {}
+    acc: dict[tuple[int, int], int] = {}
     for (i, k), x in a.entries.items():
         for j, y in b_by_row.get(k, ()):
             acc[(i, j)] = acc.get((i, j), 0) + x * y
-    return RationalMatrix(a.n_rows, b.n_cols, acc)
-
-
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    dense = m.to_dense()
-    out = []
-    for row in dense:
-        den = 1
-        for value in row:
-            if isinstance(value, Fraction):
-                den = lcm(den, value.denominator)
-        out.append([int(value * den) for value in row])
-    return out
+    return IntMatrix(a.n_rows, b.n_cols, acc)
 
 
 def _fraction_free_rank(rows: list[list[int]]) -> int:
@@ -133,10 +125,12 @@ def _fraction_free_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank(m: RationalMatrix) -> int:
+def rank(m: IntMatrix) -> int:
     if m.is_zero():
         return 0
-    return _fraction_free_rank(_integer_rows(m))
+    if m.n_rows == 1 or m.n_cols == 1:
+        return 1
+    return _fraction_free_rank(m.to_dense())
 
 
 def _exact_ratio(num: Scalar, den: Scalar) -> Scalar:

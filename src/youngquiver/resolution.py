@@ -3,17 +3,23 @@ Young-lattice category, verified object by object.
 
 For a fixed diagram xi, the stratum at homological position i <= 0 consists
 of the diagrams obtained by adding -i nodes to xi with no two added nodes in
-the same row (a vertical strip).  The position-i term of the complex is the
-direct sum of the projectives generated at the stratum members, shifted so
-the whole complex is linear.  A projective generated at lam contributes a
-canonical basis vector at evaluation object mu exactly when the hom space
-lam -> mu survives the column relations, that is when mu/lam is a
-horizontal strip.  So the objects where lam is present are listed straight
-from the interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... of the row
-tuples, instead of probing every object.  The differential entry between
-two stratum members is the arrow sign when they differ by one node and both
-are present, else zero; the arrows between adjacent strata are found once,
-by removing each corner of each member of the larger stratum.
+the same row (a vertical strip); all strata come from one vertical-strip
+enumeration (``partitions.strip_tops``).  The position-i term of the complex
+is the direct sum of the projectives generated at the stratum members,
+shifted so the whole complex is linear.  A projective generated at lam
+contributes a canonical basis vector at evaluation object mu exactly when
+the hom space lam -> mu survives the column relations, that is when mu/lam
+is a horizontal strip.  So the objects where lam is present are listed
+straight from the interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... of the
+row tuples, instead of probing every object.  The differential entry
+between two stratum members is the arrow sign when they differ by one node
+and both are present, else zero; the arrows between adjacent strata are
+found once, by removing each corner of each member of the larger stratum,
+and each sign is read from the parity of the nodes above the corner's row.
+
+The whole assembly runs on row tuples and member numbers: ``Partition``s
+are built once per stratum member, and a diagram's text form only for a
+failure locator or a dumped matrix's label.
 
 Because exactness of a complex of modules over the category holds iff it
 holds at every evaluation object, the whole verification reduces to exact
@@ -21,10 +27,11 @@ integer linear algebra on one small matrix chain per object: the complex
 property is a product of consecutive matrices being zero, and exactness is
 the rank identity rank(out) + rank(in) = dim at every position.  Each
 object's chain lists its components at every position but stores only the
-nonzero differentials; an absent one is the zero map, so its products are
-zero and its rank is 0 without any arithmetic.  Most maps are absent: in
-a sweep over the bases of size at most 5 at depth 8, about 6% of the
-adjacent pairs have two nonzero factors.
+nonzero differentials, as ``IntMatrix``es with entries +1 and -1; an
+absent one is the zero map, so its products are zero and its rank is 0
+without any arithmetic.  Most maps are absent: in a sweep over the bases
+of size at most 5 at depth 8, about 6% of the adjacent pairs have two
+nonzero factors.
 """
 
 import time
@@ -32,9 +39,10 @@ from dataclasses import dataclass
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, Scalar, multiply, rank
-from .partitions import Partition, partitions_of, partitions_up_to
-from .signs import arrow_sign
+from .exactlinalg import IntMatrix, multiply, rank
+from .partitions import Partition, _partition_tuples, format_partition, partitions_of, strip_tops
+
+Rows = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -49,57 +57,47 @@ def stratum(xi: Partition, index: int, bounds: Bounds = DEFAULT_BOUNDS) -> Strat
     if index > 0:
         raise ValueError("stratum index must be non-positive")
     check_bound(-index, bounds.max_resolution_depth, "resolution depth")
-    return Stratum(index, tuple(_vertical_strip_extensions(xi, -index)))
+    return Stratum(index, tuple(map(Partition, _strata_rows(xi.rows, -index)[0])))
 
 
-def _vertical_strip_extensions(xi: Partition, count: int) -> list[Partition]:
-    """All diagrams containing xi whose skew shape has ``count`` nodes, at
-    most one per row; reverse lexicographic order."""
-    base = xi.rows
-    results: list[Partition] = []
-
-    def rec(r: int, remaining: int, prev_len: int, acc: list[int]) -> None:
-        if r > len(base):
-            if remaining == 0:
-                results.append(Partition(tuple(acc)))
-            elif prev_len >= 1:
-                results.append(Partition(tuple(acc + [1] * remaining)))
-            return
-        current = base[r - 1]
-        for inc in (1, 0) if remaining else (0,):
-            new_len = current + inc
-            if new_len <= prev_len:
-                rec(r + 1, remaining - inc, new_len, acc + [new_len])
-
-    rec(1, count, 10**9, [])
-    return results
+def _strata_rows(base: Rows, depth: int) -> list[list[Rows]]:
+    """Row tuples of the strata at positions -depth .. 0: position i holds
+    the tops of the vertical strips of -i nodes over ``base``, in reverse
+    lexicographic order."""
+    size = sum(base)
+    by_added: list[list[Rows]] = [[] for _ in range(depth + 1)]
+    for rows in strip_tops(base, size + depth):
+        by_added[sum(rows) - size].append(rows)
+    return [sorted(by_added[added], reverse=True) for added in range(depth, -1, -1)]
 
 
 @dataclass(frozen=True)
 class ObjectChain:
     """The complex evaluated at one object: a chain of small matrices.
 
-    ``components[offset]`` lists the members of ``strata[offset]`` (position
-    offset - depth) whose projective is present at the object.
-    ``maps[offset]`` is the differential out of that position (rows:
-    ``components[offset + 1]``, columns: ``components[offset]``), with
-    entries in {+1, -1}.  Only nonzero differentials are stored: an absent
-    offset is the zero map between the listed components.
+    ``components[offset]`` lists the numbers of the members of
+    ``strata[offset]`` (position offset - depth) whose projective is present
+    at the object.  ``maps[offset]`` is the differential out of that
+    position (rows: ``components[offset + 1]``, columns:
+    ``components[offset]``), with entries in {+1, -1}.  Only nonzero
+    differentials are stored: an absent offset is the zero map between the
+    listed components.
     """
 
-    components: tuple[tuple[Partition, ...], ...]
-    maps: dict[int, RationalMatrix]
+    components: tuple[tuple[int, ...], ...]
+    maps: dict[int, IntMatrix]
 
 
 @dataclass(frozen=True)
 class GradedComplex:
     """The complex for one base diagram, stored as one chain per object:
-    ``chains[k]`` is the complex evaluated at ``objects[k]``."""
+    ``chains[k]`` is the complex evaluated at the object with row tuple
+    ``objects[k]``."""
 
     xi: Partition
     depth: int
     strata: tuple[Stratum, ...]  # indices -depth .. 0
-    objects: tuple[Partition, ...]
+    objects: tuple[Rows, ...]
     chains: tuple[ObjectChain, ...]
     linear: bool
 
@@ -108,23 +106,31 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     if depth < 1:
         raise ValueError("depth must be positive")
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
-    strata = tuple(stratum(xi, i, bounds) for i in range(-depth, 1))
+    strata_rows = _strata_rows(xi.rows, depth)
+    strata = tuple(
+        Stratum(offset - depth, tuple(map(Partition, members)))
+        for offset, members in enumerate(strata_rows)
+    )
     max_size = xi.size + depth
-    objects = tuple(partitions_up_to(max_size, bounds))
-    index = {mu.rows: k for k, mu in enumerate(objects)}
+    # the row tuples of partitions_up_to(max_size), under the same bound
+    objects = []
+    for size in range(max_size + 1):
+        check_bound(size, bounds.max_partition_size, "partition size")
+        objects.extend(_partition_tuples(size, size))
+    index = {rows: k for k, rows in enumerate(objects)}
 
     # present[k][offset]: numbers of the members of strata[offset] present
     # at objects[k], listed only for objects where some member is present
     present: dict[int, list[list[int]]] = {}
-    for offset, st in enumerate(strata):
-        for number, lam in enumerate(st.members):
-            for rows in _horizontal_strip_extensions(lam.rows, max_size):
+    for offset, members in enumerate(strata_rows):
+        for number, lam in enumerate(members):
+            for rows in _horizontal_strip_extensions(lam, max_size):
                 k = index[rows]
                 if k not in present:
                     present[k] = [[] for _ in strata]
                 present[k][offset].append(number)
 
-    arrows = [_arrows_into(strata[offset], strata[offset + 1]) for offset in range(depth)]
+    arrows = [_arrows_into(upper, lower) for upper, lower in zip(strata_rows, strata_rows[1:])]
     # shared by every object where no member is present
     nothing = ObjectChain(tuple(() for _ in strata), {})
     chains = []
@@ -146,26 +152,25 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
                     if r is not None:
                         entries[(r, c)] = sign
             if entries:
-                maps[offset] = RationalMatrix(len(rows), len(cols), entries)
-        components = tuple(
-            tuple(st.members[number] for number in cell) for st, cell in zip(strata, cells)
-        )
-        chains.append(ObjectChain(components, maps))
+                maps[offset] = IntMatrix(len(rows), len(cols), entries)
+        chains.append(ObjectChain(tuple(map(tuple, cells)), maps))
 
     # linearity: the position -n term is generated in internal degree n
     linear = all(
-        lam.size == xi.size - st.index for st in strata for lam in st.members
+        sum(lam) == xi.size + depth - offset
+        for offset, members in enumerate(strata_rows)
+        for lam in members
     )
-    return GradedComplex(xi, depth, strata, objects, tuple(chains), linear)
+    return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains), linear)
 
 
-def _horizontal_strip_extensions(rows: tuple[int, ...], max_size: int) -> list[tuple[int, ...]]:
+def _horizontal_strip_extensions(rows: Rows, max_size: int) -> list[Rows]:
     """Row tuples of every mu of size at most ``max_size`` such that mu/lam
     is a horizontal strip, where lam has row tuple ``rows``: the interlacing
     mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... >= mu_(l+1) >= 0."""
-    results: list[tuple[int, ...]] = []
+    results: list[Rows] = []
 
-    def rec(r: int, spare: int, acc: tuple[int, ...]) -> None:
+    def rec(r: int, spare: int, acc: Rows) -> None:
         low = rows[r] if r < len(rows) else 0
         high = low + spare if r == 0 else min(rows[r - 1], low + spare)
         for value in range(low, high + 1):
@@ -181,21 +186,24 @@ def _horizontal_strip_extensions(rows: tuple[int, ...], max_size: int) -> list[t
     return results
 
 
-def _arrows_into(upper: Stratum, lower: Stratum) -> list[list[tuple[int, int]]]:
+def _arrows_into(upper: list[Rows], lower: list[Rows]) -> list[list[tuple[int, int]]]:
     """Entry j lists the members lam of ``lower`` covered by the member nu
     numbered j of ``upper``, as (number of lam, sign of the arrow lam -> nu):
-    remove each corner of nu and keep the results that lie in ``lower``."""
-    by_rows = {lam.rows: number for number, lam in enumerate(lower.members)}
+    remove each corner of nu and keep the results that lie in ``lower``.
+    The arrow adds a node in 0-based row r, so its sign is
+    ``signs.row_sign``, the parity of the nodes above row r: (-1)^sum(nu[:r])."""
+    by_rows = {lam: number for number, lam in enumerate(lower)}
     arrows = []
-    for nu in upper.members:
-        rows = nu.rows
+    for rows in upper:
         found = []
+        above = 0
         for r, length in enumerate(rows):
             if r + 1 == len(rows) or length > rows[r + 1]:
                 smaller = rows[:r] + (length - 1,) + rows[r + 1 :] if length > 1 else rows[:r]
                 number = by_rows.get(smaller)
                 if number is not None:
-                    found.append((number, arrow_sign(lower.members[number], nu)))
+                    found.append((number, -1 if above % 2 else 1))
+            above += length
         arrows.append(found)
     return arrows
 
@@ -225,7 +233,7 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
             cancellations += _two_term_zero_cells(high, low)
             if not product.is_zero() and first_failure is None:
                 first_failure = {
-                    "object": str(mu),
+                    "object": format_partition(mu),
                     "position": offset - depth,
                     "nonzero_entries": sorted(
                         [list(key) + [str(val)] for key, val in product.entries.items()]
@@ -246,13 +254,13 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
     )
 
 
-def _two_term_zero_cells(high: RationalMatrix, low: RationalMatrix) -> int:
+def _two_term_zero_cells(high: IntMatrix, low: IntMatrix) -> int:
     """Cells of high*low that receive exactly two nonzero terms, summing to
     zero."""
-    low_by_row: dict[int, list[tuple[int, Scalar]]] = {}
+    low_by_row: dict[int, list[tuple[int, int]]] = {}
     for (k, c), y in low.entries.items():
         low_by_row.setdefault(k, []).append((c, y))
-    terms: dict[tuple[int, int], list[Scalar]] = {}
+    terms: dict[tuple[int, int], list[int]] = {}
     for (r, k), x in high.entries.items():
         for c, y in low_by_row.get(k, ()):
             terms.setdefault((r, c), []).append(x * y)
@@ -275,7 +283,7 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
     first_failure = None
     positions_checked = 0
     for mu, chain in zip(complex_.objects, complex_.chains):
-        at_base = mu == complex_.xi
+        at_base = mu == complex_.xi.rows
         if not (at_base or any(chain.components)):
             # zero at every position: exact, with Euler characteristic 0
             positions_checked += len(chain.components)
@@ -295,7 +303,7 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
             cohomology = dim - rank_out - rank_in
             if cohomology != expected_cohomology and first_failure is None:
                 first_failure = {
-                    "object": str(mu),
+                    "object": format_partition(mu),
                     "position": position,
                     "dim": dim,
                     "rank_out": rank_out,
@@ -304,13 +312,13 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
                     "expected": expected_cohomology,
                 }
         # independent arithmetic cross-check of the same data
-        euler = sum((-1) ** (offset % 2) * dim for offset, dim in enumerate(dims))
+        euler = sum(dims[::2]) - sum(dims[1::2])
         expected_euler = 1 if at_base else 0
         if depth % 2:
             euler = -euler
         if euler != expected_euler and first_failure is None:
             first_failure = {
-                "object": str(mu),
+                "object": format_partition(mu),
                 "check": "euler",
                 "value": euler,
                 "expected": expected_euler,
@@ -367,8 +375,10 @@ def verify_resolution(
             for mu, chain in zip(complex_.objects, complex_.chains)
             for offset, matrix in chain.maps.items()
         ]
-        stored.sort(key=lambda item: (item[0], item[1].rows))
-        details["matrices"] = {f"{i}@{mu}": matrix.to_text() for i, mu, matrix in stored}
+        stored.sort(key=lambda item: item[:2])
+        details["matrices"] = {
+            f"{i}@{format_partition(mu)}": matrix.to_text() for i, mu, matrix in stored
+        }
     return Certificate.timed(
         start,
         command="verify resolution",

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import RationalMatrix, rank
+from .exactlinalg import IntMatrix, rank
 from .partitions import Partition, partitions_of, skew_classify, transpose
 
 # Conjugacy classes are indexed by partitions of the group degree.
@@ -70,6 +70,15 @@ def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def _cycle_types(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(images, cycle type) of every permutation of 1..n, in the order of
+    ``itertools.permutations``; computed once per degree and shared."""
+    return tuple(
+        (images, _cycle_lengths(images)) for images in iter_permutations(range(1, n + 1))
+    )
 
 
 def _sign(images: tuple[int, ...]) -> int:
@@ -290,11 +299,10 @@ def central_idempotent(mu: Partition, bounds: Bounds = DEFAULT_BOUNDS) -> GroupA
     n = mu.size
     check_bound(n, bounds.max_group_degree, "group degree")
     dim = specht_dimension(mu)
-    numerators = {}
-    for images in iter_permutations(range(1, n + 1)):
-        chi = _mn_character(mu.rows, _cycle_lengths(images))
-        if chi:
-            numerators[images] = dim * chi
+    types = _cycle_types(n)
+    # one character value per cycle type
+    value = {cycles: dim * _mn_character(mu.rows, cycles) for _, cycles in types}
+    numerators = {images: value[cycles] for images, cycles in types if value[cycles]}
     return GroupAlgebraElement(n, numerators, factorial(n))
 
 
@@ -314,10 +322,7 @@ class ClassSums:
         check_bound(n, bounds.max_group_degree, "group degree")
         self.degree = n
         number = {mu.rows: k for k, mu in enumerate(partitions_of(n, bounds))}
-        self.class_of = {
-            images: number[_cycle_lengths(images)]
-            for images in iter_permutations(range(1, n + 1))
-        }
+        self.class_of = {images: number[cycles] for images, cycles in _cycle_types(n)}
         self.sizes = [0] * len(number)
         for k in self.class_of.values():
             self.sizes[k] += 1
@@ -438,7 +443,7 @@ def direct_hom_dimension(mu: Partition, lam: Partition, bounds: Bounds = DEFAULT
         # numerators only: scaling a row by its denominator keeps the rank
         numerators = multiply(multiply(e_lam, element), e_mu).numerators
         rows.append([numerators.get(images, 0) for images in group_order])
-    return rank(RationalMatrix.from_rows(rows, len(group_order)))
+    return rank(IntMatrix.from_rows(rows, len(group_order)))
 
 
 def induction_multiplicity(

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from youngquiver.exactlinalg import (
-    RationalMatrix,
+    IntMatrix,
     multiply,
     rank,
     rref,
@@ -16,7 +17,7 @@ from test_qdual import kernel_basis
 
 
 def identity(n):
-    return RationalMatrix(n, n, {(i, i): 1 for i in range(n)})
+    return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def gaussian_rank(rows):
@@ -36,6 +37,16 @@ def gaussian_rank(rows):
                 work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def integer_rows(rows):
+    """Each row scaled by the lcm of its denominators: the integer numerator
+    rows, which span the same row space row by row."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row)) if row else 1
+        out.append([int(v * den) for v in row])
+    return out
 
 
 def schoolbook_product(a_rows, b_rows):
@@ -68,23 +79,30 @@ class TestRank:
         assert rank(identity(4)) == 4
 
     def test_zero_matrix(self):
-        assert rank(RationalMatrix(3, 5, {})) == 0
+        assert rank(IntMatrix(3, 5, {})) == 0
 
     def test_proportional_rows(self):
-        assert rank(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
+        assert rank(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
 
     def test_fractional_entries(self):
-        m = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-        assert rank(m) == gaussian_rank(m.to_dense())
+        # a rational matrix is ranked through its integer numerator rows
+        rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+        assert integer_rows(rows) == [[3, 2], [3, 2]]
+        assert rank(IntMatrix.from_rows(integer_rows(rows))) == gaussian_rank(rows) == 1
+
+    def test_single_row_or_column(self):
+        assert rank(IntMatrix.from_rows([[0, -1, 1]])) == 1
+        assert rank(IntMatrix.from_rows([[0], [0], [7]])) == 1
+        assert rank(IntMatrix.from_rows([[0], [0]])) == 0
 
     def test_empty_shapes(self):
-        assert rank(RationalMatrix(0, 3, {})) == 0
-        assert rank(RationalMatrix(3, 0, {})) == 0
+        assert rank(IntMatrix(0, 3, {})) == 0
+        assert rank(IntMatrix(3, 0, {})) == 0
 
     @given(matrices())
     @settings(max_examples=200)
     def test_matches_gaussian_oracle(self, rows):
-        assert rank(RationalMatrix.from_rows(rows)) == gaussian_rank(rows)
+        assert rank(IntMatrix.from_rows(rows)) == gaussian_rank(rows)
 
     def test_larger_seeded_matrices_match_oracle(self):
         import random
@@ -100,33 +118,33 @@ class TestRank:
             # plant some dependent rows to exercise rank deficiency
             if n_rows >= 3:
                 rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
-            assert rank(RationalMatrix.from_rows(rows)) == gaussian_rank(rows)
+            assert rank(IntMatrix.from_rows(rows)) == gaussian_rank(rows)
 
     @given(matrices())
     def test_transpose_invariant(self, rows):
-        m = RationalMatrix.from_rows(rows)
-        transposed = RationalMatrix(
+        m = IntMatrix.from_rows(rows)
+        transposed = IntMatrix(
             m.n_cols, m.n_rows, {(c, r): v for (r, c), v in m.entries.items()}
         )
         assert rank(m) == rank(transposed)
 
     @given(matrices(), st.randoms(use_true_random=False))
     def test_permutation_invariant(self, rows, rng):
-        m = RationalMatrix.from_rows(rows)
+        m = IntMatrix.from_rows(rows)
         shuffled_rows = rows[:]
         rng.shuffle(shuffled_rows)
         cols = list(range(len(rows[0])))
         rng.shuffle(cols)
         permuted = [[row[c] for c in cols] for row in shuffled_rows]
-        assert rank(RationalMatrix.from_rows(permuted)) == rank(m)
+        assert rank(IntMatrix.from_rows(permuted)) == rank(m)
 
     @given(matrices(max_dim=5), matrices(max_dim=5))
     def test_product_rank_bound(self, a_rows, b_rows):
         # reshape b to be composable with a
         inner = len(a_rows[0])
         b_square = [(b_rows[i % len(b_rows)] * inner)[:inner] for i in range(inner)]
-        a = RationalMatrix.from_rows(a_rows)
-        b = RationalMatrix.from_rows(b_square)
+        a = IntMatrix.from_rows(a_rows)
+        b = IntMatrix.from_rows(b_square)
         assert rank(multiply(a, b)) <= min(rank(a), rank(b))
 
 
@@ -175,7 +193,8 @@ class TestTwoTermCorank:
     @settings(max_examples=300)
     def test_matches_bareiss_oracle(self, case):
         n_cols, rows = case
-        oracle = n_cols - rank(RationalMatrix.from_rows(dense(n_cols, rows), n_cols))
+        matrix = IntMatrix.from_rows(integer_rows(dense(n_cols, rows)), n_cols)
+        oracle = n_cols - rank(matrix)
         assert two_term_corank(n_cols, rows) == oracle
 
     def test_odd_anticommutation_cycle_dies(self):
@@ -214,15 +233,15 @@ class TestKernel:
     @given(matrices())
     def test_rank_nullity(self, rows):
         _, pivots = rref(rows)
-        assert len(pivots) == rank(RationalMatrix.from_rows(rows))
+        assert len(pivots) == rank(IntMatrix.from_rows(rows))
 
     @given(matrices())
     def test_kernel_basis_vectors_annihilate(self, rows):
-        m = RationalMatrix.from_rows(rows)
+        m = IntMatrix.from_rows(rows)
         basis = kernel_basis(rows, m.n_cols)
         assert len(basis) == m.n_cols - rank(m)
         for vec in basis:
-            column = RationalMatrix.from_rows([[v] for v in vec])
+            column = IntMatrix.from_rows([[v] for v in integer_rows([vec])[0]])
             assert multiply(m, column).is_zero()
 
     def test_kernel_of_empty_relation_matrix_is_everything(self):
@@ -232,12 +251,12 @@ class TestKernel:
 
 class TestMultiply:
     def test_identity_neutral(self):
-        a = RationalMatrix.from_rows([[1, 2], [3, 4]])
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert multiply(a, identity(2)) == a
 
     def test_cancellation_in_miniature(self):
-        a = RationalMatrix.from_rows([[1, 1]])
-        b = RationalMatrix.from_rows([[1], [-1]])
+        a = IntMatrix.from_rows([[1, 1]])
+        b = IntMatrix.from_rows([[1], [-1]])
         assert multiply(a, b).is_zero()
 
     def test_shape_mismatch(self):
@@ -249,24 +268,37 @@ class TestMultiply:
         inner = len(a_rows[0])
         b_fit = [(b_rows[i % len(b_rows)] * inner)[:inner] for i in range(inner)]
         product = multiply(
-            RationalMatrix.from_rows(a_rows), RationalMatrix.from_rows(b_fit)
+            IntMatrix.from_rows(a_rows), IntMatrix.from_rows(b_fit)
         )
         assert product.to_dense() == schoolbook_product(a_rows, b_fit)
 
 
 class TestHygiene:
     def test_no_stored_zeros(self):
-        m = RationalMatrix.from_rows([[0, 1], [0, 0]])
+        m = IntMatrix.from_rows([[0, 1], [0, 0]])
         assert set(m.entries) == {(0, 1)}
 
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(ValueError):
-            RationalMatrix(1, 1, {(2, 0): 1})
+            IntMatrix(1, 1, {(2, 0): 1})
 
-    def test_integer_fractions_stored_as_ints(self):
-        m = RationalMatrix(1, 1, {(0, 0): Fraction(4, 2)})
-        assert isinstance(m.entries[(0, 0)], int)
+    def test_non_int_entries_rejected(self):
+        # an integral Fraction, a zero float and a bool are not ints either
+        for value in [Fraction(4, 2), Fraction(1, 2), 1.0, 0.0, True]:
+            with pytest.raises(TypeError):
+                IntMatrix(1, 1, {(0, 0): value})
+        # from_rows drops zeros before construction
+        for value in [Fraction(4, 2), Fraction(1, 2), 1.0, True]:
+            with pytest.raises(TypeError):
+                IntMatrix.from_rows([[1, value]])
+
+    def test_out_of_range_checked_before_type(self):
+        for key in [(1, 0), (0, 1), (-1, 0)]:
+            with pytest.raises(ValueError):
+                IntMatrix(1, 1, {key: 1})
+            with pytest.raises(ValueError):
+                IntMatrix(1, 1, {key: Fraction(1, 2)})
 
     def test_text_dump(self):
-        dump = RationalMatrix.from_rows([[1, 0], [0, -1]]).to_text()
+        dump = IntMatrix.from_rows([[1, 0], [0, -1]]).to_text()
         assert dump.splitlines()[0] == "2 2 2"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from youngquiver.config import DEFAULT_BOUNDS, BoundExceededError
-from youngquiver.exactlinalg import RationalMatrix, rank, rref, two_term_corank
+from youngquiver.exactlinalg import IntMatrix, rank, rref, two_term_corank
 from youngquiver.partitions import (
     Partition,
     partitions_up_to,
@@ -102,7 +102,7 @@ def chain_dim_bareiss(mu, lam, presentation):
     for r, row in enumerate(rows):
         for col, coeff in row:
             entries[(r, col)] = entries.get((r, col), 0) + coeff
-    return n_paths - rank(RationalMatrix(len(rows), n_paths, entries))
+    return n_paths - rank(IntMatrix(len(rows), n_paths, entries))
 
 
 def widened(presentation, vectors=((3, 5, -1),)):

@@ -1,9 +1,15 @@
+import importlib.util
+import json
+import pathlib
+import re
 from dataclasses import replace
 
 import pytest
 
+from youngquiver import resolution
+from youngquiver.cli import main
 from youngquiver.config import BoundExceededError
-from youngquiver.exactlinalg import RationalMatrix, multiply, rank
+from youngquiver.exactlinalg import IntMatrix, multiply, rank
 from youngquiver.partitions import (
     EMPTY,
     Partition,
@@ -15,7 +21,9 @@ from youngquiver.partitions import (
 from youngquiver.quiver import hom_dim_C
 from youngquiver.resolution import (
     ObjectChain,
+    _arrows_into,
     _horizontal_strip_extensions,
+    _strata_rows,
     _two_term_zero_cells,
     betti_table,
     build_resolution,
@@ -30,11 +38,18 @@ P = lambda *rows: Partition(tuple(rows))
 
 
 def chain_at(complex_, mu):
-    return complex_.chains[complex_.objects.index(mu)]
+    return complex_.chains[complex_.objects.index(mu.rows)]
 
 
 def components_at(complex_, i, mu):
-    return chain_at(complex_, mu).components[i + complex_.depth]
+    """The stratum members present at position i at mu, as diagrams."""
+    offset = i + complex_.depth
+    members = complex_.strata[offset].members
+    return tuple(members[number] for number in chain_at(complex_, mu).components[offset])
+
+
+def objects_of(complex_):
+    return [Partition(rows) for rows in complex_.objects]
 
 
 def matrix_at(complex_, i, mu):
@@ -42,14 +57,14 @@ def matrix_at(complex_, i, mu):
     zero map between the listed components where the chain stores none."""
     chain = chain_at(complex_, mu)
     offset = i + complex_.depth
-    zero = RationalMatrix(len(chain.components[offset + 1]), len(chain.components[offset]))
+    zero = IntMatrix(len(chain.components[offset + 1]), len(chain.components[offset]))
     return chain.maps.get(offset, zero)
 
 
 def with_chain(complex_, mu, chain):
     """``complex_`` with the chain at ``mu`` replaced."""
     chains = list(complex_.chains)
-    chains[complex_.objects.index(mu)] = chain
+    chains[complex_.objects.index(mu.rows)] = chain
     return replace(complex_, chains=tuple(chains))
 
 
@@ -118,7 +133,7 @@ class TestBuild:
     def test_presence_follows_hom(self):
         complex_ = build_resolution(P(1), 3)
         for st in complex_.strata:
-            for mu in complex_.objects:
+            for mu in objects_of(complex_):
                 present = components_at(complex_, st.index, mu)
                 assert present == tuple(
                     lam for lam in st.members if hom_dim_C(lam, mu) == 1
@@ -137,7 +152,7 @@ def slow_components(complex_):
     return {
         (st.index, mu): tuple(lam for lam in st.members if hom_dim_C(lam, mu) == 1)
         for st in complex_.strata
-        for mu in complex_.objects
+        for mu in objects_of(complex_)
     }
 
 
@@ -148,7 +163,7 @@ def slow_matrix(rows, cols):
         for c, nu in enumerate(cols):
             if nu.size == lam.size + 1 and nu.contains(lam):
                 entries[(r, c)] = arrow_sign(lam, nu)
-    return RationalMatrix(len(rows), len(cols), entries)
+    return IntMatrix(len(rows), len(cols), entries)
 
 
 def slow_two_term_zero_cells(high, low):
@@ -181,10 +196,10 @@ class TestAssemblyOracle:
         complex_ = build_resolution(xi, depth)
         expected = slow_components(complex_)
         assert len(complex_.chains) == len(complex_.objects)
-        for mu, chain in zip(complex_.objects, complex_.chains):
-            assert chain.components == tuple(
-                expected[(i, mu)] for i in range(-depth, 1)
-            )
+        for mu, chain in zip(objects_of(complex_), complex_.chains):
+            assert tuple(
+                components_at(complex_, i, mu) for i in range(-depth, 1)
+            ) == tuple(expected[(i, mu)] for i in range(-depth, 1))
             assert set(chain.maps) <= set(range(depth))
             for offset in range(depth):
                 i = offset - depth
@@ -210,7 +225,7 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("xi, depth", SMALL_COMPLEXES)
     def test_diamond_count_matches_dense(self, xi, depth):
         complex_ = build_resolution(xi, depth)
-        for mu in complex_.objects:
+        for mu in objects_of(complex_):
             for i in range(-depth, -1):
                 low = matrix_at(complex_, i, mu)
                 high = matrix_at(complex_, i + 1, mu)
@@ -220,8 +235,8 @@ class TestAssemblyOracle:
         # cell (0,0) has three terms 1, -1, 1 (its first two cancel), cell
         # (0,1) two summing to 2, cell (0,2) two summing to zero, cell (1,0)
         # one term
-        high = RationalMatrix.from_rows([[1, -1, 1], [0, 1, 0]])
-        low = RationalMatrix.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 0]])
+        high = IntMatrix.from_rows([[1, -1, 1], [0, 1, 0]])
+        low = IntMatrix.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert slow_two_term_zero_cells(high, low) == 1
         assert _two_term_zero_cells(high, low) == 1
 
@@ -242,7 +257,7 @@ class TestVerifyComplex:
         chain = chain_at(complex_, P(2, 1))
         bad = chain.maps[1]
         maps = dict(chain.maps)
-        maps[1] = RationalMatrix(bad.n_rows, bad.n_cols, {(0, 0): 1, (0, 1): 1})
+        maps[1] = IntMatrix(bad.n_rows, bad.n_cols, {(0, 0): 1, (0, 1): 1})
         broken = with_chain(complex_, P(2, 1), replace(chain, maps=maps))
         cert = verify_complex(broken)
         assert not cert.passed
@@ -266,8 +281,8 @@ class TestVerifyComplex:
         chain = chain_at(complex_, P(2))
         assert chain.components[0] == () and 0 not in chain.maps
         forged = ObjectChain(
-            ((P(2, 1),),) + chain.components[1:],
-            {0: RationalMatrix(1, 1, {(0, 0): 1}), **chain.maps},
+            ((complex_.strata[0].members.index(P(2, 1)),),) + chain.components[1:],
+            {0: IntMatrix(1, 1, {(0, 0): 1}), **chain.maps},
         )
         broken = with_chain(complex_, P(2), forged)
         cert = verify_complex(broken)
@@ -356,7 +371,7 @@ class TestVerifyExactness:
 
     def test_euler_alternating_sum(self):
         complex_ = build_resolution(P(1), 4)
-        for mu in complex_.objects:
+        for mu in objects_of(complex_):
             euler = sum(
                 (-1) ** (i % 2) * len(components_at(complex_, i, mu))
                 for i in range(-complex_.depth, 1)
@@ -366,7 +381,7 @@ class TestVerifyExactness:
     def test_rank_identity_audit_trail(self):
         complex_ = build_resolution(P(2), 3)
         assert verify_exactness(complex_).passed
-        for mu in complex_.objects:
+        for mu in objects_of(complex_):
             ranks_out = [rank(matrix_at(complex_, i, mu)) for i in range(-3, 0)] + [0]
             for offset, i in enumerate(range(-3, 1)):
                 dim = len(components_at(complex_, i, mu))
@@ -437,7 +452,7 @@ def mirrored_matrix(complex_, i, mu):
         for c, nu_t in enumerate(cols):
             if nu_t.size == lam_t.size + 1 and nu_t.contains(lam_t):
                 entries[(r, c)] = arrow_sign(lam_t, nu_t)
-    return RationalMatrix(len(rows), len(cols), entries)
+    return IntMatrix(len(rows), len(cols), entries)
 
 
 class TestTransposedMirror:
@@ -447,7 +462,7 @@ class TestTransposedMirror:
     @pytest.mark.parametrize("xi", partitions_up_to(3))
     def test_support_matches_and_squares_to_zero(self, xi):
         complex_ = build_resolution(xi, 4)
-        for mu in complex_.objects:
+        for mu in objects_of(complex_):
             for i in range(-4, 0):
                 original = matrix_at(complex_, i, mu)
                 mirror = mirrored_matrix(complex_, i, mu)
@@ -457,3 +472,189 @@ class TestTransposedMirror:
                 low = mirrored_matrix(complex_, i, mu)
                 high = mirrored_matrix(complex_, i + 1, mu)
                 assert multiply(high, low).is_zero()
+
+
+def _load_bench_workloads():
+    """``perfbench/workloads.py``, loaded read-only from its file: the gate's
+    closed forms and its recorded diamond counts."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_BASES = partitions_up_to(5)
+
+
+class TestArrowSigns:
+    """The prefix parity read in ``_arrows_into`` against ``arrow_sign`` on
+    ``Partition``s, on every arrow between adjacent strata."""
+
+    @pytest.mark.parametrize(
+        "xi, depth", [(xi, 8) for xi in BENCH_BASES] + [(P(5, 4, 3, 2, 1, 1, 1, 1), 12)]
+    )
+    def test_prefix_parity_is_arrow_sign(self, xi, depth):
+        strata = _strata_rows(xi.rows, depth)
+        arrows_checked = 0
+        for upper, lower in zip(strata, strata[1:]):
+            for nu, found in zip(upper, _arrows_into(upper, lower)):
+                for number, sign in found:
+                    assert sign == arrow_sign(Partition(lower[number]), Partition(nu))
+                    arrows_checked += 1
+                # every member of lower that nu covers is found
+                covered = [
+                    number
+                    for number, lam in enumerate(lower)
+                    if Partition(nu).contains(Partition(lam))
+                ]
+                assert sorted(number for number, _ in found) == covered
+        assert arrows_checked
+
+    @pytest.mark.parametrize("xi", partitions_up_to(8))
+    def test_strata_in_partitions_of_order(self, xi):
+        # the vertical-strip filter of partitions_of keeps its reverse
+        # lexicographic order
+        depth = 4
+        for offset, rows in enumerate(_strata_rows(xi.rows, depth)):
+            expected = [
+                lam.rows
+                for lam in partitions_of(xi.size + depth - offset)
+                if (sk := skew_classify(xi, lam)).contained and not sk.has_row_pair
+            ]
+            assert rows == expected
+            assert stratum(xi, offset - depth).members == tuple(map(Partition, rows))
+
+
+def mutated_arrows(kind, call, member):
+    """``_arrows_into`` with, on its ``call``-th call, the first arrow into
+    ``member`` of the upper stratum sign-flipped or dropped."""
+    calls = []
+
+    def wrapped(upper, lower):
+        arrows = _arrows_into(upper, lower)
+        if len(calls) == call:
+            (number, sign), *rest = arrows[member]
+            arrows[member] = ([(number, -sign)] if kind == "flip" else []) + rest
+        calls.append(call)
+        return arrows
+
+    return wrapped
+
+
+class TestMutants:
+    """Certificates of mutated differentials, recorded from the assembly on
+    ``Partition``s with ``arrow_sign`` and the rational matrix."""
+
+    def test_flipped_sign_fails_the_complex(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_arrows_into", mutated_arrows("flip", 1, 0))
+        cert = verify_resolution(P(1), 4)
+        assert cert.counts == {
+            "objects_checked": 19,
+            "positions_checked": 95,
+            "products_checked": 33,
+            "diamond_cancellations": 2,
+        }
+        assert cert.first_failure == {
+            "object": "2,1,1",
+            "position": -3,
+            "nonzero_entries": [[0, 0, "-2"]],
+            "failing_check": "complex",
+        }
+
+    def test_dropped_arrow_fails_the_complex(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_arrows_into", mutated_arrows("drop", 1, 0))
+        cert = verify_resolution(P(1), 4)
+        assert cert.counts == {
+            "objects_checked": 19,
+            "positions_checked": 95,
+            "products_checked": 33,
+            "diamond_cancellations": 2,
+        }
+        assert cert.first_failure == {
+            "object": "2,1,1",
+            "position": -3,
+            "nonzero_entries": [[0, 0, "-1"]],
+            "failing_check": "complex",
+        }
+
+    def test_dropped_arrow_fails_exactness(self, monkeypatch):
+        # the dropped arrow leaves the deepest position, where no product
+        # can see it
+        monkeypatch.setattr(resolution, "_arrows_into", mutated_arrows("drop", 0, 1))
+        cert = verify_resolution(P(1), 4)
+        assert cert.counts == {
+            "objects_checked": 19,
+            "positions_checked": 95,
+            "products_checked": 57,
+            "diamond_cancellations": 6,
+        }
+        assert cert.first_failure == {
+            "object": "1,1,1,1,1",
+            "position": -4,
+            "dim": 1,
+            "rank_out": 0,
+            "rank_in": 0,
+            "cohomology": 1,
+            "expected": 0,
+            "failing_check": "exactness",
+        }
+
+
+# verify resolution --xi 1 --depth 3 --dump-matrices --format json, as
+# printed by the assembly on Partitions with the rational matrix
+DUMP_XI_1_DEPTH_3 = {
+    "schema_version": 1,
+    "tool_version": "0.1.0",
+    "command": "verify resolution",
+    "parameters": {"xi": "1", "depth": 3},
+    "verdict": "pass",
+    "counts": {
+        "objects_checked": 12,
+        "positions_checked": 48,
+        "products_checked": 24,
+        "diamond_cancellations": 3,
+    },
+    "first_failure": None,
+    "details": {
+        "linear": True,
+        "matrices": {
+            "-3@1,1,1,1": "1 1 1\n1 1 -1",
+            "-3@2,1,1": "2 1 2\n1 1 -1\n2 1 1",
+            "-2@1,1,1": "1 1 1\n1 1 1",
+            "-2@2,1": "2 1 2\n1 1 1\n2 1 1",
+            "-2@2,1,1": "1 2 2\n1 1 1\n1 2 1",
+            "-2@2,2": "1 1 1\n1 1 1",
+            "-2@3,1": "2 1 2\n1 1 1\n2 1 1",
+            "-1@1,1": "1 1 1\n1 1 -1",
+            "-1@2": "1 1 1\n1 1 1",
+            "-1@2,1": "1 2 2\n1 1 1\n1 2 -1",
+            "-1@3": "1 1 1\n1 1 1",
+            "-1@3,1": "1 2 2\n1 1 1\n1 2 -1",
+            "-1@4": "1 1 1\n1 1 1",
+        },
+    },
+    "elapsed_ms": 0,
+}
+
+
+def test_matrix_dump_is_unchanged(capsys):
+    argv = "verify resolution --xi 1 --depth 3 --dump-matrices --format json".split()
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    zeroed = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    # byte for byte, key order included
+    assert zeroed == json.dumps(DUMP_XI_1_DEPTH_3, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("xi", BENCH_BASES)
+def test_bench_gate_counts(xi):
+    """The counts the benchmark gate demands of each base at depth 8, so a
+    drift fails the suite before it fails the benchmark."""
+    workloads = _load_bench_workloads()
+    depth = workloads.RESOLUTION_DEPTH
+    assert (workloads.RESOLUTION_MAX_BASE, depth) == (5, 8)
+    cert = verify_resolution(xi, depth)
+    assert cert.passed
+    assert cert.counts == workloads.expected_resolution(xi.rows, depth)

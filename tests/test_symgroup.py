@@ -229,6 +229,30 @@ class TestCentralIdempotents:
                 assert multiply(e, g_elem) == multiply(g_elem, e)
         assert total == GroupAlgebraElement.one(n)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_numerators_match_the_per_permutation_formula(self, n):
+        # dim * chi(cycle type), recomputed for every permutation
+        for mu in partitions_of(n):
+            dim = symgroup.specht_dimension(mu)
+            numerators = {}
+            for images in iter_permutations(range(1, n + 1)):
+                chi = symgroup._mn_character(mu.rows, _cycle_lengths(images))
+                if chi:
+                    numerators[images] = dim * chi
+            expected = GroupAlgebraElement(n, numerators, factorial(n))
+            found = central_idempotent(mu)
+            assert list(found.numerators.items()) == list(expected.numerators.items())
+            assert found.denominator == expected.denominator
+
+    def test_cycle_types_shared_with_class_sums(self):
+        for n in range(6):
+            types = symgroup._cycle_types(n)
+            assert [images for images, _ in types] == list(iter_permutations(range(1, n + 1)))
+            assert all(cycles == _cycle_lengths(images) for images, cycles in types)
+            number = {mu.rows: k for k, mu in enumerate(partitions_of(n))}
+            class_of = ClassSums(n).class_of
+            assert class_of == {images: number[cycles] for images, cycles in types}
+
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             central_idempotent(P(7))
