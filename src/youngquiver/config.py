@@ -3,7 +3,8 @@
 Everything here is exact arithmetic, so cost explodes combinatorially with
 the inputs.  Every expensive operation checks an explicit bound and raises
 ``BoundExceededError`` instead of truncating silently.  Defaults are chosen
-so the full default verification battery finishes in minutes.
+so the default battery (``scripts/run_all_checks.py``) takes well under a
+second, and the slowest input each bound admits finishes in seconds.
 
 A JSON config file can override the defaults; its path is taken from the
 ``YOUNGQUIVER_CONFIG`` environment variable (keys matching ``Bounds`` field
@@ -23,7 +24,8 @@ class BoundExceededError(ValueError):
 
 @dataclass(frozen=True)
 class Bounds:
-    # partitions_of, quiver slices, the signs sweep
+    # partitions_of, quiver slices, the signs sweep; verify signs --max-size 30
+    # takes 0.6-0.8 s on 2 shared vCPUs (Python 3.11)
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
     # verify idempotents --n 6 takes 0.65-1.05 s and --n 7 35-40 s on 2

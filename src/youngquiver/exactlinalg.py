@@ -9,19 +9,14 @@ reduces to ranks computed here.  No floating point anywhere.
 - ``rank`` is Bareiss-style fraction-free elimination over the integers;
   a nonzero single row or column, the shape of most resolution maps, has
   rank 1 without elimination.
-- ``two_term_corank`` takes a matrix whose rows have at most two nonzero
-  entries, such as the quadratic-dual relation spaces of a diamond, and
-  counts its kernel by a weighted union-find over columns; ``rank`` is its
-  test oracle.
-- ``rref`` is reduced row echelon form over the rationals; the quadratic
-  dual reads each quotient space and its projection from it.  It and
-  ``two_term_corank`` take ``Scalar`` rows, since a relation of the dual
-  may have rational coefficients.
+- ``rref`` is reduced row echelon form over the rationals, the quadratic
+  dual's one engine: each quotient space of the walk and its projection,
+  and the sign-twist span test, are read from it.  It takes ``Scalar``
+  rows, since a relation of the dual may have rational coefficients.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
@@ -131,69 +126,6 @@ def rank(m: IntMatrix) -> int:
     if m.n_rows == 1 or m.n_cols == 1:
         return 1
     return _fraction_free_rank(m.to_dense())
-
-
-def _exact_ratio(num: Scalar, den: Scalar) -> Scalar:
-    quotient, remainder = divmod(num, den)
-    return Fraction(num, den) if remainder else quotient
-
-
-def two_term_corank(n_cols: int, rows: Iterable[Sequence[tuple[int, Scalar]]]) -> int:
-    """``n_cols - rank`` of the matrix whose rows are given sparsely as
-    ``(column, coefficient)`` pairs, each row with at most two nonzero
-    coefficients; a row with more raises ``ArithmeticError``.
-
-    Kernel vectors x are counted by a weighted union-find over columns: the
-    row ``a x_i + b x_j`` ties x_i to x_j, and each column stores the exact
-    ratio x_col / x_parent.  Every component has one free parameter unless
-    it is dead: a one-term row touches it, or a row closes a cycle whose
-    ratios disagree.  The corank is the number of live components.
-    """
-    parent = list(range(n_cols))
-    ratio: list[Scalar] = [1] * n_cols
-    size = [1] * n_cols
-    dead = [False] * n_cols
-
-    def find(col: int) -> tuple[int, Scalar]:
-        """Root of ``col`` and x_col / x_root, compressing the path."""
-        path = []
-        while parent[col] != col:
-            path.append(col)
-            col = parent[col]
-        to_root: Scalar = 1
-        for node in reversed(path):
-            to_root = ratio[node] * to_root
-            parent[node] = col
-            ratio[node] = to_root
-        return col, to_root
-
-    for row in rows:
-        terms = [(col, coeff) for col, coeff in row if coeff]
-        if not terms:
-            continue
-        if len(terms) > 2:
-            raise ArithmeticError(
-                f"two-term engine given a row with {len(terms)} nonzero entries"
-            )
-        root_i, to_i = find(terms[0][0])
-        if len(terms) == 1:
-            dead[root_i] = True
-            continue
-        root_j, to_j = find(terms[1][0])
-        # the row reads p x_root_i + q x_root_j = 0
-        p = terms[0][1] * to_i
-        q = terms[1][1] * to_j
-        if root_i == root_j:
-            if p + q:
-                dead[root_i] = True
-            continue
-        if size[root_i] < size[root_j]:
-            root_i, root_j, p, q = root_j, root_i, q, p
-        parent[root_j] = root_i
-        ratio[root_j] = _exact_ratio(-p, q)
-        size[root_i] += size[root_j]
-        dead[root_i] = dead[root_i] or dead[root_j]
-    return sum(1 for col in range(n_cols) if parent[col] == col and not dead[col])
 
 
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -2,12 +2,14 @@
 
 A partition is a weakly decreasing tuple of positive row lengths; the empty
 tuple is the empty diagram.  All values are immutable and hashable, so they
-can be used as dictionary keys and shared freely between threads.
+can be used as dictionary keys.  The sweeps run on bare row tuples; a
+``Partition`` wraps one with validation, containment and row access.
 
 Text form: row lengths joined by commas ("3,1,1"), with "0" for the empty
 diagram ("" is also accepted on input).
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -90,16 +92,6 @@ class SkewClass:
     has_row_pair: bool | None = None
 
 
-@dataclass(frozen=True)
-class Diamond:
-    """Two distinct one-node extensions of ``bottom`` with their common top."""
-
-    bottom: Partition
-    mid_left: Partition
-    mid_right: Partition
-    top: Partition
-
-
 def transpose(lam: Partition) -> Partition:
     if not lam.rows:
         return EMPTY
@@ -112,11 +104,7 @@ def transpose(lam: Partition) -> Partition:
 
 def addable_nodes(lam: Partition) -> list[Node]:
     """Cells whose addition yields a partition, listed top row first."""
-    nodes = []
-    for r in range(1, len(lam.rows) + 2):
-        if r == 1 or lam.row(r - 1) > lam.row(r):
-            nodes.append(Node(r, lam.row(r) + 1))
-    return nodes
+    return [Node(r + 1, lam.row(r + 1) + 1) for r in addable_rows(lam.rows)]
 
 
 def add_node(lam: Partition, node: Node) -> Partition:
@@ -139,15 +127,22 @@ def add_node(lam: Partition, node: Node) -> Partition:
     return Partition(tuple(rows))
 
 
+def addable_rows(rows: tuple[int, ...]) -> list[int]:
+    """The 0-based rows of ``rows`` that take an addable node, top row first;
+    ``len(rows)`` starts a new row."""
+    padded = rows + (0,)
+    return [r for r, length in enumerate(padded) if r == 0 or padded[r - 1] > length]
+
+
+def grow_row(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``rows`` with one node added in the addable 0-based row ``r``."""
+    return rows[:r] + ((rows[r] if r < len(rows) else 0) + 1,) + rows[r + 1 :]
+
+
 def grown_rows(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Row tuples of the one-node extensions of ``rows``, in the order of
     ``addable_nodes``."""
-    padded = rows + (0,)
-    return [
-        rows[:r] + (length + 1,) + rows[r + 1 :]
-        for r, length in enumerate(padded)
-        if r == 0 or padded[r - 1] > length
-    ]
+    return [grow_row(rows, r) for r in addable_rows(rows)]
 
 
 def strip_tops(
@@ -222,25 +217,28 @@ def skew_classify(mu: Partition, lam: Partition) -> SkewClass:
     )
 
 
-def lattice_join(mu: Partition, nu: Partition) -> Partition:
-    """Rowwise maximum: the smallest diagram containing both."""
-    depth = max(len(mu.rows), len(nu.rows))
-    return Partition(tuple(max(mu.row(r), nu.row(r)) for r in range(1, depth + 1)))
+def diamonds_up_to(
+    max_size: int, bounds: Bounds = DEFAULT_BOUNDS
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every diamond whose top has at most ``max_size`` nodes, as its
+    bottom's row tuple and two 0-based addable rows r1 < r2: bottoms in the
+    order of ``partition_rows_up_to``, then (r1, r2) lexicographically.
+
+    Distinct addable nodes sit in distinct rows and columns, so the two mids
+    (``diamond_vertices``) have the unique common top that adds both."""
+    for bottom in partition_rows_up_to(max_size - 2, bounds):
+        rows = addable_rows(bottom)
+        for i, r1 in enumerate(rows):
+            for r2 in rows[i + 1 :]:
+                yield bottom, r1, r2
 
 
-def diamonds_above(bottom: Partition) -> list[Diamond]:
-    """All diamonds with the given bottom, each unordered mid-pair once.
-
-    Distinct addable nodes sit in distinct rows and columns, so every pair of
-    mids has the unique common top ``lattice_join(mid_a, mid_b)``.
-    """
-    mids = [add_node(bottom, node) for node in addable_nodes(bottom)]
-    diamonds = []
-    for i in range(len(mids)):
-        for j in range(i + 1, len(mids)):
-            left, right = sorted((mids[i], mids[j]), key=lambda p: p.rows)
-            diamonds.append(Diamond(bottom, left, right, lattice_join(left, right)))
-    return diamonds
+def diamond_vertices(bottom: tuple[int, ...], r1: int, r2: int) -> tuple[tuple[int, ...], ...]:
+    """Row tuples of the diamond's (bottom, mid_left, mid_right, top): the
+    left mid adds the node in row r2, the right mid the one in row r1, so
+    the left mid is the smaller row tuple."""
+    mid_left = grow_row(bottom, r2)
+    return bottom, mid_left, grow_row(bottom, r1), grow_row(mid_left, r1)
 
 
 @cache
@@ -262,20 +260,17 @@ def partitions_of(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
     return [Partition(rows) for rows in _partition_tuples(n, n)]
 
 
-def partitions_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
-    """Partitions of every size up to ``max_size``, smaller sizes first."""
-    out: list[Partition] = []
+def partition_rows_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, ...]]:
+    """Row tuples of the partitions of every size up to ``max_size``, smaller
+    sizes first, each size in the order of ``partitions_of`` and under its
+    bound."""
+    out: list[tuple[int, ...]] = []
     for k in range(max_size + 1):
-        out.extend(partitions_of(k, bounds))
+        check_bound(k, bounds.max_partition_size, "partition size")
+        out.extend(_partition_tuples(k, k))
     return out
 
 
-def skew_nodes(mu: Partition, lam: Partition) -> list[Node]:
-    """Cells of lam not in mu; requires containment."""
-    if not lam.contains(mu):
-        raise ValueError(f"{lam} does not contain {mu}")
-    return [
-        Node(r, c)
-        for r in range(1, len(lam.rows) + 1)
-        for c in range(mu.row(r) + 1, lam.row(r) + 1)
-    ]
+def partitions_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
+    """Partitions of every size up to ``max_size``, smaller sizes first."""
+    return [Partition(rows) for rows in partition_rows_up_to(max_size, bounds)]

@@ -19,8 +19,13 @@ relations of R(kappa', nu) applied to A(mu, kappa'), reduced by the general
 exact eliminator ``exactlinalg.rref``, so any relation vectors work.  One
 walk per bottom gives every dimension above it.  The test oracle ranks the
 same quotient over whole paths: every prefix x relation x suffix row over
-the saturated chains from mu to lam, ranked by the signed union-find
-(``exactlinalg.two_term_corank``) and by Bareiss rank.
+the saturated chains from mu to lam, ranked by a signed union-find and by
+Bareiss rank.
+
+The sign-twisted duality functor is checked diamond by diamond on row
+tuples (``partitions.diamonds_up_to``), with the arrow signs of
+``signs.path_signs``; whether the twisted difference lies in a relation
+span is again decided by ``rref``.
 
 Convention: a dual generator is stored as a morphism mu -> nu along the
 lattice arrow and composition mirrors path concatenation; the dimension
@@ -33,12 +38,14 @@ from functools import cached_property
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import Scalar, normalize, rref, two_term_corank
+from .exactlinalg import Scalar, normalize, rref
 from .partitions import (
     Partition,
     add_node,
     addable_nodes,
-    diamonds_above,
+    diamond_vertices,
+    diamonds_up_to,
+    format_partition,
     grown_rows,
     partitions_of,
     partitions_up_to,
@@ -47,7 +54,7 @@ from .partitions import (
     transpose,
 )
 from .quiver import hom_dim_C
-from .signs import arrow_sign
+from .signs import path_signs
 
 
 @dataclass(frozen=True)
@@ -290,14 +297,9 @@ def verify_self_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certi
 
     if first_failure is None:
         transposed = _transposes(presentation)
-        bottoms = partitions_up_to(max_size - 2, bounds) if max_size >= 2 else []
-        for bottom in bottoms:
-            for diamond in diamonds_above(bottom):
-                diamonds_checked += 1
-                failure = _twisted_image_failure(diamond, presentation, transposed)
-                if failure:
-                    first_failure = failure
-                    break
+        for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
+            diamonds_checked += 1
+            first_failure = _twisted_image_failure(bottom, r1, r2, presentation, transposed)
             if first_failure:
                 break
 
@@ -316,40 +318,30 @@ def verify_self_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certi
 
 
 def _twisted_image_failure(
-    diamond, presentation: QuadraticPresentation, transposed: dict
+    bottom: tuple[int, ...],
+    r1: int,
+    r2: int,
+    presentation: QuadraticPresentation,
+    transposed: dict,
 ) -> dict | None:
     """The duality functor sends the two commuting paths of a diamond to
     sign-twisted dual paths through the transposed diamond; it respects
     composition iff their difference lies in the relation span.  Verified by
     an exact rank test, not by re-deriving the sign identity: adding the
-    difference to the relation rows must leave ``two_term_corank`` unchanged
-    (every one of these rows has at most two terms)."""
-    mu_t = transposed[diamond.bottom.rows]
-    lam_t = transposed[diamond.top.rows]
-    left_t = transposed[diamond.mid_left.rows]
-    right_t = transposed[diamond.mid_right.rows]
+    difference to the relation rows must leave the ``rref`` pivot count
+    unchanged."""
+    vertices = diamond_vertices(bottom, r1, r2)
+    mu_t, left_t, right_t, lam_t = (transposed[rows] for rows in vertices)
     relation = presentation.relations[(mu_t, lam_t)]
-    sign_left = arrow_sign(diamond.bottom, diamond.mid_left) * arrow_sign(
-        diamond.mid_left, diamond.top
-    )
-    sign_right = arrow_sign(diamond.bottom, diamond.mid_right) * arrow_sign(
-        diamond.mid_right, diamond.top
-    )
-    twisted = [
-        (relation.mids.index(left_t), sign_left),
-        (relation.mids.index(right_t), -sign_right),
-    ]
-    base = [list(enumerate(v)) for v in relation.vectors]
-    n_paths = len(relation.mids)
-    if two_term_corank(n_paths, base + [twisted]) != two_term_corank(n_paths, base):
+    sign_left, sign_right = path_signs(bottom, r1, r2)
+    twisted = [0] * len(relation.mids)
+    twisted[relation.mids.index(left_t)] = sign_left
+    twisted[relation.mids.index(right_t)] = -sign_right
+    base = [list(v) for v in relation.vectors]
+    if len(rref(base + [twisted])[1]) != len(rref(base)[1]):
         return {
             "check": "sign_twist",
-            "diamond": [
-                str(diamond.bottom),
-                str(diamond.mid_left),
-                str(diamond.mid_right),
-                str(diamond.top),
-            ],
+            "diamond": [format_partition(rows) for rows in vertices],
             "signs": [sign_left, sign_right],
         }
     return None

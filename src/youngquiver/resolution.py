@@ -40,7 +40,13 @@ from dataclasses import dataclass
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import IntMatrix, multiply, rank
-from .partitions import Partition, _partition_tuples, format_partition, partitions_of, strip_tops
+from .partitions import (
+    Partition,
+    format_partition,
+    partition_rows_up_to,
+    partitions_of,
+    strip_tops,
+)
 
 Rows = tuple[int, ...]
 
@@ -112,11 +118,7 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
         for offset, members in enumerate(strata_rows)
     )
     max_size = xi.size + depth
-    # the row tuples of partitions_up_to(max_size), under the same bound
-    objects = []
-    for size in range(max_size + 1):
-        check_bound(size, bounds.max_partition_size, "partition size")
-        objects.extend(_partition_tuples(size, size))
+    objects = partition_rows_up_to(max_size, bounds)
     index = {rows: k for k, rows in enumerate(objects)}
 
     # present[k][offset]: numbers of the members of strata[offset] present

@@ -2,10 +2,12 @@
 
 The closed form is the implementation: the sign of row r in a diagram is
 (-1)^(number of nodes strictly above row r), and an arrow adding a node in
-row r carries the sign of that row.  The incremental growth procedure (all
-rows of the empty diagram start at +1; adding a node in row r flips every
-row strictly below r) is kept alongside as an independent oracle - agreement
-of the two on every addition order is checked by the verification sweep.
+row r carries the sign of that row.  It is written once, on row tuples
+(``added_node_sign``); ``row_sign``, ``arrow_sign`` and the diamond sweep
+all read it.  The incremental growth procedure (all rows of the empty
+diagram start at +1; adding a node in row r flips every row strictly below
+r) is kept alongside as an independent oracle - agreement of the two on
+every addition order is checked by the verification sweep.
 """
 
 import random
@@ -18,9 +20,11 @@ from .partitions import (
     Node,
     Partition,
     add_node,
-    diamonds_above,
+    diamond_vertices,
+    diamonds_up_to,
+    format_partition,
+    grow_row,
     partitions_up_to,
-    skew_nodes,
 )
 
 # growth agreement tries every addition order of a diagram with at most
@@ -29,21 +33,37 @@ EXHAUSTIVE_LIMIT = 5
 SAMPLES = 3
 
 
+def added_node_sign(lower: tuple[int, ...], r: int) -> int:
+    """The closed form on row tuples: the sign of the arrow that adds a node
+    to 0-based row ``r`` of ``lower``, (-1)^(nodes of lower above row r)."""
+    return -1 if sum(lower[:r]) % 2 else 1
+
+
 def row_sign(lam: Partition, row: int) -> int:
     """(-1)^(number of nodes of lam strictly above ``row``)."""
     if row < 1:
         raise ValueError("rows are 1-based")
-    return -1 if sum(lam.rows[: row - 1]) % 2 else 1
+    return added_node_sign(lam.rows, row - 1)
 
 
 def arrow_sign(lam: Partition, mu: Partition) -> int:
     """Sign of the arrow lam -> mu, where mu is lam plus one addable node."""
     if mu.size != lam.size + 1 or not mu.contains(lam):
         raise ValueError(f"{lam} -> {mu} is not an arrow")
-    added = skew_nodes(lam, mu)
-    if len(added) != 1:
-        raise ValueError(f"{lam} -> {mu} is not an arrow")
-    return row_sign(lam, added[0].row)
+    # containment and one node more: exactly one row of mu is longer
+    r = next(r for r, length in enumerate(mu.rows) if length != lam.row(r + 1))
+    return added_node_sign(lam.rows, r)
+
+
+def path_signs(bottom: tuple[int, ...], r1: int, r2: int) -> tuple[int, int]:
+    """The arrow-sign products along the two paths of the diamond above
+    ``bottom`` that adds nodes in rows r1 < r2 (``diamond_vertices``): the
+    left path adds row r2 first, the right path row r1 first.  Each arrow's
+    sign is read from its own lower row tuple, so the anticommutation of the
+    two products is checked, not assumed."""
+    left = added_node_sign(bottom, r2) * added_node_sign(grow_row(bottom, r2), r1)
+    right = added_node_sign(bottom, r1) * added_node_sign(grow_row(bottom, r1), r2)
+    return left, right
 
 
 def growth_signs(additions: list[Node]) -> tuple[list[int], list[int]]:
@@ -159,20 +179,12 @@ def verify_signs_sweep(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certif
     check_bound(max_size, bounds.max_partition_size, "sign verification size")
     diamonds_checked = 0
     first_failure = None
-    # a diamond adds two nodes to its bottom; below size 2 no bottom is in range
-    bottoms = partitions_up_to(max_size - 2, bounds)
-    for diamond in (d for bottom in bottoms for d in diamonds_above(bottom)):
-        left = arrow_sign(diamond.mid_left, diamond.top) * arrow_sign(diamond.bottom, diamond.mid_left)
-        right = arrow_sign(diamond.mid_right, diamond.top) * arrow_sign(diamond.bottom, diamond.mid_right)
+    for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
+        left, right = path_signs(bottom, r1, r2)
         diamonds_checked += 1
         if left != -right:
             first_failure = {
-                "diamond": [
-                    str(diamond.bottom),
-                    str(diamond.mid_left),
-                    str(diamond.mid_right),
-                    str(diamond.top),
-                ],
+                "diamond": [format_partition(rows) for rows in diamond_vertices(bottom, r1, r2)],
                 "products": [left, right],
             }
             break

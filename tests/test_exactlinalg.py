@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from youngquiver.exactlinalg import (
-    IntMatrix,
-    multiply,
-    rank,
-    rref,
-    two_term_corank,
-)
+from youngquiver.exactlinalg import IntMatrix, multiply, rank, rref
 
-from test_qdual import kernel_basis
+from test_qdual import kernel_basis, two_term_corank
 
 
 def identity(n):

@@ -10,15 +10,17 @@ from youngquiver.partitions import (
     SkewClass,
     add_node,
     addable_nodes,
-    diamonds_above,
+    addable_rows,
+    diamond_vertices,
+    diamonds_up_to,
     format_partition,
+    grow_row,
     grown_rows,
-    lattice_join,
     parse_partition,
+    partition_rows_up_to,
     partitions_of,
     partitions_up_to,
     skew_classify,
-    skew_nodes,
     subdiagram_rows,
     transpose,
 )
@@ -28,6 +30,44 @@ P = lambda *rows: Partition(tuple(rows))
 
 def subdiagrams(lam):
     return [mu for mu in partitions_up_to(lam.size) if lam.contains(mu)]
+
+
+def skew_nodes(mu, lam):
+    """Cells of lam not in mu, for lam containing mu."""
+    return [
+        Node(r, c)
+        for r in range(1, len(lam.rows) + 1)
+        for c in range(mu.row(r) + 1, lam.row(r) + 1)
+    ]
+
+
+def lattice_join(mu, nu):
+    """Rowwise maximum: the smallest diagram containing both."""
+    depth = max(len(mu.rows), len(nu.rows))
+    return Partition(tuple(max(mu.row(r), nu.row(r)) for r in range(1, depth + 1)))
+
+
+def diamonds_above(bottom):
+    """The oracle diamond sequence on ``Partition``s: every pair of one-node
+    extensions of ``bottom`` from ``addable_nodes`` and ``add_node``, the
+    mids sorted by rows, with their rowwise maximum as the top."""
+    mids = [add_node(bottom, node) for node in addable_nodes(bottom)]
+    diamonds = []
+    for i in range(len(mids)):
+        for j in range(i + 1, len(mids)):
+            left, right = sorted((mids[i], mids[j]), key=lambda p: p.rows)
+            diamonds.append((bottom, left, right, lattice_join(left, right)))
+    return diamonds
+
+
+def row_diamonds(bottom):
+    """The diamonds of ``diamonds_up_to`` above one bottom, as ``Partition``
+    vertices (bottom, mid_left, mid_right, top)."""
+    return [
+        tuple(map(Partition, diamond_vertices(rows, r1, r2)))
+        for rows, r1, r2 in diamonds_up_to(bottom.size + 2)
+        if rows == bottom.rows
+    ]
 
 
 @st.composite
@@ -148,6 +188,13 @@ class TestRowTupleHelpers:
         for lam in partitions_up_to(9):
             assert grown_rows(lam.rows) == [add_node(lam, cell).rows for cell in addable_nodes(lam)]
 
+    def test_addable_rows_and_grow_row_match_brute_force_to_nine(self):
+        for lam in partitions_up_to(9):
+            nodes = addable_by_brute_force(lam)
+            assert addable_rows(lam.rows) == [node.row - 1 for node in nodes]
+            for node in nodes:
+                assert grow_row(lam.rows, node.row - 1) == add_node(lam, node).rows
+
     def test_subdiagram_rows_match_the_containment_scan_to_nine(self):
         for lam in partitions_up_to(9):
             assert subdiagram_rows(lam.rows) == [mu.rows for mu in subdiagrams(lam)]
@@ -254,30 +301,46 @@ class TestSkewClassify:
     @given(partitions(max_size=8))
     def test_skew_nodes_count_matches(self, lam):
         for mu in subdiagrams(lam):
-            assert len(skew_nodes(mu, lam)) == lam.size - mu.size
+            assert len(skew_nodes(mu, lam)) == skew_classify(mu, lam).size == lam.size - mu.size
 
 
 class TestDiamonds:
     def test_empty_bottom_has_none(self):
-        assert diamonds_above(EMPTY) == []
+        assert row_diamonds(EMPTY) == diamonds_above(EMPTY) == []
+        assert list(diamonds_up_to(2)) == []
+        assert list(diamonds_up_to(3)) == [((1,), 0, 1)]
 
     def test_single_box(self):
-        (diamond,) = diamonds_above(P(1))
-        assert diamond.mid_left == P(1, 1)
-        assert diamond.mid_right == P(2)
-        assert diamond.top == P(2, 1)
+        (diamond,) = row_diamonds(P(1))
+        assert diamond == (P(1), P(1, 1), P(2), P(2, 1))
+        assert diamond_vertices((1,), 0, 1) == ((1,), (1, 1), (2,), (2, 1))
 
     def test_staircase_tops(self):
-        tops = [d.top for d in diamonds_above(P(2, 1))]
+        tops = [top for _, _, _, top in row_diamonds(P(2, 1))]
         assert tops == [P(3, 2), P(3, 1, 1), P(2, 2, 1)]
 
     @given(partitions(max_size=10))
     def test_structure(self, bottom):
-        for d in diamonds_above(bottom):
-            assert d.mid_left != d.mid_right
-            assert d.mid_left.rows < d.mid_right.rows
-            assert d.top.size == d.bottom.size + 2
-            assert d.top == lattice_join(d.mid_left, d.mid_right)
+        diamonds = row_diamonds(bottom)
+        assert diamonds == diamonds_above(bottom)
+        for _, mid_left, mid_right, top in diamonds:
+            assert mid_left.rows < mid_right.rows
+            assert top.size == bottom.size + 2
+            assert top == lattice_join(mid_left, mid_right)
+
+    def test_matches_oracle_sequence_on_every_bottom_through_fourteen(self):
+        rows = [diamond_vertices(*d) for d in diamonds_up_to(16)]
+        oracle = [
+            tuple(p.rows for p in diamond)
+            for bottom in partitions_up_to(14)
+            for diamond in diamonds_above(bottom)
+        ]
+        assert len(rows) == 2347
+        assert rows == oracle
+
+    def test_bound_enforced_like_partitions_up_to(self):
+        with pytest.raises(BoundExceededError, match="partition size 31 exceeds"):
+            next(diamonds_up_to(33))
 
     @given(partitions(max_size=10))
     def test_completion_unique(self, bottom):
@@ -344,3 +407,15 @@ class TestPartitionsOf:
 
     def test_partitions_up_to(self):
         assert len(partitions_up_to(4)) == sum(PARTITION_COUNTS[:5])
+
+    def test_rows_up_to_match_partitions_of_in_order(self):
+        expected = [p.rows for k in range(11) for p in partitions_of(k)]
+        assert partition_rows_up_to(10) == expected
+        assert [p.rows for p in partitions_up_to(10)] == expected
+        assert partition_rows_up_to(-1) == []
+
+    def test_rows_up_to_bound_message(self):
+        for enumerate_up_to in (partition_rows_up_to, partitions_up_to):
+            with pytest.raises(BoundExceededError) as caught:
+                enumerate_up_to(31)
+            assert str(caught.value) == "partition size 31 exceeds configured bound 30"

@@ -1,11 +1,13 @@
 import dataclasses
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import pytest
 
+from youngquiver import qdual
 from youngquiver.config import DEFAULT_BOUNDS, BoundExceededError
-from youngquiver.exactlinalg import IntMatrix, rank, rref, two_term_corank
+from youngquiver.exactlinalg import IntMatrix, Scalar, rank, rref
 from youngquiver.partitions import (
     Partition,
     partitions_up_to,
@@ -86,6 +88,72 @@ def chain_rows(mu, lam, presentation):
         for row in relations[(path[j], path[j + 2])]
     ]
     return len(paths), rows
+
+
+def _exact_ratio(num: Scalar, den: Scalar) -> Scalar:
+    quotient, remainder = divmod(num, den)
+    return Fraction(num, den) if remainder else quotient
+
+
+def two_term_corank(n_cols: int, rows: Iterable[Sequence[tuple[int, Scalar]]]) -> int:
+    """``n_cols - rank`` of the matrix whose rows are given sparsely as
+    ``(column, coefficient)`` pairs, each row with at most two nonzero
+    coefficients; a row with more raises ``ArithmeticError``.
+
+    Kernel vectors x are counted by a weighted union-find over columns: the
+    row ``a x_i + b x_j`` ties x_i to x_j, and each column stores the exact
+    ratio x_col / x_parent.  Every component has one free parameter unless
+    it is dead: a one-term row touches it, or a row closes a cycle whose
+    ratios disagree.  The corank is the number of live components.
+
+    The fast chain oracle for ``dual_hom_dim``; ``TestTwoTermCorank`` checks
+    it against Bareiss rank.
+    """
+    parent = list(range(n_cols))
+    ratio: list[Scalar] = [1] * n_cols
+    size = [1] * n_cols
+    dead = [False] * n_cols
+
+    def find(col: int) -> tuple[int, Scalar]:
+        """Root of ``col`` and x_col / x_root, compressing the path."""
+        path = []
+        while parent[col] != col:
+            path.append(col)
+            col = parent[col]
+        to_root: Scalar = 1
+        for node in reversed(path):
+            to_root = ratio[node] * to_root
+            parent[node] = col
+            ratio[node] = to_root
+        return col, to_root
+
+    for row in rows:
+        terms = [(col, coeff) for col, coeff in row if coeff]
+        if not terms:
+            continue
+        if len(terms) > 2:
+            raise ArithmeticError(
+                f"two-term engine given a row with {len(terms)} nonzero entries"
+            )
+        root_i, to_i = find(terms[0][0])
+        if len(terms) == 1:
+            dead[root_i] = True
+            continue
+        root_j, to_j = find(terms[1][0])
+        # the row reads p x_root_i + q x_root_j = 0
+        p = terms[0][1] * to_i
+        q = terms[1][1] * to_j
+        if root_i == root_j:
+            if p + q:
+                dead[root_i] = True
+            continue
+        if size[root_i] < size[root_j]:
+            root_i, root_j, p, q = root_j, root_i, q, p
+        parent[root_j] = root_i
+        ratio[root_j] = _exact_ratio(-p, q)
+        size[root_i] += size[root_j]
+        dead[root_i] = dead[root_i] or dead[root_j]
+    return sum(1 for col in range(n_cols) if parent[col] == col and not dead[col])
 
 
 def chain_dim_union_find(mu, lam, presentation):
@@ -206,8 +274,8 @@ class TestRelationSpaces:
 
     @pytest.mark.parametrize("of_lattice", [False, True])
     def test_relations_have_at_most_two_terms(self, of_lattice):
-        # the sign-twist check and the chain oracle rank relation rows with
-        # the union-find, which takes rows with at most two terms
+        # the chain oracle ranks relation rows with the union-find, which
+        # takes rows with at most two terms
         presentation = build_quadratic_dual(8, of_lattice=of_lattice)
         for side in (presentation, annihilator_presentation(presentation)):
             for rel in side.relations.values():
@@ -356,6 +424,38 @@ class TestSelfDuality:
         cert = verify_self_duality(2)
         assert cert.passed
 
+    def test_sign_twist_locator(self, monkeypatch, presentation):
+        # the diamond relation of (1) -> (2,1) made the difference of the two
+        # paths: every dimension survives, the twisted image does not
+        pair = (P(1), P(2, 1))
+        mutant = with_relations(
+            presentation, {pair: RelationSpace(presentation.relations[pair].mids, ((1, -1),))}
+        )
+        monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
+        cert = verify_self_duality(7)
+        assert cert.verdict == "fail"
+        assert cert.counts == {
+            "pairs_checked": 1230,
+            "relation_pairs_checked": 90,
+            "diamonds_checked": 1,
+        }
+        assert cert.first_failure == {
+            "check": "sign_twist",
+            "diamond": ["1", "1,1", "2", "2,1"],
+            "signs": [-1, 1],
+        }
+
+    def test_three_term_relations_get_a_verdict(self, monkeypatch, presentation):
+        # a three-term line over (left, right, left) keeps every dimension
+        # and the relation table, and the twist's rref span test judges it
+        mutant = widened(presentation)
+        monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
+        cert = verify_self_duality(7)
+        assert cert.verdict == "fail"
+        assert cert.counts["diamonds_checked"] == 1
+        assert cert.first_failure["check"] == "sign_twist"
+        assert cert.first_failure["diamond"] == ["1", "1,1", "2", "2,1"]
+
     def test_dimension_match_exhaustive(self, presentation):
         for lam in partitions_up_to(7):
             for mu in partitions_up_to(lam.size):
@@ -435,3 +535,15 @@ class TestCombinedCertificate:
         assert "pairs_checked" in cert.counts
         assert "lattice_pairs_checked" in cert.counts
         assert cert.details["generator_convention"]
+
+
+def test_bench_gate_counts():
+    """The counts the benchmark gate demands of the ``qdual`` workload, so a
+    drift fails the suite before it fails the benchmark."""
+    from test_resolution import _load_bench_workloads
+
+    workloads = _load_bench_workloads()
+    assert workloads.QDUAL_SIZE == 8
+    cert = verify_quadratic_duality(workloads.QDUAL_SIZE)
+    assert cert.passed
+    assert cert.counts == workloads.expected_qdual(workloads.QDUAL_SIZE)

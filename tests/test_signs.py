@@ -2,18 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from youngquiver import signs
 from youngquiver.partitions import (
     EMPTY,
     Node,
     Partition,
     add_node,
-    diamonds_above,
+    diamond_vertices,
+    diamonds_up_to,
     partitions_up_to,
 )
 from youngquiver.signs import (
     addition_orders,
     arrow_sign,
     growth_signs,
+    path_signs,
     row_sign,
     verify_growth_agreement,
     verify_signs_sweep,
@@ -130,10 +133,10 @@ class TestAnticommutativity:
         assert cert.counts["diamonds_checked"] == 0
 
     def test_first_diamond_by_hand(self):
-        d = diamonds_above(P(1))[0]
-        left = arrow_sign(d.bottom, d.mid_left) * arrow_sign(d.mid_left, d.top)
-        right = arrow_sign(d.bottom, d.mid_right) * arrow_sign(d.mid_right, d.top)
-        assert (left, right) == (-1, 1)
+        bottom, mid_left, mid_right, top = map(Partition, diamond_vertices((1,), 0, 1))
+        left = arrow_sign(bottom, mid_left) * arrow_sign(mid_left, top)
+        right = arrow_sign(bottom, mid_right) * arrow_sign(mid_right, top)
+        assert (left, right) == path_signs((1,), 0, 1) == (-1, 1)
 
     def test_sweep_to_ten(self):
         cert = verify_signs_sweep(10)
@@ -141,13 +144,59 @@ class TestAnticommutativity:
         assert cert.counts["diamonds_checked"] == 182
 
     def test_exactly_one_product_positive(self):
-        for bottom in partitions_up_to(8):
-            for d in diamonds_above(bottom):
-                products = {
-                    arrow_sign(d.bottom, d.mid_left) * arrow_sign(d.mid_left, d.top),
-                    arrow_sign(d.bottom, d.mid_right) * arrow_sign(d.mid_right, d.top),
-                }
-                assert products == {1, -1}
+        for diamond in diamonds_up_to(10):
+            assert set(path_signs(*diamond)) == {1, -1}
+
+    def test_path_signs_match_arrow_sign_through_size_twelve(self):
+        # arrow_sign on Partitions, finding the added row itself, is the
+        # oracle of the row-tuple rule on every diamond the sweep reads
+        checked = 0
+        for diamond in diamonds_up_to(12):
+            bottom, mid_left, mid_right, top = map(Partition, diamond_vertices(*diamond))
+            assert path_signs(*diamond) == (
+                arrow_sign(bottom, mid_left) * arrow_sign(mid_left, top),
+                arrow_sign(bottom, mid_right) * arrow_sign(mid_right, top),
+            )
+            checked += 1
+        assert checked == verify_signs_sweep(12).counts["diamonds_checked"] == 466
+
+
+def flip_one_arrow(monkeypatch, lower, r):
+    """Negate the closed-form sign of the one arrow adding a node to 0-based
+    row ``r`` of ``lower``."""
+    rule = signs.added_node_sign
+
+    def flipped(rows, row):
+        return -rule(rows, row) if (rows, row) == (lower, r) else rule(rows, row)
+
+    monkeypatch.setattr(signs, "added_node_sign", flipped)
+
+
+class TestFailureLocator:
+    """A one-arrow flip fails the diamond sweep at the first diamond through
+    that arrow, and the growth oracle, which reads the same closed form
+    through ``row_sign``, fails on its own at the arrow's lower diagram."""
+
+    def test_flip_on_a_left_path(self, monkeypatch):
+        # (2,1) -> (3,1) is the second arrow of the left path above (2)
+        flip_one_arrow(monkeypatch, (2, 1), 0)
+        cert = verify_signs_sweep(10)
+        assert cert.verdict == "fail"
+        assert cert.counts["diamonds_checked"] == 2
+        assert cert.first_failure == {"diamond": ["2", "2,1", "3", "3,1"], "products": [-1, -1]}
+        assert verify_growth_agreement(8).first_failure["partition"] == "2,1"
+
+    def test_flip_on_a_right_path(self, monkeypatch):
+        # (4,2,1) -> (4,2,2) is the second arrow of the right path above (3,2,1)
+        flip_one_arrow(monkeypatch, (4, 2, 1), 2)
+        cert = verify_signs_sweep(10)
+        assert cert.verdict == "fail"
+        assert cert.counts["diamonds_checked"] == 47
+        assert cert.first_failure == {
+            "diamond": ["3,2,1", "3,2,2", "4,2,1", "4,2,2"],
+            "products": [-1, -1],
+        }
+        assert verify_growth_agreement(8).first_failure["partition"] == "4,2,1"
 
 
 @st.composite

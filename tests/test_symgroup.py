@@ -773,3 +773,19 @@ class TestPieri:
     def test_wrong_size_or_not_contained(self):
         assert pieri_coefficient(P(2), 1, P(2, 2)) == 0
         assert pieri_coefficient(P(2), 2, P(1, 1, 1, 1)) == 0
+
+
+def test_bench_gate_counts():
+    """The counts the benchmark gate demands of the ``symgroup`` workload, so
+    a drift fails the suite before it fails the benchmark."""
+    from test_resolution import _load_bench_workloads
+
+    workloads = _load_bench_workloads()
+    n, direct_n = workloads.SYMGROUP_N, workloads.SYMGROUP_DIRECT_N
+    assert (n, direct_n) == (5, 3)
+    branching = symgroup.verify_branching(n, direct_n)
+    assert branching.passed
+    assert branching.counts == workloads.expected_branching(n, direct_n)
+    idempotents = verify_idempotent_system(n)
+    assert idempotents.passed
+    assert idempotents.counts == workloads.expected_idempotents(n)
