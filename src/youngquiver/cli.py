@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from . import qdual, quiver, resolution, signs, symgroup
+from . import qdual, quiver, resolution, symgroup
 from ._version import __version__
 from .certificates import Certificate
 from .config import BoundExceededError, Bounds, load_bounds
@@ -145,25 +145,7 @@ def _checked_input(args) -> Bounds:
 
 def _cmd_quiver(args, bounds) -> int:
     slice_ = quiver.quiver_slice(args.max_size, bounds)
-    sign_of = signs.arrow_sign if args.signs else None
-    if args.format == "dot":
-        _emit(quiver.to_dot(slice_, sign_of), args.out)
-    elif args.format == "json":
-        payload = {
-            "max_size": slice_.max_size,
-            "nodes": [str(p) for p in slice_.nodes],
-            "arrows": [
-                [str(a), str(b)] + ([signs.arrow_sign(a, b)] if args.signs else [])
-                for a, b in slice_.arrows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"nodes: {len(slice_.nodes)}", f"arrows: {len(slice_.arrows)}"]
-        for a, b in slice_.arrows:
-            label = f" [{signs.arrow_sign(a, b):+d}]" if args.signs else ""
-            lines.append(f"{a} -> {b}{label}")
-        _emit("\n".join(lines), args.out)
+    _emit(quiver.render(slice_, args.format, args.signs), args.out)
     return 0
 
 

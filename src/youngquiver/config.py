@@ -25,7 +25,8 @@ class BoundExceededError(ValueError):
 @dataclass(frozen=True)
 class Bounds:
     # partitions_of, quiver slices, the signs sweep; verify signs --max-size 30
-    # takes 0.6-0.8 s on 2 shared vCPUs (Python 3.11)
+    # takes 0.6-0.8 s and quiver --max-size 30 --signs --format json 1.0-1.2 s
+    # on 2 shared vCPUs (Python 3.11)
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
     # verify idempotents --n 6 takes 0.65-1.05 s and --n 7 35-40 s on 2
@@ -38,7 +39,7 @@ class Bounds:
     # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
     # bounds admit, takes 1.0-1.3 s on 2 shared vCPUs (Python 3.11)
     max_resolution_depth: int = 12
-    # verify qdual --max-size 18 takes 7.4-10.1 s on 2 shared vCPUs (Python 3.11)
+    # verify qdual --max-size 18 takes 7.4-8.6 s on 2 shared vCPUs (Python 3.11)
     max_qdual_size: int = 18
 
 

@@ -5,26 +5,35 @@ morphism space is represented by its dimension, 0 or 1; no path algebra is
 ever materialized.
 """
 
+import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .partitions import (
     Partition,
-    add_node,
-    addable_nodes,
-    partitions_up_to,
+    addable_rows,
+    format_partition,
+    grow_row,
+    partition_rows_up_to,
     skew_classify,
 )
+from .signs import added_node_sign
+
+Rows = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class QuiverSlice:
-    """All diagrams up to a size bound with the one-node-addition arrows."""
+    """All diagrams up to a size bound with the one-node-addition arrows.
+
+    ``nodes`` holds row tuples in the order of ``partition_rows_up_to``.
+    An arrow ``(source, target, r)`` adds a node in 0-based row r of
+    ``nodes[source]``, giving ``nodes[target]``; arrows are listed by
+    source, then top row first."""
 
     max_size: int
-    nodes: tuple[Partition, ...]
-    arrows: tuple[tuple[Partition, Partition], ...]
+    nodes: tuple[Rows, ...]
+    arrows: tuple[tuple[int, int, int], ...]
 
 
 def hom_dim_C(mu: Partition, lam: Partition) -> int:
@@ -43,25 +52,42 @@ def hom_dim_Cprime_mod_J(mu: Partition, lam: Partition) -> int:
 
 def quiver_slice(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> QuiverSlice:
     check_bound(max_size, bounds.max_partition_size, "quiver slice size")
-    nodes = partitions_up_to(max_size, bounds)
+    nodes = tuple(partition_rows_up_to(max_size, bounds))
+    index = {rows: k for k, rows in enumerate(nodes)}
+    arrows = tuple(
+        (k, index[grow_row(rows, r)], r)
+        for k, rows in enumerate(nodes)
+        if sum(rows) < max_size
+        for r in addable_rows(rows)
+    )
+    return QuiverSlice(max_size, nodes, arrows)
+
+
+def render(slice_: QuiverSlice, fmt: str, signs: bool = False) -> str:
+    """The slice as ``text``, ``json`` or ``dot``.  Each node's name is
+    formatted once; with ``signs`` every arrow carries its sign,
+    (-1)^(nodes above the added row)."""
+    nodes = slice_.nodes
+    names = [format_partition(rows) for rows in nodes]
     arrows = [
-        (node, add_node(node, cell))
-        for node in nodes
-        if node.size < max_size
-        for cell in addable_nodes(node)
+        (names[source], names[target], added_node_sign(nodes[source], r) if signs else None)
+        for source, target, r in slice_.arrows
     ]
-    return QuiverSlice(max_size, tuple(nodes), tuple(arrows))
-
-
-def to_dot(slice_: QuiverSlice, sign_of: Callable[[Partition, Partition], int] | None = None) -> str:
-    """DOT rendering; arrows get +1/-1 labels when a sign function is given."""
-    lines = ["digraph young_lattice {"]
-    for node in slice_.nodes:
-        lines.append(f'  "{node}";')
-    for source, target in slice_.arrows:
-        if sign_of is None:
-            lines.append(f'  "{source}" -> "{target}";')
-        else:
-            lines.append(f'  "{source}" -> "{target}" [label="{sign_of(source, target):+d}"];')
-    lines.append("}")
+    if fmt == "json":
+        payload = {
+            "max_size": slice_.max_size,
+            "nodes": names,
+            "arrows": [[a, b] + ([sign] if signs else []) for a, b, sign in arrows],
+        }
+        return json.dumps(payload, indent=2)
+    if fmt == "dot":
+        label = ' [label="{:+d}"]' if signs else ""
+        lines = ["digraph young_lattice {"]
+        lines += [f'  "{name}";' for name in names]
+        lines += [f'  "{a}" -> "{b}"{label.format(sign)};' for a, b, sign in arrows]
+        lines.append("}")
+        return "\n".join(lines)
+    label = " [{:+d}]" if signs else ""
+    lines = [f"nodes: {len(names)}", f"arrows: {len(arrows)}"]
+    lines += [f"{a} -> {b}{label.format(sign)}" for a, b, sign in arrows]
     return "\n".join(lines)

@@ -17,9 +17,9 @@ and both are present, else zero; the arrows between adjacent strata are
 found once, by removing each corner of each member of the larger stratum,
 and each sign is read from the parity of the nodes above the corner's row.
 
-The whole assembly runs on row tuples and member numbers: ``Partition``s
-are built once per stratum member, and a diagram's text form only for a
-failure locator or a dumped matrix's label.
+The whole assembly, strata included, runs on row tuples and member
+numbers: a diagram's text form is built only for a failure locator or a
+dumped matrix's label.
 
 Because exactness of a complex of modules over the category holds iff it
 holds at every evaluation object, the whole verification reduces to exact
@@ -49,21 +49,6 @@ from .partitions import (
 )
 
 Rows = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """Diagrams reached from the base by a vertical strip of -index nodes."""
-
-    index: int  # non-positive homological position
-    members: tuple[Partition, ...]
-
-
-def stratum(xi: Partition, index: int, bounds: Bounds = DEFAULT_BOUNDS) -> Stratum:
-    if index > 0:
-        raise ValueError("stratum index must be non-positive")
-    check_bound(-index, bounds.max_resolution_depth, "resolution depth")
-    return Stratum(index, tuple(map(Partition, _strata_rows(xi.rows, -index)[0])))
 
 
 def _strata_rows(base: Rows, depth: int) -> list[list[Rows]]:
@@ -102,7 +87,7 @@ class GradedComplex:
 
     xi: Partition
     depth: int
-    strata: tuple[Stratum, ...]  # indices -depth .. 0
+    strata: tuple[tuple[Rows, ...], ...]  # positions -depth .. 0
     objects: tuple[Rows, ...]
     chains: tuple[ObjectChain, ...]
     linear: bool
@@ -112,11 +97,7 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     if depth < 1:
         raise ValueError("depth must be positive")
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
-    strata_rows = _strata_rows(xi.rows, depth)
-    strata = tuple(
-        Stratum(offset - depth, tuple(map(Partition, members)))
-        for offset, members in enumerate(strata_rows)
-    )
+    strata = tuple(map(tuple, _strata_rows(xi.rows, depth)))
     max_size = xi.size + depth
     objects = partition_rows_up_to(max_size, bounds)
     index = {rows: k for k, rows in enumerate(objects)}
@@ -124,7 +105,7 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     # present[k][offset]: numbers of the members of strata[offset] present
     # at objects[k], listed only for objects where some member is present
     present: dict[int, list[list[int]]] = {}
-    for offset, members in enumerate(strata_rows):
+    for offset, members in enumerate(strata):
         for number, lam in enumerate(members):
             for rows in _horizontal_strip_extensions(lam, max_size):
                 k = index[rows]
@@ -132,7 +113,7 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
                     present[k] = [[] for _ in strata]
                 present[k][offset].append(number)
 
-    arrows = [_arrows_into(upper, lower) for upper, lower in zip(strata_rows, strata_rows[1:])]
+    arrows = [_arrows_into(upper, lower) for upper, lower in zip(strata, strata[1:])]
     # shared by every object where no member is present
     nothing = ObjectChain(tuple(() for _ in strata), {})
     chains = []
@@ -160,7 +141,7 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     # linearity: the position -n term is generated in internal degree n
     linear = all(
         sum(lam) == xi.size + depth - offset
-        for offset, members in enumerate(strata_rows)
+        for offset, members in enumerate(strata)
         for lam in members
     )
     return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains), linear)
@@ -344,10 +325,11 @@ def betti_table(
     fixed position equal the stratum size."""
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
     table: dict[tuple[int, Partition], int] = {}
-    for i in range(-depth, 1):
-        members = set(stratum(xi, i, bounds).members)
+    for offset, members in enumerate(_strata_rows(xi.rows, depth)):
+        i = offset - depth
+        present = set(members)
         for lam in partitions_of(xi.size - i, bounds):
-            table[(i, lam)] = 1 if lam in members else 0
+            table[(i, lam)] = 1 if lam.rows in present else 0
     return table
 
 

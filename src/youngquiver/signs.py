@@ -3,8 +3,8 @@
 The closed form is the implementation: the sign of row r in a diagram is
 (-1)^(number of nodes strictly above row r), and an arrow adding a node in
 row r carries the sign of that row.  It is written once, on row tuples
-(``added_node_sign``); ``row_sign``, ``arrow_sign`` and the diamond sweep
-all read it.  The incremental growth procedure (all rows of the empty
+(``added_node_sign``); ``row_sign``, ``arrow_sign``, the diamond sweep
+and the arrow labels of ``quiver.render`` all read it.  The incremental growth procedure (all rows of the empty
 diagram start at +1; adding a node in row r flips every row strictly below
 r) is kept alongside as an independent oracle - agreement of the two on
 every addition order is checked by the verification sweep.
@@ -74,13 +74,13 @@ def growth_signs(additions: list[Node]) -> tuple[list[int], list[int]]:
     n_rows = len(additions) + 1
     signs = [1] * n_rows
     shape = EMPTY
-    path_signs = []
+    along_path = []
     for node in additions:
         shape = add_node(shape, node)
-        path_signs.append(signs[node.row - 1])
+        along_path.append(signs[node.row - 1])
         for r in range(node.row, n_rows):
             signs[r] = -signs[r]
-    return signs, path_signs
+    return signs, along_path
 
 
 def addition_orders(lam: Partition) -> list[list[Node]]:

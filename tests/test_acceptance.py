@@ -6,9 +6,9 @@ import time
 from math import comb
 
 from youngquiver.cli import SWEEPS, main
-from youngquiver.partitions import Partition, partitions_of, partitions_up_to
+from youngquiver.partitions import Partition, format_partition, partitions_of, partitions_up_to
 from youngquiver.quiver import quiver_slice
-from youngquiver.signs import arrow_sign
+from youngquiver.signs import added_node_sign
 from youngquiver.symgroup import induction_multiplicity, pieri_coefficient
 
 P = lambda *rows: Partition(tuple(rows))
@@ -142,7 +142,11 @@ def test_criterion_7_truncated_lattice_rendering(capsys):
     # 1+1+2+3+5 diagrams and 1+2+4+7 covering arrows between sizes 0..4
     assert len(slice_.nodes) == 12
     assert len(slice_.arrows) == 14
-    labels = {(str(a), str(b)): arrow_sign(a, b) for a, b in slice_.arrows}
+    names = [format_partition(rows) for rows in slice_.nodes]
+    labels = {
+        (names[source], names[target]): added_node_sign(slice_.nodes[source], r)
+        for source, target, r in slice_.arrows
+    }
     assert labels == LATTICE_SIGNS
     # the CLI emits the same content
     code = main(["quiver", "--max-size", "4", "--signs"])

@@ -1,10 +1,16 @@
+import json
+
 import pytest
 
+from youngquiver.cli import main
 from youngquiver.config import BoundExceededError
 from youngquiver.partitions import (
     EMPTY,
     Partition,
+    add_node,
     addable_nodes,
+    format_partition,
+    grow_row,
     partitions_of,
     partitions_up_to,
     skew_classify,
@@ -14,7 +20,7 @@ from youngquiver.quiver import (
     hom_dim_C,
     hom_dim_Cprime_mod_J,
     quiver_slice,
-    to_dot,
+    render,
 )
 from youngquiver.signs import arrow_sign
 from youngquiver.symgroup import induction_multiplicity, pieri_coefficient
@@ -78,12 +84,12 @@ class TestHomDimensions:
 class TestQuiverSlice:
     def test_tiny(self):
         s = quiver_slice(1)
-        assert [str(n) for n in s.nodes] == ["0", "1"]
-        assert [(str(a), str(b)) for a, b in s.arrows] == [("0", "1")]
+        assert [format_partition(n) for n in s.nodes] == ["0", "1"]
+        assert s.arrows == ((0, 1, 0),)
 
     def test_trivial(self):
         s = quiver_slice(0)
-        assert s.nodes == (EMPTY,)
+        assert s.nodes == (EMPTY.rows,)
         assert s.arrows == ()
 
     def test_size_four_counts(self):
@@ -93,15 +99,18 @@ class TestQuiverSlice:
         assert len(s.arrows) == 14
 
     def test_arrows_are_single_node_additions(self):
-        for a, b in quiver_slice(6).arrows:
+        s = quiver_slice(6)
+        for source, target, r in s.arrows:
+            a, b = Partition(s.nodes[source]), Partition(s.nodes[target])
             assert b.size == a.size + 1 and b.contains(a)
+            assert b.rows == grow_row(a.rows, r)
 
     def test_out_degree_is_addable_count(self):
         s = quiver_slice(6)
-        for node in s.nodes:
-            if node.size < 6:
-                out = [arrow for arrow in s.arrows if arrow[0] == node]
-                assert len(out) == len(addable_nodes(node))
+        for k, node in enumerate(s.nodes):
+            if sum(node) < 6:
+                out = [arrow for arrow in s.arrows if arrow[0] == k]
+                assert len(out) == len(addable_nodes(Partition(node)))
 
     @pytest.mark.parametrize("n", range(4))
     def test_out_degree_matches_branching_multiplicities(self, n):
@@ -112,7 +121,8 @@ class TestQuiverSlice:
             assert branching == len(addable_nodes(mu))
 
     def test_bound(self):
-        with pytest.raises(BoundExceededError):
+        message = "quiver slice size 31 exceeds configured bound 30"
+        with pytest.raises(BoundExceededError, match=message):
             quiver_slice(31)
 
 
@@ -129,18 +139,67 @@ class TestProjectiveGradedDims:
 
 class TestDotExport:
     def test_unlabeled(self):
-        dot = to_dot(quiver_slice(2))
+        dot = render(quiver_slice(2), "dot")
         assert dot.startswith("digraph")
         assert '"1" -> "2";' in dot
         assert '"1" -> "1,1";' in dot
         assert "label" not in dot
 
     def test_sign_labels(self):
-        dot = to_dot(quiver_slice(2), arrow_sign)
+        dot = render(quiver_slice(2), "dot", signs=True)
         assert '"1" -> "1,1" [label="-1"];' in dot
         assert '"1" -> "2" [label="+1"];' in dot
 
     def test_counts_in_dot(self):
-        dot = to_dot(quiver_slice(4))
+        dot = render(quiver_slice(4), "dot")
         assert dot.count(" -> ") == 14
         assert dot.count(";") - dot.count(" -> ") == 12  # node statements
+
+
+def slow_rendering(max_size, fmt, signs):
+    """``quiver --max-size max_size`` as printed by the construction on
+    ``Partition``s: every arrow target rebuilt with ``add_node``, every sign
+    from ``arrow_sign`` and both ends of every arrow formatted anew."""
+    nodes = partitions_up_to(max_size)
+    arrows = [
+        (node, add_node(node, cell))
+        for node in nodes
+        if node.size < max_size
+        for cell in addable_nodes(node)
+    ]
+    if fmt == "dot":
+        lines = ["digraph young_lattice {"]
+        for node in nodes:
+            lines.append(f'  "{node}";')
+        for source, target in arrows:
+            if not signs:
+                lines.append(f'  "{source}" -> "{target}";')
+            else:
+                sign = arrow_sign(source, target)
+                lines.append(f'  "{source}" -> "{target}" [label="{sign:+d}"];')
+        lines.append("}")
+        return "\n".join(lines)
+    if fmt == "json":
+        payload = {
+            "max_size": max_size,
+            "nodes": [str(p) for p in nodes],
+            "arrows": [
+                [str(a), str(b)] + ([arrow_sign(a, b)] if signs else []) for a, b in arrows
+            ],
+        }
+        return json.dumps(payload, indent=2)
+    lines = [f"nodes: {len(nodes)}", f"arrows: {len(arrows)}"]
+    for a, b in arrows:
+        label = f" [{arrow_sign(a, b):+d}]" if signs else ""
+        lines.append(f"{a} -> {b}{label}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("signs", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize("max_size", range(11))
+def test_rendering_matches_partition_construction(max_size, fmt, signs, capsys):
+    argv = ["quiver", "--max-size", str(max_size), "--format", fmt] + ["--signs"] * signs
+    assert main(argv) == 0
+    # byte for byte, the trailing newline included
+    assert capsys.readouterr().out == slow_rendering(max_size, fmt, signs) + "\n"

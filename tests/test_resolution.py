@@ -27,7 +27,6 @@ from youngquiver.resolution import (
     _two_term_zero_cells,
     betti_table,
     build_resolution,
-    stratum,
     verify_complex,
     verify_exactness,
     verify_resolution,
@@ -44,8 +43,15 @@ def chain_at(complex_, mu):
 def components_at(complex_, i, mu):
     """The stratum members present at position i at mu, as diagrams."""
     offset = i + complex_.depth
-    members = complex_.strata[offset].members
-    return tuple(members[number] for number in chain_at(complex_, mu).components[offset])
+    members = complex_.strata[offset]
+    numbers = chain_at(complex_, mu).components[offset]
+    return tuple(Partition(members[number]) for number in numbers)
+
+
+def stratum_rows(xi, i):
+    """The members of the stratum at position i over xi, as row tuples,
+    from a strip enumeration of that position alone."""
+    return _strata_rows(xi.rows, -i)[0]
 
 
 def objects_of(complex_):
@@ -70,56 +76,58 @@ def with_chain(complex_, mu, chain):
 
 class TestStratum:
     def test_position_zero(self):
-        assert stratum(P(2, 1), 0).members == (P(2, 1),)
+        assert stratum_rows(P(2, 1), 0) == [(2, 1)]
 
     def test_column_over_empty(self):
-        assert stratum(EMPTY, -3).members == (P(1, 1, 1),)
+        assert stratum_rows(EMPTY, -3) == [(1, 1, 1)]
 
     def test_two_over_single_box(self):
-        assert stratum(P(1), -2).members == (P(2, 1), P(1, 1, 1))
+        assert stratum_rows(P(1), -2) == [(2, 1), (1, 1, 1)]
 
     def test_one_over_staircase(self):
-        assert stratum(P(2, 1), -1).members == (P(3, 1), P(2, 2), P(2, 1, 1))
+        assert stratum_rows(P(2, 1), -1) == [(3, 1), (2, 2), (2, 1, 1)]
 
     def test_members_are_vertical_strips(self):
         for xi in partitions_up_to(4):
             for i in range(-4, 1):
-                for lam in stratum(xi, i).members:
-                    sk = skew_classify(xi, lam)
+                for rows in stratum_rows(xi, i):
+                    sk = skew_classify(xi, Partition(rows))
                     assert sk.contained and sk.size == -i and not sk.has_row_pair
 
     def test_completeness(self):
         # every vertical-strip extension shows up
         xi = P(2, 1)
-        members = set(stratum(xi, -2).members)
+        members = set(stratum_rows(xi, -2))
         for lam in partitions_of(xi.size + 2):
             sk = skew_classify(xi, lam)
             expected = sk.contained and not sk.has_row_pair
-            assert (lam in members) == expected
+            assert (lam.rows in members) == expected
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            stratum(EMPTY, -13)
+            build_resolution(EMPTY, 13)
+        with pytest.raises(BoundExceededError):
+            betti_table(EMPTY, 13)
 
 
 class TestBuild:
     def test_column_chain_from_empty(self):
         complex_ = build_resolution(EMPTY, 3)
-        assert [st.members for st in complex_.strata] == [
-            (P(1, 1, 1),),
-            (P(1, 1),),
-            (P(1),),
-            (EMPTY,),
-        ]
+        assert complex_.strata == (
+            ((1, 1, 1),),
+            ((1, 1),),
+            ((1,),),
+            ((),),
+        )
         assert complex_.linear
 
     def test_summand_counts_single_box(self):
         complex_ = build_resolution(P(1), 2)
-        assert [len(st.members) for st in complex_.strata] == [2, 2, 1]
+        assert [len(members) for members in complex_.strata] == [2, 2, 1]
 
     def test_first_term_is_addable_nodes(self):
         complex_ = build_resolution(P(2, 1), 1)
-        assert complex_.strata[-1 + complex_.depth].members == (P(3, 1), P(2, 2), P(2, 1, 1))
+        assert complex_.strata[-1 + complex_.depth] == ((3, 1), (2, 2), (2, 1, 1))
 
     def test_hand_computed_matrices_at_one_object(self):
         # base (1), object (2,1): one diamond cancellation
@@ -132,11 +140,11 @@ class TestBuild:
 
     def test_presence_follows_hom(self):
         complex_ = build_resolution(P(1), 3)
-        for st in complex_.strata:
+        for offset, members in enumerate(complex_.strata):
             for mu in objects_of(complex_):
-                present = components_at(complex_, st.index, mu)
+                present = components_at(complex_, offset - complex_.depth, mu)
                 assert present == tuple(
-                    lam for lam in st.members if hom_dim_C(lam, mu) == 1
+                    lam for lam in map(Partition, members) if hom_dim_C(lam, mu) == 1
                 )
 
     def test_entries_in_zero_plus_minus_one(self):
@@ -150,8 +158,10 @@ class TestBuild:
 def slow_components(complex_):
     """Presence by the 0/1 hom space, probed for every member and object."""
     return {
-        (st.index, mu): tuple(lam for lam in st.members if hom_dim_C(lam, mu) == 1)
-        for st in complex_.strata
+        (offset - complex_.depth, mu): tuple(
+            lam for lam in map(Partition, members) if hom_dim_C(lam, mu) == 1
+        )
+        for offset, members in enumerate(complex_.strata)
         for mu in objects_of(complex_)
     }
 
@@ -281,7 +291,7 @@ class TestVerifyComplex:
         chain = chain_at(complex_, P(2))
         assert chain.components[0] == () and 0 not in chain.maps
         forged = ObjectChain(
-            ((complex_.strata[0].members.index(P(2, 1)),),) + chain.components[1:],
+            ((complex_.strata[0].index((2, 1)),),) + chain.components[1:],
             {0: IntMatrix(1, 1, {(0, 0): 1}), **chain.maps},
         )
         broken = with_chain(complex_, P(2), forged)
@@ -417,7 +427,7 @@ class TestBettiTable:
         table = betti_table(P(1), 3)
         for i in range(-3, 1):
             total = sum(flag for (j, _), flag in table.items() if j == i)
-            assert total == len(stratum(P(1), i).members)
+            assert total == len(stratum_rows(P(1), i))
 
     def test_selected_rows(self):
         table = betti_table(P(1), 2)
@@ -433,6 +443,44 @@ class TestBettiTable:
         ]
 
 
+def slow_betti_output(xi, depth, fmt):
+    """``table betti`` as printed from the table built one position at a
+    time, each stratum from its own strip enumeration as ``Partition``s."""
+    table = {}
+    for i in range(-depth, 1):
+        members = set(map(Partition, stratum_rows(xi, i)))
+        for lam in partitions_of(xi.size - i):
+            table[(i, lam)] = 1 if lam in members else 0
+    rows = [
+        (f"{i}:{lam}", flag)
+        for (i, lam), flag in sorted(table.items(), key=lambda kv: (-kv[0][0], kv[0][1].rows))
+    ]
+    if fmt == "json":
+        return json.dumps({"target": "betti", "rows": rows}, indent=2)
+    return "\n".join(f"{key}: {value}" for key, value in rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("xi, depth", [(xi, d) for xi in partitions_up_to(4) for d in range(7)])
+def test_betti_output_matches_per_position_table(xi, depth, fmt, capsys):
+    argv = ["table", "betti", "--xi", str(xi), "--depth", str(depth), "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == slow_betti_output(xi, depth, fmt) + "\n"
+
+
+@pytest.mark.parametrize(
+    "xi, depth, message",
+    [
+        ("2,1", "13", "resolution depth 13 exceeds configured bound 12"),
+        ("30", "1", "partition size 31 exceeds configured bound 30"),
+    ],
+)
+def test_betti_bound_messages(xi, depth, message, capsys, monkeypatch):
+    monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
+    assert main(["table", "betti", "--xi", xi, "--depth", depth]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def mirrored_matrix(complex_, i, mu):
     """Differential of the transposed-convention complex: strata transposed,
     presence by the row-relation homs, entries from the sign table evaluated
@@ -441,7 +489,7 @@ def mirrored_matrix(complex_, i, mu):
     def present(stratum_index):
         return tuple(
             transpose(lam)
-            for lam in complex_.strata[stratum_index + complex_.depth].members
+            for lam in map(Partition, complex_.strata[stratum_index + complex_.depth])
             if hom_dim_C(lam, mu) == 1
         )
 
@@ -523,7 +571,8 @@ class TestArrowSigns:
                 if (sk := skew_classify(xi, lam)).contained and not sk.has_row_pair
             ]
             assert rows == expected
-            assert stratum(xi, offset - depth).members == tuple(map(Partition, rows))
+            # one position enumerated alone gives the same members
+            assert stratum_rows(xi, offset - depth) == rows
 
 
 def mutated_arrows(kind, call, member):

@@ -13,6 +13,7 @@ from youngquiver.partitions import (
     partitions_up_to,
 )
 from youngquiver.signs import (
+    added_node_sign,
     addition_orders,
     arrow_sign,
     growth_signs,
@@ -86,7 +87,13 @@ class TestClosedForm:
 class TestSignTable:
     def test_table_matches_closed_form(self):
         # the labels `quiver --signs` prints are exactly the frozen table
-        table = {(lam, mu): arrow_sign(lam, mu) for lam, mu in quiver_slice(4).arrows}
+        slice_ = quiver_slice(4)
+        table = {
+            (P(*slice_.nodes[source]), P(*slice_.nodes[target])): added_node_sign(
+                slice_.nodes[source], r
+            )
+            for source, target, r in slice_.arrows
+        }
         assert len(table) == 14
         assert table == LATTICE_SIGNS_UP_TO_FOUR
 
