@@ -37,7 +37,7 @@ class Bounds:
     # character-pairing multiplicities, bound on n+m
     max_induction_degree: int = 12
     # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
-    # bounds admit, takes 1.0-1.3 s on 2 shared vCPUs (Python 3.11)
+    # bounds admit, takes 0.8-1.1 s on 2 shared vCPUs (Python 3.11)
     max_resolution_depth: int = 12
     # verify qdual --max-size 18 takes 7.4-8.6 s on 2 shared vCPUs (Python 3.11)
     max_qdual_size: int = 18

@@ -74,12 +74,16 @@ def render(slice_: QuiverSlice, fmt: str, signs: bool = False) -> str:
         for source, target, r in slice_.arrows
     ]
     if fmt == "json":
-        payload = {
-            "max_size": slice_.max_size,
-            "nodes": names,
-            "arrows": [[a, b] + ([sign] if signs else []) for a, b, sign in arrows],
-        }
-        return json.dumps(payload, indent=2)
+        # the layout of json.dumps(payload, indent=2), written directly: with
+        # an indent, json.dumps runs its pure-Python encoder
+        quoted = {name: json.dumps(name) for name in names}
+        row = "[" + ",".join(["\n      {}"] * (3 if signs else 2)) + "\n    ]"
+        rows = [row.format(quoted[a], quoted[b], sign) for a, b, sign in arrows]
+        return (
+            f'{{\n  "max_size": {slice_.max_size},\n'
+            f'  "nodes": {_json_list([quoted[name] for name in names])},\n'
+            f'  "arrows": {_json_list(rows)}\n}}'
+        )
     if fmt == "dot":
         label = ' [label="{:+d}"]' if signs else ""
         lines = ["digraph young_lattice {"]
@@ -91,3 +95,9 @@ def render(slice_: QuiverSlice, fmt: str, signs: bool = False) -> str:
     lines = [f"nodes: {len(names)}", f"arrows: {len(arrows)}"]
     lines += [f"{a} -> {b}{label.format(sign)}" for a, b, sign in arrows]
     return "\n".join(lines)
+
+
+def _json_list(items: list[str]) -> str:
+    """JSON texts as the value of a top-level key, laid out as
+    ``json.dumps(..., indent=2)`` lays out a list there."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"

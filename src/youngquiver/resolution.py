@@ -9,13 +9,16 @@ is the direct sum of the projectives generated at the stratum members,
 shifted so the whole complex is linear.  A projective generated at lam
 contributes a canonical basis vector at evaluation object mu exactly when
 the hom space lam -> mu survives the column relations, that is when mu/lam
-is a horizontal strip.  So the objects where lam is present are listed
-straight from the interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... of the
-row tuples, instead of probing every object.  The differential entry
-between two stratum members is the arrow sign when they differ by one node
-and both are present, else zero; the arrows between adjacent strata are
-found once, by removing each corner of each member of the larger stratum,
-and each sign is read from the parity of the nodes above the corner's row.
+is a horizontal strip.  So the members present at mu are read off the
+interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... row by row: lam_r is
+xi_r or xi_r + 1 and lies in [mu_(r+1), mu_r], independently of the other
+rows, so the members at one object are a product of one- or two-element
+row choices, and their sizes fill one contiguous run of positions.  The
+differential entry between two members is the arrow sign when they differ
+by one node and both are present, else zero; the arrows between adjacent
+strata are found once, by removing each corner of each member of the
+larger stratum, and each sign is read from the parity of the nodes above
+the corner's row.
 
 The whole assembly, strata included, runs on row tuples and member
 numbers: a diagram's text form is built only for a failure locator or a
@@ -26,20 +29,23 @@ holds at every evaluation object, the whole verification reduces to exact
 integer linear algebra on one small matrix chain per object: the complex
 property is a product of consecutive matrices being zero, and exactness is
 the rank identity rank(out) + rank(in) = dim at every position.  Each
-object's chain lists its components at every position but stores only the
-nonzero differentials, as ``IntMatrix``es with entries +1 and -1; an
-absent one is the zero map, so its products are zero and its rank is 0
-without any arithmetic.  Most maps are absent: in a sweep over the bases
-of size at most 5 at depth 8, about 6% of the adjacent pairs have two
-nonzero factors.
+product is formed in one pass over its terms, which yields both its
+nonzero entries and its diamond cancellations, the zero cells with exactly
+two terms.  Each object's chain lists its components at every position but
+stores only the nonzero differentials, as ``IntMatrix``es with entries +1
+and -1; an absent one is the zero map, so its products are zero and its
+rank is 0 without any arithmetic.  Most maps are absent: in a sweep over
+the bases of size at most 5 at depth 8, about 6% of the adjacent pairs
+have two nonzero factors.
 """
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
-from .exactlinalg import IntMatrix, multiply, rank
+from .exactlinalg import IntMatrix, rank
 from .partitions import (
     Partition,
     format_partition,
@@ -98,35 +104,30 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
         raise ValueError("depth must be positive")
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
     strata = tuple(map(tuple, _strata_rows(xi.rows, depth)))
-    max_size = xi.size + depth
-    objects = partition_rows_up_to(max_size, bounds)
-    index = {rows: k for k, rows in enumerate(objects)}
-
-    # present[k][offset]: numbers of the members of strata[offset] present
-    # at objects[k], listed only for objects where some member is present
-    present: dict[int, list[list[int]]] = {}
-    for offset, members in enumerate(strata):
-        for number, lam in enumerate(members):
-            for rows in _horizontal_strip_extensions(lam, max_size):
-                k = index[rows]
-                if k not in present:
-                    present[k] = [[] for _ in strata]
-                present[k][offset].append(number)
-
+    objects = partition_rows_up_to(xi.size + depth, bounds)
+    where = {
+        lam: (offset, number)
+        for offset, members in enumerate(strata)
+        for number, lam in enumerate(members)
+    }
     arrows = [_arrows_into(upper, lower) for upper, lower in zip(strata, strata[1:])]
     # shared by every object where no member is present
     nothing = ObjectChain(tuple(() for _ in strata), {})
     chains = []
-    for k in range(len(objects)):
-        cells = present.get(k)
-        if cells is None:
+    for mu in objects:
+        members = _members_at(xi.rows, mu)
+        if not members:
             chains.append(nothing)
             continue
+        cells: list[list[int]] = [[] for _ in strata]
+        for lam in members:
+            offset, number = where[lam]
+            cells[offset].append(number)
+        # the members' sizes, hence their offsets, form one contiguous run
+        occupied = [offset for offset, cell in enumerate(cells) if cell]
         maps = {}
-        for offset in range(depth):
+        for offset in range(occupied[0], occupied[-1]):
             cols, rows = cells[offset], cells[offset + 1]
-            if not (rows and cols):
-                continue
             row_of = {number: r for r, number in enumerate(rows)}
             entries = {}
             for c, number in enumerate(cols):
@@ -147,26 +148,20 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains), linear)
 
 
-def _horizontal_strip_extensions(rows: Rows, max_size: int) -> list[Rows]:
-    """Row tuples of every mu of size at most ``max_size`` such that mu/lam
-    is a horizontal strip, where lam has row tuple ``rows``: the interlacing
-    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... >= mu_(l+1) >= 0."""
-    results: list[Rows] = []
-
-    def rec(r: int, spare: int, acc: Rows) -> None:
-        low = rows[r] if r < len(rows) else 0
-        high = low + spare if r == 0 else min(rows[r - 1], low + spare)
-        for value in range(low, high + 1):
-            extended = acc + (value,) if value else acc
-            if r < len(rows):
-                rec(r + 1, spare - value + low, extended)
-            else:
-                results.append(extended)
-
-    spare = max_size - sum(rows)
-    if spare >= 0:
-        rec(0, spare, ())
-    return results
+def _members_at(xi: Rows, mu: Rows) -> list[Rows]:
+    """Row tuples of the stratum members present at mu, in reverse
+    lexicographic order: the lam with lam/xi a vertical strip and mu/lam a
+    horizontal strip.  Row by row, lam_r is xi_r or xi_r + 1 within
+    [mu_(r+1), mu_r], independently of the other rows; only the last row of
+    mu can choose 0, which is stripped."""
+    if len(mu) < len(xi):
+        return []
+    options = []
+    for base, high, low in zip(xi + (0,) * (len(mu) - len(xi)), mu, mu[1:] + (0,)):
+        if base > high or low > base + 1:
+            return []
+        options.append((base,) if base == high else (base + 1, base) if low <= base else (low,))
+    return [lam[:-1] if lam[-1:] == (0,) else lam for lam in product(*options)]
 
 
 def _arrows_into(upper: list[Rows], lower: list[Rows]) -> list[list[tuple[int, int]]]:
@@ -212,14 +207,14 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
             high = maps.get(offset + 1)
             if high is None:
                 continue
-            product = multiply(high, low)
-            cancellations += _two_term_zero_cells(high, low)
-            if not product.is_zero() and first_failure is None:
+            nonzero, two_term_zeros = _compose(high, low)
+            cancellations += two_term_zeros
+            if nonzero and first_failure is None:
                 first_failure = {
                     "object": format_partition(mu),
                     "position": offset - depth,
                     "nonzero_entries": sorted(
-                        [list(key) + [str(val)] for key, val in product.entries.items()]
+                        [list(key) + [str(val)] for key, val in nonzero.items()]
                     ),
                 }
         if first_failure:
@@ -237,9 +232,9 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
     )
 
 
-def _two_term_zero_cells(high: IntMatrix, low: IntMatrix) -> int:
-    """Cells of high*low that receive exactly two nonzero terms, summing to
-    zero."""
+def _compose(high: IntMatrix, low: IntMatrix) -> tuple[dict[tuple[int, int], int], int]:
+    """The nonzero entries of high*low, and the number of its zero cells
+    that receive exactly two nonzero terms, from one pass over the terms."""
     low_by_row: dict[int, list[tuple[int, int]]] = {}
     for (k, c), y in low.entries.items():
         low_by_row.setdefault(k, []).append((c, y))
@@ -247,7 +242,15 @@ def _two_term_zero_cells(high: IntMatrix, low: IntMatrix) -> int:
     for (r, k), x in high.entries.items():
         for c, y in low_by_row.get(k, ()):
             terms.setdefault((r, c), []).append(x * y)
-    return sum(1 for cell in terms.values() if len(cell) == 2 and cell[0] + cell[1] == 0)
+    nonzero = {}
+    two_term_zeros = 0
+    for cell, values in terms.items():
+        total = sum(values)
+        if total:
+            nonzero[cell] = total
+        elif len(values) == 2:
+            two_term_zeros += 1
+    return nonzero, two_term_zeros
 
 
 def verify_exactness(complex_: GradedComplex) -> Certificate:

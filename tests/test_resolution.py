@@ -13,6 +13,8 @@ from youngquiver.exactlinalg import IntMatrix, multiply, rank
 from youngquiver.partitions import (
     EMPTY,
     Partition,
+    format_partition,
+    partition_rows_up_to,
     partitions_of,
     partitions_up_to,
     skew_classify,
@@ -20,11 +22,13 @@ from youngquiver.partitions import (
 )
 from youngquiver.quiver import hom_dim_C
 from youngquiver.resolution import (
+    GradedComplex,
     ObjectChain,
+    Rows,
     _arrows_into,
-    _horizontal_strip_extensions,
+    _compose,
+    _members_at,
     _strata_rows,
-    _two_term_zero_cells,
     betti_table,
     build_resolution,
     verify_complex,
@@ -197,9 +201,102 @@ SMALL_COMPLEXES = [
 ]
 
 
+def _horizontal_strip_extensions(rows: Rows, max_size: int) -> list[Rows]:
+    """Row tuples of every mu of size at most ``max_size`` such that mu/lam
+    is a horizontal strip, where lam has row tuple ``rows``: the interlacing
+    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... >= mu_(l+1) >= 0."""
+    results: list[Rows] = []
+
+    def rec(r: int, spare: int, acc: Rows) -> None:
+        low = rows[r] if r < len(rows) else 0
+        high = low + spare if r == 0 else min(rows[r - 1], low + spare)
+        for value in range(low, high + 1):
+            extended = acc + (value,) if value else acc
+            if r < len(rows):
+                rec(r + 1, spare - value + low, extended)
+            else:
+                results.append(extended)
+
+    spare = max_size - sum(rows)
+    if spare >= 0:
+        rec(0, spare, ())
+    return results
+
+
+def _two_term_zero_cells(high: IntMatrix, low: IntMatrix) -> int:
+    """Cells of high*low that receive exactly two nonzero terms, summing to
+    zero."""
+    low_by_row: dict[int, list[tuple[int, int]]] = {}
+    for (k, c), y in low.entries.items():
+        low_by_row.setdefault(k, []).append((c, y))
+    terms: dict[tuple[int, int], list[int]] = {}
+    for (r, k), x in high.entries.items():
+        for c, y in low_by_row.get(k, ()):
+            terms.setdefault((r, c), []).append(x * y)
+    return sum(1 for cell in terms.values() if len(cell) == 2 and cell[0] + cell[1] == 0)
+
+
+def strip_built_resolution(xi, depth):
+    """The complex assembled member by member: every horizontal-strip
+    extension of every stratum member, mapped back to its object through an
+    index of the objects."""
+    strata = tuple(map(tuple, _strata_rows(xi.rows, depth)))
+    max_size = xi.size + depth
+    objects = partition_rows_up_to(max_size)
+    index = {rows: k for k, rows in enumerate(objects)}
+    present = {}
+    for offset, members in enumerate(strata):
+        for number, lam in enumerate(members):
+            for rows in _horizontal_strip_extensions(lam, max_size):
+                cells = present.setdefault(index[rows], [[] for _ in strata])
+                cells[offset].append(number)
+    arrows = [_arrows_into(upper, lower) for upper, lower in zip(strata, strata[1:])]
+    chains = []
+    for k in range(len(objects)):
+        cells = present.get(k, [[] for _ in strata])
+        maps = {}
+        for offset in range(depth):
+            cols, rows = cells[offset], cells[offset + 1]
+            entries = {
+                (rows.index(lower), c): sign
+                for c, number in enumerate(cols)
+                for lower, sign in arrows[offset][number]
+                if lower in rows
+            }
+            if entries:
+                maps[offset] = IntMatrix(len(rows), len(cols), entries)
+        chains.append(ObjectChain(tuple(map(tuple, cells)), maps))
+    linear = all(
+        sum(lam) == max_size - offset for offset, members in enumerate(strata) for lam in members
+    )
+    return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains), linear)
+
+
+def assembly_mismatch(complex_):
+    """None when ``complex_`` equals the strip-built complex field for
+    field, else the first object whose chain differs, with both chains'
+    components."""
+    expected = strip_built_resolution(complex_.xi, complex_.depth)
+    assert replace(complex_, chains=()) == replace(expected, chains=())
+    for mu, chain, oracle in zip(complex_.objects, complex_.chains, expected.chains):
+        if chain != oracle:
+            return {
+                "object": format_partition(mu),
+                "components": chain.components,
+                "expected": oracle.components,
+            }
+    assert len(complex_.chains) == len(expected.chains)
+    return None
+
+
+ROW_RULE_CASES = [(xi, depth) for xi in partitions_up_to(5) for depth in range(1, 9)] + [
+    (P(5, 4, 3, 2, 1), 7)
+]
+
+
 class TestAssemblyOracle:
-    """The strip enumeration and the corner-removal arrows against the
-    hom_dim_C probe of every member at every object."""
+    """The row rule against the strip enumeration of every stratum member,
+    and both against the hom_dim_C probe of every member at every object."""
 
     @pytest.mark.parametrize("xi, depth", SMALL_COMPLEXES)
     def test_components_and_matrices(self, xi, depth):
@@ -223,6 +320,10 @@ class TestAssemblyOracle:
                     assert (stored.n_rows, stored.n_cols) == (oracle.n_rows, oracle.n_cols)
                     assert stored == oracle
 
+    @pytest.mark.parametrize("xi, depth", ROW_RULE_CASES)
+    def test_row_rule_matches_strip_assembly(self, xi, depth):
+        assert assembly_mismatch(build_resolution(xi, depth)) is None
+
     @pytest.mark.parametrize("lam", partitions_up_to(6))
     def test_horizontal_strips(self, lam):
         for max_size in range(9):
@@ -241,14 +342,34 @@ class TestAssemblyOracle:
                 high = matrix_at(complex_, i + 1, mu)
                 assert _two_term_zero_cells(high, low) == slow_two_term_zero_cells(high, low)
 
+    @pytest.mark.parametrize("xi, depth", SMALL_COMPLEXES)
+    def test_one_pass_matches_multiply(self, xi, depth):
+        pairs = 0
+        for chain in build_resolution(xi, depth).chains:
+            for offset, low in chain.maps.items():
+                high = chain.maps.get(offset + 1)
+                if high is None:
+                    continue
+                nonzero, two_term_zeros = _compose(high, low)
+                assert nonzero == multiply(high, low).entries
+                assert two_term_zeros == slow_two_term_zero_cells(high, low)
+                pairs += 1
+        assert pairs or depth < 2 or xi == EMPTY
+
     def test_diamond_count_skips_three_term_cells(self):
         # cell (0,0) has three terms 1, -1, 1 (its first two cancel), cell
-        # (0,1) two summing to 2, cell (0,2) two summing to zero, cell (1,0)
-        # one term
+        # (0,1) two summing to 2, cell (0,2) two summing to zero, cells (1,0)
+        # and (1,2) one term each
         high = IntMatrix.from_rows([[1, -1, 1], [0, 1, 0]])
         low = IntMatrix.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert slow_two_term_zero_cells(high, low) == 1
         assert _two_term_zero_cells(high, low) == 1
+        assert _compose(high, low) == ({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 2): 1}, 1)
+        # one cell with four terms 1, 1, -1, -1: zero, but no diamond
+        high = IntMatrix.from_rows([[1, 1, 1, 1]])
+        low = IntMatrix.from_rows([[1], [1], [-1], [-1]])
+        assert slow_two_term_zero_cells(high, low) == 0
+        assert _compose(high, low) == ({}, 0)
 
 
 class TestVerifyComplex:
@@ -309,6 +430,27 @@ class TestVerifyComplex:
             "rank_in": 1,
             "cohomology": -1,
             "expected": 0,
+        }
+
+
+    def test_forged_chain_reports_every_nonzero_cell(self):
+        # the chain at (2,1), the first object with a member, replaced by a
+        # forged one: of the product's three cells one cancels in two terms,
+        # one sums to 2 and one has a single term
+        complex_ = build_resolution(P(2, 1), 3)
+        low = IntMatrix.from_rows([[1], [-1], [1]])
+        high = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 0, 1]])
+        forged = ObjectChain(((0,), (0, 1, 2), (0, 1, 2), (0,)), {0: low, 1: high})
+        cert = verify_complex(with_chain(complex_, P(2, 1), forged))
+        assert cert.first_failure == {
+            "object": "2,1",
+            "position": -3,
+            "nonzero_entries": [[1, 0, "2"], [2, 0, "1"]],
+        }
+        assert cert.counts == {
+            "objects_checked": 6,
+            "products_checked": 12,
+            "diamond_cancellations": 1,
         }
 
 
@@ -647,6 +789,65 @@ class TestMutants:
             "cohomology": 1,
             "expected": 0,
             "failing_check": "exactness",
+        }
+
+
+def mutated_members(kind):
+    """``_members_at`` with, at every object with two or more members, the
+    xi_r + 1 option of the first free row dropped (``"drop"``), or xi added
+    where it is not a member (``"add"``)."""
+
+    def wrapped(xi, mu):
+        members = _members_at(xi, mu)
+        if kind == "drop" and len(members) > 1:
+            # the product varies the first free row slowest, larger option
+            # first: the members taking xi_r + 1 there are the first half
+            return members[len(members) // 2 :]
+        if kind == "add" and members and xi not in members:
+            return members + [xi]
+        return members
+
+    return wrapped
+
+
+class TestRowRuleMutants:
+    """A wrong row rule fails the verifier and the strip-built assembly,
+    each at the object recorded here."""
+
+    def test_dropped_option_fails_exactness(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_members_at", mutated_members("drop"))
+        xi = P(2, 1)
+        cert = verify_resolution(xi, 3)
+        assert cert.first_failure == {
+            "object": "3,1",
+            "position": 0,
+            "dim": 1,
+            "rank_out": 0,
+            "rank_in": 0,
+            "cohomology": 1,
+            "expected": 0,
+            "failing_check": "exactness",
+        }
+        assert assembly_mismatch(build_resolution(xi, 3)) == {
+            "object": "3,1",
+            "components": ((), (), (), (0,)),
+            "expected": ((), (), (0,), (0,)),
+        }
+
+    def test_added_member_fails_the_complex(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_members_at", mutated_members("add"))
+        xi = P(2, 1)
+        cert = verify_resolution(xi, 3)
+        assert cert.first_failure == {
+            "object": "2,1,1,1",
+            "position": -2,
+            "nonzero_entries": [[0, 0, "-1"]],
+            "failing_check": "complex",
+        }
+        assert assembly_mismatch(build_resolution(xi, 3)) == {
+            "object": "2,1,1,1",
+            "components": ((), (3,), (2,), (0,)),
+            "expected": ((), (3,), (2,), ()),
         }
 
 
