@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from . import qdual, quiver, resolution, symgroup
+from . import qdual, quiver, resolution
 from ._version import __version__
 from .certificates import Certificate
 from .config import BoundExceededError, Bounds, load_bounds
@@ -177,7 +177,7 @@ def _table_rows(args, bounds) -> list[tuple[str, int]]:
         _require(args.mu is not None and args.m is not None,
                  "table pieri requires --mu and --m")
         return [
-            (str(lam), symgroup.pieri_coefficient(args.mu, args.m, lam))
+            (str(lam), quiver.hom_dim_C(args.mu, lam))
             for lam in partitions_of(args.mu.size + args.m, bounds)
             if lam.contains(args.mu)
         ]

@@ -252,12 +252,17 @@ def _partition_tuples(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partitions_of(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
-    """All partitions of ``n`` in reverse lexicographic order."""
+def partition_rows(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[tuple[int, ...], ...]:
+    """Row tuples of the partitions of ``n`` in reverse lexicographic order."""
     if n < 0:
         raise ValueError("partition size must be non-negative")
     check_bound(n, bounds.max_partition_size, "partition size")
-    return [Partition(rows) for rows in _partition_tuples(n, n)]
+    return _partition_tuples(n, n)
+
+
+def partitions_of(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
+    """All partitions of ``n``, in the order of ``partition_rows``."""
+    return [Partition(rows) for rows in partition_rows(n, bounds)]
 
 
 def partition_rows_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, ...]]:

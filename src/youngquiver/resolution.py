@@ -169,7 +169,8 @@ def _arrows_into(upper: list[Rows], lower: list[Rows]) -> list[list[tuple[int, i
     numbered j of ``upper``, as (number of lam, sign of the arrow lam -> nu):
     remove each corner of nu and keep the results that lie in ``lower``.
     The arrow adds a node in 0-based row r, so its sign is
-    ``signs.row_sign``, the parity of the nodes above row r: (-1)^sum(nu[:r])."""
+    ``signs.added_node_sign(lam, r)``, the parity of the nodes above row r,
+    which lam and nu share: (-1)^sum(nu[:r])."""
     by_rows = {lam: number for number, lam in enumerate(lower)}
     arrows = []
     for rows in upper:

@@ -1,26 +1,27 @@
 """Exact symmetric group algebra over the rationals.
 
-Permutations act on {1..n}; a product pq composes right-to-left,
-(pq)(i) = p(q(i)).
+Permutations of {1..n} are image tuples, the images of 1..n; a product pq
+composes right-to-left, (pq)(i) = p(q(i)).  Diagrams and cycle types are
+row tuples, as in every other sweep.
 Group algebra elements are sparse rational combinations of permutations,
 stored as integer numerators keyed by image tuples over one common
 denominator; a product composes the tuples directly and sums integers.
 Characters come from the Murnaghan-Nakayama recursion on border strips,
 centrally primitive idempotents from the character formula, and Young
-symmetrizers from row/column groups of a tableau.  An element is central
-exactly when its coefficients are constant on each conjugacy class, which
-one scan over its terms decides; central elements are then multiplied in
-the basis of class sums by the class multiplication constants, not in the
-group algebra.  Induction multiplicities are character pairings organized
-over cycle-type pairs weighted by class sizes, which keeps them feasible
-well past the point where summing over group elements would blow up.
+symmetrizers from the row/column groups of a shape filled row by row.  An
+element is central exactly when its coefficients are constant on each
+conjugacy class, which one scan over its terms decides; central elements are
+then multiplied in the basis of class sums by the class multiplication
+constants, not in the group algebra.  Induction multiplicities are integer
+character pairings over cycle-type pairs weighted by class sizes, divided
+exactly by the group order once at the end, which keeps them feasible well
+past the point where summing over group elements would blow up.
 
 These are the brute-force ground truth against which the combinatorial
 quiver description is checked.
 """
 
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -32,27 +33,9 @@ from operator import itemgetter
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import IntMatrix, rank
-from .partitions import Partition, partitions_of, skew_classify, transpose
+from .partitions import format_partition, grown_rows, partition_rows
 
-# Conjugacy classes are indexed by partitions of the group degree.
-CycleType = Partition
-
-
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    """One-line notation: images of 1..n."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
+Rows = tuple[int, ...]
 
 
 def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,30 +66,6 @@ def _cycle_types(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 
 def _sign(images: tuple[int, ...]) -> int:
     return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
-
-
-class _Terms(Mapping):
-    """An element's terms as ``Permutation -> Fraction``, read from its
-    integer store; the length is the number of nonzero terms."""
-
-    __slots__ = ("_element",)
-
-    def __init__(self, element: "GroupAlgebraElement") -> None:
-        self._element = element
-
-    def __len__(self) -> int:
-        return len(self._element.numerators)
-
-    def __iter__(self):
-        return map(Permutation, self._element.numerators)
-
-    def __getitem__(self, perm: Permutation) -> Fraction:
-        if not isinstance(perm, Permutation):
-            raise KeyError(perm)
-        return Fraction(self._element.numerators[perm.images], self._element.denominator)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -144,14 +103,10 @@ class GroupAlgebraElement:
     def zero(degree: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement(degree, {})
 
-    @staticmethod
-    def from_permutation(perm: Permutation) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(perm.n, {perm.images: 1})
-
     @property
-    def terms(self) -> Mapping[Permutation, Fraction]:
+    def terms(self) -> dict[tuple[int, ...], int]:
         # read only by the symgroup.multiply term-pair counter of perfbench/tracing.py
-        return _Terms(self)
+        return self.numerators
 
     def is_zero(self) -> bool:
         return not self.numerators
@@ -209,36 +164,6 @@ def multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
     return GroupAlgebraElement(a.degree, acc, a.denominator * b.denominator)
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Bijective filling of a shape with 1..n, stored as row tuples."""
-
-    shape: Partition
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if tuple(len(row) for row in entries) != self.shape.rows:
-            raise ValueError("entries do not match shape")
-        flat = sorted(v for row in entries for v in row)
-        if flat != list(range(1, self.shape.size + 1)):
-            raise ValueError("entries must be a bijective filling with 1..n")
-
-    def column(self, c: int) -> tuple[int, ...]:
-        return tuple(row[c - 1] for row in self.entries if len(row) >= c)
-
-
-def canonical_tableau(mu: Partition) -> Tableau:
-    """Row-by-row filling, top to bottom and left to right; always standard."""
-    entries = []
-    counter = 1
-    for length in mu.rows:
-        entries.append(tuple(range(counter, counter + length)))
-        counter += length
-    return Tableau(mu, tuple(entries))
-
-
 def _border_strip_removals(shape: tuple[int, ...], length: int):
     """(smaller shape, sign) for each removable border strip of the given
     length, via beta-numbers: removing a strip moves one beta number down by
@@ -267,26 +192,28 @@ def _mn_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     )
 
 
-def character_value(lam: Partition, cycle_type: CycleType) -> int:
+def character_value(lam: Rows, cycle_type: Rows) -> int:
     """Irreducible character of the symmetric group, by Murnaghan-Nakayama."""
-    if lam.size != cycle_type.size:
-        raise ValueError(f"size mismatch: |{lam}| != |{cycle_type}|")
-    return _mn_character(lam.rows, cycle_type.rows)
+    if sum(lam) != sum(cycle_type):
+        raise ValueError(
+            f"size mismatch: |{format_partition(lam)}| != |{format_partition(cycle_type)}|"
+        )
+    return _mn_character(lam, cycle_type)
 
 
-def specht_dimension(lam: Partition) -> int:
+def specht_dimension(lam: Rows) -> int:
     """Hook length formula."""
-    cols = transpose(lam).rows
+    cols = [sum(1 for length in lam if length > j) for j in range(lam[0] if lam else 0)]
     denominator = 1
-    for i, row_len in enumerate(lam.rows):
+    for i, row_len in enumerate(lam):
         for j in range(row_len):
             denominator *= (row_len - j) + (cols[j] - 1 - i)
-    return factorial(lam.size) // denominator
+    return factorial(sum(lam)) // denominator
 
 
-def centralizer_order(cycle_type: CycleType) -> int:
+def centralizer_order(cycle_type: Rows) -> int:
     counts: dict[int, int] = {}
-    for part in cycle_type.rows:
+    for part in cycle_type:
         counts[part] = counts.get(part, 0) + 1
     order = 1
     for length, mult in counts.items():
@@ -294,21 +221,21 @@ def centralizer_order(cycle_type: CycleType) -> int:
     return order
 
 
-def central_idempotent(mu: Partition, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
+def central_idempotent(mu: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
     """(dim/n!) * sum over the group of character values times permutations."""
-    n = mu.size
+    n = sum(mu)
     check_bound(n, bounds.max_group_degree, "group degree")
     dim = specht_dimension(mu)
     types = _cycle_types(n)
     # one character value per cycle type
-    value = {cycles: dim * _mn_character(mu.rows, cycles) for _, cycles in types}
+    value = {cycles: dim * _mn_character(mu, cycles) for _, cycles in types}
     numerators = {images: value[cycles] for images, cycles in types if value[cycles]}
     return GroupAlgebraElement(n, numerators, factorial(n))
 
 
 class ClassSums:
     """The centre Z(C[S_n]) in the basis of class sums C_k, one per cycle
-    type, numbered in the order of ``partitions_of(n)``.
+    type, numbered in the order of ``partition_rows(n)``.
 
     A central element is constant on each class, so it is a vector of class
     coefficients, and a product of two such vectors needs only the class
@@ -321,7 +248,7 @@ class ClassSums:
     def __init__(self, n: int, bounds: Bounds = DEFAULT_BOUNDS) -> None:
         check_bound(n, bounds.max_group_degree, "group degree")
         self.degree = n
-        number = {mu.rows: k for k, mu in enumerate(partitions_of(n, bounds))}
+        number = {rows: k for k, rows in enumerate(partition_rows(n, bounds))}
         self.class_of = {images: number[cycles] for images, cycles in _cycle_types(n)}
         self.sizes = [0] * len(number)
         for k in self.class_of.values():
@@ -380,7 +307,7 @@ class ClassSums:
         return acc
 
 
-def _block_stabilizer(blocks: tuple[tuple[int, ...], ...], n: int):
+def _block_stabilizer(blocks: list[tuple[int, ...]], n: int):
     """Image tuples of the permutations preserving each block setwise."""
     for arrangements in product(*map(iter_permutations, blocks)):
         images = list(range(n + 1))
@@ -390,103 +317,76 @@ def _block_stabilizer(blocks: tuple[tuple[int, ...], ...], n: int):
         yield tuple(images[1:])
 
 
-def young_symmetrizer(tableau: Tableau, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
-    """Row symmetrizer times signed column symmetrizer, normalized by
-    dim/n! so the result is a genuine idempotent."""
-    n = tableau.shape.size
+def young_symmetrizer(shape: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
+    """Row symmetrizer times signed column symmetrizer of ``shape`` filled
+    with 1..n row by row, top to bottom and left to right (a standard
+    filling), normalized by dim/n! so the result is a genuine idempotent."""
+    n = sum(shape)
     check_bound(n, bounds.max_group_degree, "group degree")
-    rows = tableau.entries
-    cols = tuple(tableau.column(c) for c in range(1, (tableau.shape.rows or (0,))[0] + 1))
+    rows, start = [], 1
+    for length in shape:
+        rows.append(tuple(range(start, start + length)))
+        start += length
+    cols = [tuple(row[c] for row in rows if len(row) > c) for c in range(shape[0] if shape else 0)]
     row_sum = GroupAlgebraElement(n, {images: 1 for images in _block_stabilizer(rows, n)})
     col_sum = GroupAlgebraElement(
         n, {images: _sign(images) for images in _block_stabilizer(cols, n)}
     )
-    return multiply(row_sum, col_sum).scale(
-        Fraction(specht_dimension(tableau.shape), factorial(n))
-    )
+    return multiply(row_sum, col_sum).scale(Fraction(specht_dimension(shape), factorial(n)))
 
 
-def injection_bimodule(n: int, m: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[GroupAlgebraElement]:
-    """Basis of the bimodule realizing injections n -> n+m inside C[S_{n+m}].
-
-    One basis element per injection: the sum over all permutations extending
-    it (the coset sum over the subgroup fixing 1..n pointwise, which does not
-    depend on the coset representative).  Basis size is (n+m)!/m!.
-    """
-    total = n + m
-    check_bound(total, bounds.max_group_degree, "group degree")
-    values = range(1, total + 1)
-    basis = []
-    for image in iter_permutations(values, n):
-        rest = sorted(set(values) - set(image))
-        basis.append(
-            GroupAlgebraElement(
-                total, {image + completion: 1 for completion in iter_permutations(rest)}
-            )
-        )
-    return basis
-
-
-def direct_hom_dimension(mu: Partition, lam: Partition, bounds: Bounds = DEFAULT_BOUNDS) -> int:
-    """Rank of the span of e_lam * b * e_mu over the injection bimodule basis,
-    computed inside C[S_{n+1}] with exact arithmetic.  This is the degree-one
-    hom dimension measured directly on idempotents, with no combinatorics."""
-    n = mu.size
-    if lam.size != n + 1:
+def direct_hom_dimension(mu: Rows, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> int:
+    """Rank of the span of e_lam * g * e_mu over the permutations g of
+    S_{n+1}, computed with exact arithmetic.  Every injection n -> n+1
+    extends to exactly one permutation, so the g are the injection bimodule
+    basis, and this is the degree-one hom dimension measured directly on
+    idempotents, with no combinatorics."""
+    n = sum(mu)
+    if sum(lam) != n + 1:
         raise ValueError("target must have exactly one more node than source")
     check_bound(n, bounds.max_direct_hom_degree, "direct hom degree")
-    e_lam = young_symmetrizer(canonical_tableau(lam), bounds)
-    e_mu = young_symmetrizer(canonical_tableau(mu), bounds).embed(n + 1)
+    e_lam = young_symmetrizer(lam, bounds)
+    e_mu = young_symmetrizer(mu, bounds).embed(n + 1)
     group_order = list(iter_permutations(range(1, n + 2)))
     rows = []
-    for element in injection_bimodule(n, 1, bounds):
+    for g in group_order:
         # numerators only: scaling a row by its denominator keeps the rank
-        numerators = multiply(multiply(e_lam, element), e_mu).numerators
+        numerators = multiply(multiply(e_lam, GroupAlgebraElement(n + 1, {g: 1})), e_mu).numerators
         rows.append([numerators.get(images, 0) for images in group_order])
     return rank(IntMatrix.from_rows(rows, len(group_order)))
 
 
-def induction_multiplicity(
-    mu: Partition, m: int, lam: Partition, bounds: Bounds = DEFAULT_BOUNDS
-) -> int:
+def induction_multiplicity(mu: Rows, m: int, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> int:
     """Multiplicity of the lam-irreducible in the module induced from
     (mu-irreducible) x (trivial) along S_n x S_m -> S_{n+m}.
 
     Frobenius reciprocity turns this into a character pairing; the sum runs
-    over cycle-type pairs weighted by centralizer orders rather than over
-    group elements.
+    over cycle-type pairs (alpha, beta) weighted by their class sizes
+    n!/z_alpha and m!/z_beta rather than over group elements, all in
+    integers, and is divided by n! m! once at the end.
     """
-    n = mu.size
+    n = sum(mu)
     if m < 0:
         raise ValueError("m must be non-negative")
-    if lam.size != n + m:
-        raise ValueError(f"|{lam}| must equal |{mu}| + {m}")
+    if sum(lam) != n + m:
+        raise ValueError(f"|{format_partition(lam)}| must equal |{format_partition(mu)}| + {m}")
     check_bound(n + m, bounds.max_induction_degree, "induction degree")
-    total = Fraction(0)
-    for alpha in partitions_of(n, bounds):
-        chi_mu = character_value(mu, alpha)
+    order_n, order_m = factorial(n), factorial(m)
+    betas = [(beta, order_m // centralizer_order(beta)) for beta in partition_rows(m, bounds)]
+    total = 0
+    for alpha in partition_rows(n, bounds):
+        chi_mu = _mn_character(mu, alpha)
         if not chi_mu:
             continue
-        for beta in partitions_of(m, bounds):
-            combined = Partition(tuple(sorted(alpha.rows + beta.rows, reverse=True)))
-            chi_lam = character_value(lam, combined)
-            if not chi_lam:
-                continue
-            total += Fraction(
-                chi_lam * chi_mu, centralizer_order(alpha) * centralizer_order(beta)
-            )
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"character pairing returned {total}")
-    return int(total)
-
-
-def pieri_coefficient(mu: Partition, m: int, lam: Partition) -> int:
-    """1 iff lam\\mu is a horizontal strip of size m (no column holds two
-    skew nodes), else 0."""
-    sk = skew_classify(mu, lam)
-    if not sk.contained or sk.size != m:
-        return 0
-    return 0 if sk.has_column_pair else 1
+        weight = chi_mu * (order_n // centralizer_order(alpha))
+        for beta, size in betas:
+            chi_lam = _mn_character(lam, tuple(sorted(alpha + beta, reverse=True)))
+            if chi_lam:
+                total += chi_lam * weight * size
+    multiplicity, remainder = divmod(total, order_n * order_m)
+    if remainder or multiplicity < 0:
+        raise ArithmeticError(f"character pairing returned {Fraction(total, order_n * order_m)}")
+    return multiplicity
 
 
 def verify_branching(
@@ -508,15 +408,16 @@ def verify_branching(
     character_pairs = 0
     direct_pairs = 0
     for n in range(n_max + 1):
-        for mu in partitions_of(n, bounds):
-            for lam in partitions_of(n + 1, bounds):
-                expected = 1 if lam.contains(mu) else 0
+        for mu in partition_rows(n, bounds):
+            additions = set(grown_rows(mu))
+            for lam in partition_rows(n + 1, bounds):
+                expected = 1 if lam in additions else 0
                 by_characters = induction_multiplicity(mu, 1, lam, bounds)
                 character_pairs += 1
                 if by_characters != expected:
                     first_failure = {
                         "check": "character_branching",
-                        "pair": [str(mu), str(lam)],
+                        "pair": [format_partition(mu), format_partition(lam)],
                         "multiplicity": by_characters,
                         "expected": expected,
                     }
@@ -527,7 +428,7 @@ def verify_branching(
                     if by_idempotents != expected:
                         first_failure = {
                             "check": "direct_idempotent_rank",
-                            "pair": [str(mu), str(lam)],
+                            "pair": [format_partition(mu), format_partition(lam)],
                             "rank": by_idempotents,
                             "expected": expected,
                         }
@@ -566,7 +467,7 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
     symmetrizers_checked = 0
     for n in range(n_max + 1):
         centre = ClassSums(n, bounds)
-        blocks = [(mu, central_idempotent(mu, bounds)) for mu in partitions_of(n, bounds)]
+        blocks = [(mu, central_idempotent(mu, bounds)) for mu in partition_rows(n, bounds)]
         vectors = [centre.coefficients(e_mu) for _, e_mu in blocks]
         # the sum of the e_mu on the class sums, over one denominator
         total, total_denominator = [0] * len(centre.sizes), 1
@@ -575,11 +476,11 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
             v = vectors[index]
             if v is None:
                 check = "idempotent" if multiply(e_mu, e_mu) != e_mu else "central"
-                first_failure = {"check": check, "partition": str(mu)}
+                first_failure = {"check": check, "partition": format_partition(mu)}
                 break
             # (v/d)^2 = v/d with d the denominator of e_mu
             if centre.product(v, v) != [c * e_mu.denominator for c in v]:
-                first_failure = {"check": "idempotent", "partition": str(mu)}
+                first_failure = {"check": "idempotent", "partition": format_partition(mu)}
                 break
             denominator = lcm(total_denominator, e_mu.denominator)
             mine, theirs = denominator // total_denominator, denominator // e_mu.denominator
@@ -593,14 +494,20 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
                 else:
                     orthogonal = not any(centre.product(v, w))
                 if not orthogonal:
-                    first_failure = {"check": "orthogonal", "pair": [str(mu), str(nu)]}
+                    first_failure = {
+                        "check": "orthogonal",
+                        "pair": [format_partition(mu), format_partition(nu)],
+                    }
                     break
             if first_failure:
                 break
-            f_mu = young_symmetrizer(canonical_tableau(mu), bounds)
+            f_mu = young_symmetrizer(mu, bounds)
             symmetrizers_checked += 1
             if multiply(f_mu, f_mu) != f_mu:
-                first_failure = {"check": "symmetrizer_idempotent", "partition": str(mu)}
+                first_failure = {
+                    "check": "symmetrizer_idempotent",
+                    "partition": format_partition(mu),
+                }
                 break
         identity = [total_denominator if k == centre.identity else 0 for k in range(len(total))]
         if first_failure is None and total != identity:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from youngquiver import cli
+from youngquiver import cli, symgroup
 from youngquiver.cli import main
 from youngquiver.partitions import parse_partition, partitions_up_to
 
@@ -218,8 +218,8 @@ class TestVerifyCommand:
             raise AssertionError("the sweep started before checking its bounds")
 
         monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
-        monkeypatch.setattr(cli.symgroup, "central_idempotent", no_work)
-        monkeypatch.setattr(cli.symgroup, "induction_multiplicity", no_work)
+        monkeypatch.setattr(symgroup, "central_idempotent", no_work)
+        monkeypatch.setattr(symgroup, "induction_multiplicity", no_work)
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""

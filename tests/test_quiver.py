@@ -23,7 +23,7 @@ from youngquiver.quiver import (
     render,
 )
 from youngquiver.signs import arrow_sign
-from youngquiver.symgroup import induction_multiplicity, pieri_coefficient
+from youngquiver.symgroup import induction_multiplicity
 
 P = lambda *rows: Partition(tuple(rows))
 
@@ -57,10 +57,12 @@ class TestHomDimensions:
         assert hom_dim_Cprime_mod_J(P(1), P(1, 1, 1)) == 0
 
     def test_agrees_with_pieri_up_to_eight(self):
+        # the Pieri rule as a character pairing: the multiplicity of lam in
+        # the module induced from mu and the trivial module of the other nodes
         for lam in partitions_up_to(8):
             for mu in partitions_up_to(lam.size):
-                assert hom_dim_C(mu, lam) == pieri_coefficient(
-                    mu, lam.size - mu.size, lam
+                assert hom_dim_C(mu, lam) == induction_multiplicity(
+                    mu.rows, lam.size - mu.size, lam.rows
                 )
 
     def test_rook_strip_is_product_of_both_sides(self):
@@ -116,7 +118,7 @@ class TestQuiverSlice:
     def test_out_degree_matches_branching_multiplicities(self, n):
         for mu in partitions_of(n):
             branching = sum(
-                induction_multiplicity(mu, 1, lam) for lam in partitions_of(n + 1)
+                induction_multiplicity(mu.rows, 1, lam.rows) for lam in partitions_of(n + 1)
             )
             assert branching == len(addable_nodes(mu))
 

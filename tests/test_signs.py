@@ -125,7 +125,7 @@ class TestGrowthProcedure:
         from youngquiver.symgroup import specht_dimension
 
         for lam in partitions_up_to(5):
-            assert len(addition_orders(lam)) == specht_dimension(lam)
+            assert len(addition_orders(lam)) == specht_dimension(lam.rows)
 
     def test_sweep_certificate(self):
         cert = verify_growth_agreement(8)

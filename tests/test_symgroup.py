@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import factorial, gcd
@@ -8,30 +9,63 @@ from hypothesis import strategies as st
 
 from youngquiver import symgroup
 from youngquiver.config import BoundExceededError, Bounds
-from youngquiver.partitions import EMPTY, Partition, partitions_of
+from youngquiver.exactlinalg import IntMatrix, rank
+from youngquiver.partitions import (
+    Partition,
+    format_partition,
+    partition_rows,
+    partitions_of,
+    skew_classify,
+)
+from youngquiver.quiver import hom_dim_C
 from youngquiver.signs import addition_orders
 from youngquiver.symgroup import (
     ClassSums,
     GroupAlgebraElement,
-    Permutation,
-    Tableau,
     _cycle_lengths,
     _sign,
-    canonical_tableau,
     central_idempotent,
     centralizer_order,
     character_value,
     direct_hom_dimension,
     induction_multiplicity,
-    injection_bimodule,
     multiply,
-    pieri_coefficient,
     specht_dimension,
     verify_idempotent_system,
     young_symmetrizer,
 )
 
-P = lambda *rows: Partition(tuple(rows))
+P = lambda *rows: tuple(rows)
+EMPTY = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Permutation:
+    """One-line notation, images of 1..n, checked to be a bijection: the
+    oracle for the package's bare image tuples."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+
+def from_permutation(perm):
+    return GroupAlgebraElement(perm.n, {perm.images: 1})
+
+
+def fraction_terms(x):
+    """x's terms as ``Permutation -> Fraction``, read from its integer store."""
+    return {
+        Permutation(images): Fraction(c, x.denominator) for images, c in x.numerators.items()
+    }
 
 
 def all_permutations(n):
@@ -48,13 +82,123 @@ def inverse_images(a):
 
 
 def class_size(cycle_type):
-    return factorial(cycle_type.size) // centralizer_order(cycle_type)
+    return factorial(sum(cycle_type)) // centralizer_order(cycle_type)
 
 
 def image_tuples(max_n=6):
     return st.integers(min_value=0, max_value=max_n).flatmap(
         lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
     )
+
+
+@dataclass(frozen=True)
+class Tableau:
+    """Bijective filling of a shape with 1..n, stored as row tuples."""
+
+    shape: tuple[int, ...]
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        entries = tuple(tuple(row) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if tuple(len(row) for row in entries) != self.shape:
+            raise ValueError("entries do not match shape")
+        flat = sorted(v for row in entries for v in row)
+        if flat != list(range(1, sum(self.shape) + 1)):
+            raise ValueError("entries must be a bijective filling with 1..n")
+
+    def column(self, c: int) -> tuple[int, ...]:
+        return tuple(row[c - 1] for row in self.entries if len(row) >= c)
+
+
+def canonical_tableau(shape):
+    """Row-by-row filling, top to bottom and left to right; always standard."""
+    entries = []
+    counter = 1
+    for length in shape:
+        entries.append(tuple(range(counter, counter + length)))
+        counter += length
+    return Tableau(shape, tuple(entries))
+
+
+def tableau_symmetrizer(tableau):
+    """Row symmetrizer times signed column symmetrizer of a tableau,
+    normalized by dim/n!: the oracle for ``young_symmetrizer``."""
+    n = sum(tableau.shape)
+    rows = tableau.entries
+    cols = tuple(tableau.column(c) for c in range(1, (tableau.shape or (0,))[0] + 1))
+    row_sum = GroupAlgebraElement(n, {g: 1 for g in symgroup._block_stabilizer(rows, n)})
+    col_sum = GroupAlgebraElement(
+        n, {g: _sign(g) for g in symgroup._block_stabilizer(cols, n)}
+    )
+    return multiply(row_sum, col_sum).scale(
+        Fraction(specht_dimension(tableau.shape), factorial(n))
+    )
+
+
+def injection_bimodule(n, m):
+    """Basis of the bimodule realizing injections n -> n+m inside C[S_{n+m}].
+
+    One basis element per injection: the sum over all permutations extending
+    it (the coset sum over the subgroup fixing 1..n pointwise, which does not
+    depend on the coset representative).  Basis size is (n+m)!/m!.
+    """
+    total = n + m
+    values = range(1, total + 1)
+    basis = []
+    for image in iter_permutations(values, n):
+        rest = sorted(set(values) - set(image))
+        basis.append(
+            GroupAlgebraElement(
+                total, {image + completion: 1 for completion in iter_permutations(rest)}
+            )
+        )
+    return basis
+
+
+def bimodule_hom_dimension(mu, lam):
+    """Rank of the span of e_lam * b * e_mu over the injection bimodule
+    basis, with symmetrizers of canonical tableaux: the oracle for
+    ``direct_hom_dimension``."""
+    n = sum(mu)
+    e_lam = tableau_symmetrizer(canonical_tableau(lam))
+    e_mu = tableau_symmetrizer(canonical_tableau(mu)).embed(n + 1)
+    group_order = list(iter_permutations(range(1, n + 2)))
+    rows = []
+    for element in injection_bimodule(n, 1):
+        numerators = multiply(multiply(e_lam, element), e_mu).numerators
+        rows.append([numerators.get(images, 0) for images in group_order])
+    return rank(IntMatrix.from_rows(rows, len(group_order)))
+
+
+def fraction_pairing(mu, m, lam):
+    """The character pairing as a Fraction sum over Partitions built per
+    cycle-type pair: the oracle for ``induction_multiplicity``."""
+    mu, lam = Partition(mu), Partition(lam)
+    total = Fraction(0)
+    for alpha in partitions_of(mu.size):
+        chi_mu = character_value(mu.rows, alpha.rows)
+        if not chi_mu:
+            continue
+        for beta in partitions_of(m):
+            combined = Partition(tuple(sorted(alpha.rows + beta.rows, reverse=True)))
+            chi_lam = character_value(lam.rows, combined.rows)
+            if not chi_lam:
+                continue
+            total += Fraction(
+                chi_lam * chi_mu, centralizer_order(alpha.rows) * centralizer_order(beta.rows)
+            )
+    assert total.denominator == 1 and total >= 0, total
+    return int(total)
+
+
+def pieri_coefficient(mu, m, lam):
+    """1 iff lam\\mu is a horizontal strip of size m (no column holds two
+    skew nodes), else 0."""
+    sk = skew_classify(Partition(mu), Partition(lam))
+    if not sk.contained or sk.size != m:
+        return 0
+    return 0 if sk.has_column_pair else 1
 
 
 class TestPermutation:
@@ -67,7 +211,7 @@ class TestPermutation:
         a = Permutation((2, 1, 3))  # swaps 1,2
         b = Permutation((3, 2, 1))  # swaps 1,3
         product = multiply(
-            GroupAlgebraElement.from_permutation(a), GroupAlgebraElement.from_permutation(b)
+            from_permutation(a), from_permutation(b)
         )
         assert product.numerators == {(3, 1, 2): 1}
 
@@ -89,7 +233,7 @@ class TestPermutation:
 
 def brute_force_standard_fillings(shape):
     """Fill cells with 1..n in every order and keep the monotone ones."""
-    cells = [(r, c) for r, length in enumerate(shape.rows) for c in range(length)]
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
     n = len(cells)
     fillings = []
     for perm in iter_permutations(range(1, n + 1)):
@@ -103,7 +247,7 @@ def brute_force_standard_fillings(shape):
             fillings.append(
                 tuple(
                     tuple(grid[(r, c)] for c in range(length))
-                    for r, length in enumerate(shape.rows)
+                    for r, length in enumerate(shape)
                 )
             )
     return sorted(fillings)
@@ -112,8 +256,8 @@ def brute_force_standard_fillings(shape):
 def fillings_by_addition_orders(shape):
     """A second count: the k-th node added to grow ``shape`` gets entry k."""
     fillings = []
-    for order in addition_orders(shape):
-        grid = [[0] * length for length in shape.rows]
+    for order in addition_orders(Partition(shape)):
+        grid = [[0] * length for length in shape]
         for k, node in enumerate(order, start=1):
             grid[node.row - 1][node.col - 1] = k
         fillings.append(tuple(tuple(row) for row in grid))
@@ -146,7 +290,7 @@ class TestTableaux:
 
 class TestCharacters:
     def test_trivial_representation(self):
-        for c in partitions_of(5):
+        for c in partition_rows(5):
             assert character_value(P(5), c) == 1
 
     def test_sign_at_transposition(self):
@@ -154,8 +298,8 @@ class TestCharacters:
 
     def test_standard_rep_of_s3(self):
         # independent oracle: the (2,1)-character equals fixed points minus 1
-        for c in partitions_of(3):
-            fixed = c.rows.count(1)
+        for c in partition_rows(3):
+            fixed = c.count(1)
             assert character_value(P(2, 1), c) == fixed - 1
 
     def test_size_mismatch(self):
@@ -164,7 +308,7 @@ class TestCharacters:
 
     @pytest.mark.parametrize("n", range(7))
     def test_column_orthogonality(self, n):
-        parts = partitions_of(n)
+        parts = partition_rows(n)
         for c1 in parts:
             for c2 in parts:
                 total = sum(
@@ -175,26 +319,26 @@ class TestCharacters:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dimension_three_ways(self, n):
         identity_type = P(*([1] * n))
-        for lam in partitions_of(n):
+        for lam in partition_rows(n):
             by_character = character_value(lam, identity_type)
             by_hooks = specht_dimension(lam)
             assert by_character == by_hooks
-            assert by_hooks == len(addition_orders(lam))
+            assert by_hooks == len(addition_orders(Partition(lam)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_class_sizes_sum_to_group_order(self, n):
-        assert sum(class_size(c) for c in partitions_of(n)) == factorial(n)
+        assert sum(class_size(c) for c in partition_rows(n)) == factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_row_orthogonality(self, n):
         # the other orthogonality relation: summing over classes, not characters
-        for mu in partitions_of(n):
-            for nu in partitions_of(n):
+        for mu in partition_rows(n):
+            for nu in partition_rows(n):
                 total = sum(
                     class_size(c)
                     * character_value(mu, c)
                     * character_value(nu, c)
-                    for c in partitions_of(n)
+                    for c in partition_rows(n)
                 )
                 assert total == (factorial(n) if mu == nu else 0)
 
@@ -205,18 +349,18 @@ class TestCentralIdempotents:
 
     def test_s2_by_hand(self):
         half = Fraction(1, 2)
-        assert central_idempotent(P(2)).terms == {
+        assert fraction_terms(central_idempotent(P(2))) == {
             Permutation((1, 2)): half,
             Permutation((2, 1)): half,
         }
-        assert central_idempotent(P(1, 1)).terms == {
+        assert fraction_terms(central_idempotent(P(1, 1))) == {
             Permutation((1, 2)): half,
             Permutation((2, 1)): -half,
         }
 
     @pytest.mark.parametrize("n", range(5))
     def test_idempotent_system(self, n):
-        blocks = [central_idempotent(mu) for mu in partitions_of(n)]
+        blocks = [central_idempotent(mu) for mu in partition_rows(n)]
         total = GroupAlgebraElement.zero(n)
         for i, e in enumerate(blocks):
             total = total + e
@@ -225,18 +369,18 @@ class TestCentralIdempotents:
                 if i != j:
                     assert multiply(e, f).is_zero()
             for g in all_permutations(n):
-                g_elem = GroupAlgebraElement.from_permutation(g)
+                g_elem = from_permutation(g)
                 assert multiply(e, g_elem) == multiply(g_elem, e)
         assert total == GroupAlgebraElement.one(n)
 
     @pytest.mark.parametrize("n", range(7))
     def test_numerators_match_the_per_permutation_formula(self, n):
         # dim * chi(cycle type), recomputed for every permutation
-        for mu in partitions_of(n):
+        for mu in partition_rows(n):
             dim = symgroup.specht_dimension(mu)
             numerators = {}
             for images in iter_permutations(range(1, n + 1)):
-                chi = symgroup._mn_character(mu.rows, _cycle_lengths(images))
+                chi = symgroup._mn_character(mu, _cycle_lengths(images))
                 if chi:
                     numerators[images] = dim * chi
             expected = GroupAlgebraElement(n, numerators, factorial(n))
@@ -249,7 +393,7 @@ class TestCentralIdempotents:
             types = symgroup._cycle_types(n)
             assert [images for images, _ in types] == list(iter_permutations(range(1, n + 1)))
             assert all(cycles == _cycle_lengths(images) for images, cycles in types)
-            number = {mu.rows: k for k, mu in enumerate(partitions_of(n))}
+            number = {mu: k for k, mu in enumerate(partition_rows(n))}
             class_of = ClassSums(n).class_of
             assert class_of == {images: number[cycles] for images, cycles in types}
 
@@ -266,14 +410,14 @@ class TestYoungSymmetrizers:
             Permutation((1, 2)): Fraction(1, 2),
             Permutation((2, 1)): Fraction(1, 2),
         }
-        assert young_symmetrizer(canonical_tableau(P(2))).terms == expected
+        assert fraction_terms(young_symmetrizer(P(2))) == expected
 
     def test_column_shape(self):
         expected = {
             Permutation((1, 2)): Fraction(1, 2),
             Permutation((2, 1)): -Fraction(1, 2),
         }
-        assert young_symmetrizer(canonical_tableau(P(1, 1))).terms == expected
+        assert fraction_terms(young_symmetrizer(P(1, 1))) == expected
 
     def test_hook_shape_expansion(self):
         # (1/3)(id + (12))(id - (13)) expanded with an independent composer
@@ -287,13 +431,22 @@ class TestYoungSymmetrizers:
             Permutation(swap13): -third,
             Permutation(compose_images(swap12, swap13)): -third,
         }
-        assert young_symmetrizer(canonical_tableau(P(2, 1))).terms == expected
+        assert fraction_terms(young_symmetrizer(P(2, 1))) == expected
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_idempotency(self, n):
-        for mu in partitions_of(n):
-            e = young_symmetrizer(canonical_tableau(mu))
+        for mu in partition_rows(n):
+            e = young_symmetrizer(mu)
             assert multiply(e, e) == e
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_canonical_tableau(self, n):
+        for mu in partition_rows(n):
+            assert young_symmetrizer(mu) == tableau_symmetrizer(canonical_tableau(mu))
+
+    def test_bound(self):
+        with pytest.raises(BoundExceededError, match="group degree 7 exceeds configured bound 6"):
+            young_symmetrizer(P(4, 3))
 
 
 class TestMultiply:
@@ -302,7 +455,7 @@ class TestMultiply:
         assert multiply(GroupAlgebraElement.one(3), x) == x
 
     def test_transposition_squares_to_identity(self):
-        swap = GroupAlgebraElement.from_permutation(Permutation((2, 1)))
+        swap = from_permutation(Permutation((2, 1)))
         assert multiply(swap, swap) == GroupAlgebraElement.one(2)
 
     def test_orthogonal_idempotents(self):
@@ -314,8 +467,8 @@ class TestMultiply:
 
     def test_associativity_spot_check(self):
         a = central_idempotent(P(2, 1))
-        b = GroupAlgebraElement.from_permutation(Permutation((2, 3, 1)))
-        c = young_symmetrizer(canonical_tableau(P(2, 1)))
+        b = from_permutation(Permutation((2, 3, 1)))
+        c = young_symmetrizer(P(2, 1))
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
@@ -358,7 +511,7 @@ class TestIntegerKernel:
         (a, a_terms), (b, b_terms) = pair
         expected = slow_multiply(a_terms, b_terms)
         product = multiply(a, b)
-        assert product.terms == expected
+        assert fraction_terms(product) == expected
         assert len(product.terms) == len(expected)
         # nonzero integers over a positive denominator in lowest terms
         assert product.denominator > 0
@@ -371,10 +524,10 @@ class TestIntegerKernel:
         zero = GroupAlgebraElement.zero(a.degree)
         assert multiply(a, b + b.scale(-1)) == zero
         assert multiply(a, b) + multiply(a, b.scale(-1)) == zero
-        assert a.terms == a_terms and b.terms == b_terms
+        assert fraction_terms(a) == a_terms and fraction_terms(b) == b_terms
 
     def test_cancelling_products(self):
-        swap = GroupAlgebraElement.from_permutation(Permutation((2, 1, 3)))
+        swap = from_permutation(Permutation((2, 1, 3)))
         one = GroupAlgebraElement.one(3)
         product = multiply(one + swap.scale(-1), one + swap)
         assert product.is_zero()
@@ -393,15 +546,15 @@ class TestIntegerKernel:
     def test_built_two_ways(self):
         swap = Permutation((2, 1))
         one = GroupAlgebraElement.one(2)
-        by_sum = (one + GroupAlgebraElement.from_permutation(swap)).scale(Fraction(1, 2))
+        by_sum = (one + from_permutation(swap)).scale(Fraction(1, 2))
         by_numerators = GroupAlgebraElement(2, {(1, 2): 2, (2, 1): 2}, 4)
         assert central_idempotent(P(2)) == by_sum == by_numerators
-        assert young_symmetrizer(canonical_tableau(P(2))) == by_sum
-        assert by_numerators.terms[swap] == Fraction(1, 2)
+        assert young_symmetrizer(P(2)) == by_sum
+        assert fraction_terms(by_numerators)[swap] == Fraction(1, 2)
 
     def test_embed_fixes_new_points(self):
         x = central_idempotent(P(1, 1)).embed(3)
-        assert x.terms == {
+        assert fraction_terms(x) == {
             Permutation((1, 2, 3)): Fraction(1, 2),
             Permutation((2, 1, 3)): Fraction(-1, 2),
         }
@@ -412,7 +565,7 @@ class TestIntegerKernel:
 def commutes_with_every_permutation(x):
     return all(
         multiply(x, g) == multiply(g, x)
-        for g in map(GroupAlgebraElement.from_permutation, all_permutations(x.degree))
+        for g in map(from_permutation, all_permutations(x.degree))
     )
 
 
@@ -432,7 +585,7 @@ def commutes_with_generators(x):
     with a generating set means commuting with the whole group."""
     return all(
         multiply(x, g) == multiply(g, x)
-        for g in map(GroupAlgebraElement.from_permutation, generating_set(x.degree))
+        for g in map(from_permutation, generating_set(x.degree))
     )
 
 
@@ -448,27 +601,33 @@ def slow_idempotent_sweep(n_max):
     first_failure = None
     counts = {"idempotents_checked": 0, "symmetrizers_checked": 0}
     for n in range(n_max + 1):
-        blocks = [(mu, symgroup.central_idempotent(mu, Bounds())) for mu in partitions_of(n)]
+        blocks = [(mu, symgroup.central_idempotent(mu, Bounds())) for mu in partition_rows(n)]
         total = GroupAlgebraElement.zero(n)
         for index, (mu, e_mu) in enumerate(blocks):
             counts["idempotents_checked"] += 1
             total = total + e_mu
             if multiply(e_mu, e_mu) != e_mu:
-                first_failure = {"check": "idempotent", "partition": str(mu)}
+                first_failure = {"check": "idempotent", "partition": format_partition(mu)}
                 break
             if not commutes_with_generators(e_mu):
-                first_failure = {"check": "central", "partition": str(mu)}
+                first_failure = {"check": "central", "partition": format_partition(mu)}
                 break
             for nu, e_nu in blocks[index + 1 :]:
                 if not multiply(e_mu, e_nu).is_zero():
-                    first_failure = {"check": "orthogonal", "pair": [str(mu), str(nu)]}
+                    first_failure = {
+                        "check": "orthogonal",
+                        "pair": [format_partition(mu), format_partition(nu)],
+                    }
                     break
             if first_failure:
                 break
-            f_mu = symgroup.young_symmetrizer(canonical_tableau(mu), Bounds())
+            f_mu = symgroup.young_symmetrizer(mu, Bounds())
             counts["symmetrizers_checked"] += 1
             if multiply(f_mu, f_mu) != f_mu:
-                first_failure = {"check": "symmetrizer_idempotent", "partition": str(mu)}
+                first_failure = {
+                    "check": "symmetrizer_idempotent",
+                    "partition": format_partition(mu),
+                }
                 break
         if first_failure is None and total != GroupAlgebraElement.one(n):
             first_failure = {"check": "sum_to_identity", "degree": n}
@@ -483,7 +642,7 @@ def class_sum(n, cycle_type):
         {
             images: 1
             for images in iter_permutations(range(1, n + 1))
-            if _cycle_lengths(images) == cycle_type.rows
+            if _cycle_lengths(images) == cycle_type
         },
     )
 
@@ -492,7 +651,7 @@ class TestClassSums:
     @pytest.mark.parametrize("n", range(6))
     def test_constants_match_products_of_class_sums(self, n):
         centre = ClassSums(n)
-        sums = [class_sum(n, c) for c in partitions_of(n)]
+        sums = [class_sum(n, c) for c in partition_rows(n)]
         for i, a in enumerate(sums):
             for j, b in enumerate(sums):
                 left = [int(k == i) for k in range(len(sums))]
@@ -502,7 +661,7 @@ class TestClassSums:
     @pytest.mark.parametrize("n", range(8))
     def test_constants_match_frobenius_formula(self, n):
         # c_ijk = |C_i| |C_j| / n! * sum over chi of chi(C_i) chi(C_j) chi(C_k) / chi(1)
-        types = partitions_of(n)
+        types = partition_rows(n)
         centre = ClassSums(n, Bounds(max_group_degree=7))
         assert centre.sizes == [class_size(c) for c in types]
         found = {(i, j, k): c for (i, j), terms in centre.constants.items() for k, c in terms}
@@ -525,7 +684,7 @@ class TestClassSums:
     @pytest.mark.parametrize("n", range(5))
     def test_products_of_central_idempotents(self, n):
         centre = ClassSums(n)
-        blocks = [central_idempotent(mu) for mu in partitions_of(n)]
+        blocks = [central_idempotent(mu) for mu in partition_rows(n)]
         for e in blocks:
             for f in blocks:
                 by_classes = centre.product(centre.coefficients(e), centre.coefficients(f))
@@ -558,8 +717,8 @@ class TestCentralityByGenerators:
     @pytest.mark.parametrize("n", range(6))
     def test_agrees_with_all_permutations(self, n):
         non_central = 0
-        for mu in partitions_of(n):
-            for x in (central_idempotent(mu), young_symmetrizer(canonical_tableau(mu))):
+        for mu in partition_rows(n):
+            for x in (central_idempotent(mu), young_symmetrizer(mu)):
                 expected = commutes_with_every_permutation(x)
                 assert is_central(x) == commutes_with_generators(x) == expected
                 non_central += not expected
@@ -571,7 +730,7 @@ class TestCentralityByGenerators:
         # (1 2) commutes with itself but not with (1 2 ... n) once n >= 3,
         # and an n-cycle the other way round
         for g in all_permutations(n):
-            x = GroupAlgebraElement.from_permutation(g)
+            x = from_permutation(g)
             assert is_central(x) == commutes_with_generators(x)
             assert is_central(x) == commutes_with_every_permutation(x)
 
@@ -580,7 +739,7 @@ class TestCentralityByGenerators:
         # a class sum is central; removing one of its terms, or changing
         # the coefficient of one, leaves a non-central element unless the
         # class has a single element
-        for c in partitions_of(n):
+        for c in partition_rows(n):
             x = class_sum(n, c)
             assert is_central(x) and commutes_with_every_permutation(x)
             last = next(reversed(x.numerators))
@@ -601,7 +760,7 @@ class TestCentralityByGenerators:
         monkeypatch.setattr(
             symgroup,
             "central_idempotent",
-            lambda mu, bounds: young_symmetrizer(canonical_tableau(mu), bounds),
+            lambda mu, bounds: young_symmetrizer(mu, bounds),
         )
         certificate = verify_idempotent_system(3)
         assert certificate.verdict == "fail"
@@ -633,7 +792,7 @@ class TestCentralityByGenerators:
             # neither central nor idempotent: idempotence is reported first
             (P(2, 1), lambda e, f: f.scale(2), {"check": "idempotent", "partition": "2,1"}),
             # a non-central later factor that overlaps e_(2,1)
-            (P(1, 1, 1), lambda e, f: young_symmetrizer(canonical_tableau(P(2, 1))),
+            (P(1, 1, 1), lambda e, f: young_symmetrizer(P(2, 1)),
              {"check": "orthogonal", "pair": ["2,1", "1,1,1"]}),
             # a missing block: every check passes but the sum
             (P(1, 1, 1), lambda e, f: e.scale(0), {"check": "sum_to_identity", "degree": 3}),
@@ -648,7 +807,7 @@ class TestCentralityByGenerators:
             e = original(mu, bounds)
             if mu != replaced:
                 return e
-            return replacement(e, young_symmetrizer(canonical_tableau(mu), bounds))
+            return replacement(e, young_symmetrizer(mu, bounds))
 
         monkeypatch.setattr(symgroup, "central_idempotent", mutant)
         for n in (3, 4):
@@ -667,7 +826,7 @@ class TestInjectionBimodule:
     def test_everything_added(self):
         (element,) = injection_bimodule(0, 3)
         assert len(element.terms) == factorial(3)
-        assert all(c == 1 for c in element.terms.values())
+        assert all(c == 1 for c in fraction_terms(element).values())
 
     def test_one_into_two(self):
         basis = injection_bimodule(1, 1)
@@ -684,7 +843,7 @@ class TestInjectionBimodule:
         # right-multiplying a basis element by the added-point subgroup
         # permutes its terms, so the sum is fixed
         basis = injection_bimodule(2, 2)
-        swap_added = GroupAlgebraElement.from_permutation(Permutation((1, 2, 4, 3)))
+        swap_added = from_permutation(Permutation((1, 2, 4, 3)))
         for element in basis:
             assert multiply(element, swap_added) == element
 
@@ -710,9 +869,17 @@ class TestDirectHomDimension:
 
     @pytest.mark.parametrize("n", range(4))
     def test_matches_character_oracle(self, n):
-        for mu in partitions_of(n):
-            for lam in partitions_of(n + 1):
+        for mu in partition_rows(n):
+            for lam in partition_rows(n + 1):
                 assert direct_hom_dimension(mu, lam) == induction_multiplicity(mu, 1, lam)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_matches_the_bimodule_oracle(self, n):
+        # one permutation per injection, against the coset sums of canonical
+        # tableau symmetrizers
+        for mu in partition_rows(n):
+            for lam in partition_rows(n + 1):
+                assert direct_hom_dimension(mu, lam) == bimodule_hom_dimension(mu, lam)
 
 
 class TestBranchingBounds:
@@ -723,6 +890,39 @@ class TestBranchingBounds:
         monkeypatch.setattr(symgroup, "induction_multiplicity", no_work)
         with pytest.raises(BoundExceededError, match="group degree 7 exceeds configured bound 6"):
             symgroup.verify_branching(6, 6, Bounds(max_direct_hom_degree=6))
+
+
+class TestBranchingLocators:
+    def test_character_branching_locator(self, monkeypatch):
+        original = symgroup.induction_multiplicity
+
+        def mutant(mu, m, lam, bounds):
+            return 0 if (mu, lam) == (P(2), P(2, 1)) else original(mu, m, lam, bounds)
+
+        monkeypatch.setattr(symgroup, "induction_multiplicity", mutant)
+        certificate = symgroup.verify_branching(3, 2)
+        assert certificate.verdict == "fail"
+        assert certificate.first_failure == {
+            "check": "character_branching",
+            "pair": ["2", "2,1"],
+            "multiplicity": 0,
+            "expected": 1,
+        }
+        assert certificate.counts == {"character_pairs": 5, "direct_pairs": 4}
+
+    def test_direct_idempotent_rank_locator(self, monkeypatch):
+        # central idempotents in place of Young symmetrizers: e_(2,1) g e_(2)
+        # then spans the two-dimensional (2,1)-isotypic part fixed by S_2
+        monkeypatch.setattr(symgroup, "young_symmetrizer", central_idempotent)
+        certificate = symgroup.verify_branching(3, 2)
+        assert certificate.verdict == "fail"
+        assert certificate.first_failure == {
+            "check": "direct_idempotent_rank",
+            "pair": ["2", "2,1"],
+            "rank": 2,
+            "expected": 1,
+        }
+        assert certificate.counts == {"character_pairs": 5, "direct_pairs": 5}
 
 
 class TestInductionMultiplicity:
@@ -755,9 +955,23 @@ class TestInductionMultiplicity:
 
     @pytest.mark.parametrize("n,m", [(0, 1), (1, 2), (2, 2), (3, 2), (3, 3)])
     def test_agrees_with_pieri_rule(self, n, m):
-        for mu in partitions_of(n):
-            for lam in partitions_of(n + m):
+        for mu in partition_rows(n):
+            for lam in partition_rows(n + m):
                 assert induction_multiplicity(mu, m, lam) == pieri_coefficient(mu, m, lam)
+
+    @pytest.mark.parametrize("size", range(10))
+    def test_matches_the_fraction_pairing(self, size):
+        # every (mu, m, lam) with |lam| = size
+        for lam in partition_rows(size):
+            for m in range(size + 1):
+                for mu in partition_rows(size - m):
+                    assert induction_multiplicity(mu, m, lam) == fraction_pairing(mu, m, lam)
+
+    def test_non_integer_pairing_is_an_arithmetic_error(self, monkeypatch):
+        # with the identity class of S_2 left out, half of the pairing is left
+        monkeypatch.setattr(symgroup, "partition_rows", lambda n, bounds: ((n,),) if n else ((),))
+        with pytest.raises(ArithmeticError, match=r"^character pairing returned 1/2$"):
+            induction_multiplicity(P(1, 1), 0, P(1, 1))
 
 
 class TestPieri:
@@ -773,6 +987,14 @@ class TestPieri:
     def test_wrong_size_or_not_contained(self):
         assert pieri_coefficient(P(2), 1, P(2, 2)) == 0
         assert pieri_coefficient(P(2), 2, P(1, 1, 1, 1)) == 0
+
+    def test_hom_dim_C_is_the_rule_at_its_size(self):
+        # table pieri reads hom_dim_C on the lam of size |mu| + m
+        for size in range(9):
+            for lam in partitions_of(size):
+                for m in range(size + 1):
+                    for mu in partitions_of(size - m):
+                        assert hom_dim_C(mu, lam) == pieri_coefficient(mu.rows, m, lam.rows)
 
 
 def test_bench_gate_counts():
