@@ -29,15 +29,17 @@ class Bounds:
     # on 2 shared vCPUs (Python 3.11)
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
-    # verify idempotents --n 6 takes 0.65-1.05 s and --n 7 35-40 s on 2
+    # verify idempotents --n 6 takes 0.6-0.9 s and --n 7 35-40 s on 2
     # shared vCPUs (Python 3.11), almost all of it Young symmetrizer products
     max_group_degree: int = 6
-    # idempotent-rank computations happen inside C[S_{n+1}]; about 3 s of
-    # verify morita --n 11 --direct-n 4 is the 59 direct ranks up to degree 4
+    # idempotent-rank computations happen inside C[S_{n+1}], one product per
+    # (C_lam, R_mu) double coset; the 59 direct ranks up to degree 4 take
+    # 0.6-0.8 s.  --direct-n 5 takes 59-72 s, 26 s of it the pair
+    # (1,1,1,1,1) -> (6), whose 720 double cosets are single permutations
     max_direct_hom_degree: int = 4
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
-    # --direct-n 4, the slowest input the bounds admit, takes 3.6-4.3 s on 2
-    # shared vCPUs (Python 3.11), 1.1 s of it the 9,215 pairings
+    # --direct-n 4 takes 0.9-1.5 s on 2 shared vCPUs (Python 3.11), 0.7 s
+    # of it the 9,215 pairings
     max_induction_degree: int = 12
     # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
     # bounds admit, takes 0.8-1.1 s on 2 shared vCPUs (Python 3.11)

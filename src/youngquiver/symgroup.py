@@ -8,14 +8,19 @@ stored as integer numerators keyed by image tuples over one common
 denominator; a product composes the tuples directly and sums integers.
 Characters come from the Murnaghan-Nakayama recursion on border strips,
 centrally primitive idempotents from the character formula, and Young
-symmetrizers from the row/column groups of a shape filled row by row.  An
-element is central exactly when its coefficients are constant on each
-conjugacy class, which one scan over its terms decides; central elements are
-then multiplied in the basis of class sums by the class multiplication
-constants, not in the group algebra.  Induction multiplicities are integer
-character pairings over cycle-type pairs weighted by class sizes, divided
-exactly by the group order once at the end, which keeps them feasible well
-past the point where summing over group elements would blow up.
+symmetrizers e = k·R·C from the row group R and column group C of a shape
+filled row by row.  A direct rank uses r·e_mu = e_mu and e_lam·c =
+sgn(c)·e_lam: it computes e_lam·g·e_mu once per (C_lam, R_mu) double coset
+and fills the rest of the coset by sign, after checking both symmetries on
+generators; ``multiply`` stays the one general product and the tests'
+oracle.  An element is central exactly when its coefficients are constant
+on each conjugacy class, which one scan over its terms decides; central
+elements are then multiplied in the basis of class sums by the class
+multiplication constants, not in the group algebra.  Induction
+multiplicities are integer character pairings over cycle-type pairs
+weighted by class sizes, divided exactly by the group order once at the
+end, which keeps them feasible well past the point where summing over group
+elements would blow up.
 
 These are the brute-force ground truth against which the combinatorial
 quiver description is checked.
@@ -211,6 +216,7 @@ def specht_dimension(lam: Rows) -> int:
     return factorial(sum(lam)) // denominator
 
 
+@cache
 def centralizer_order(cycle_type: Rows) -> int:
     counts: dict[int, int] = {}
     for part in cycle_type:
@@ -307,6 +313,14 @@ class ClassSums:
         return acc
 
 
+def _composer(q: tuple[int, ...]):
+    """p -> pq, p's images read at q's images (the identity map below
+    degree 2, where the group is trivial)."""
+    if len(q) < 2:
+        return lambda p: p
+    return itemgetter(*[j - 1 for j in q])
+
+
 def _block_stabilizer(blocks: list[tuple[int, ...]], n: int):
     """Image tuples of the permutations preserving each block setwise."""
     for arrangements in product(*map(iter_permutations, blocks)):
@@ -317,17 +331,43 @@ def _block_stabilizer(blocks: list[tuple[int, ...]], n: int):
         yield tuple(images[1:])
 
 
-def young_symmetrizer(shape: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
-    """Row symmetrizer times signed column symmetrizer of ``shape`` filled
-    with 1..n row by row, top to bottom and left to right (a standard
-    filling), normalized by dim/n! so the result is a genuine idempotent."""
-    n = sum(shape)
-    check_bound(n, bounds.max_group_degree, "group degree")
+@cache
+def _filling(shape: Rows) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
+    """Row blocks and column blocks of ``shape`` filled with 1..n row by
+    row, top to bottom and left to right (a standard filling).  Their
+    stabilizers are the row group R and the column group C."""
     rows, start = [], 1
     for length in shape:
         rows.append(tuple(range(start, start + length)))
         start += length
-    cols = [tuple(row[c] for row in rows if len(row) > c) for c in range(shape[0] if shape else 0)]
+    width = shape[0] if shape else 0
+    cols = tuple(tuple(row[c] for row in rows if len(row) > c) for c in range(width))
+    return tuple(rows), cols
+
+
+def _has_block_symmetry(x: GroupAlgebraElement, blocks, sign: int, left: bool) -> bool:
+    """Whether t·x (``left``) or x·t equals sign·x for each transposition t
+    of two adjacent entries of a block.  These t generate the block
+    stabilizer, so then r·x = x for every r in it (left, sign 1), or
+    x·c = sgn(c)·x for every c in it (right, sign -1)."""
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            t = list(range(1, x.degree + 1))
+            t[a - 1], t[b - 1] = b, a
+            t = tuple(t)
+            relabel = (lambda p: _composer(p)(t)) if left else _composer(t)
+            if {relabel(p): sign * c for p, c in x.numerators.items()} != x.numerators:
+                return False
+    return True
+
+
+def young_symmetrizer(shape: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
+    """Row symmetrizer times signed column symmetrizer of ``shape``'s
+    standard filling (``_filling``), normalized by dim/n! so the result is
+    a genuine idempotent."""
+    n = sum(shape)
+    check_bound(n, bounds.max_group_degree, "group degree")
+    rows, cols = _filling(shape)
     row_sum = GroupAlgebraElement(n, {images: 1 for images in _block_stabilizer(rows, n)})
     col_sum = GroupAlgebraElement(
         n, {images: _sign(images) for images in _block_stabilizer(cols, n)}
@@ -340,20 +380,42 @@ def direct_hom_dimension(mu: Rows, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -
     S_{n+1}, computed with exact arithmetic.  Every injection n -> n+1
     extends to exactly one permutation, so the g are the injection bimodule
     basis, and this is the degree-one hom dimension measured directly on
-    idempotents, with no combinatorics."""
+    idempotents, with no combinatorics.
+
+    For c in lam's column group and r in mu's row group, e_lam·c =
+    sgn(c)·e_lam and r·e_mu = e_mu, so the row of c·g·r is sgn(c) times the
+    row of g: one product per double coset gives every row.  Both
+    symmetries are checked on generators first, and a side that fails its
+    check shares no rows."""
     n = sum(mu)
     if sum(lam) != n + 1:
         raise ValueError("target must have exactly one more node than source")
     check_bound(n, bounds.max_direct_hom_degree, "direct hom degree")
     e_lam = young_symmetrizer(lam, bounds)
     e_mu = young_symmetrizer(mu, bounds).embed(n + 1)
-    group_order = list(iter_permutations(range(1, n + 2)))
-    rows = []
+    identity = tuple(range(1, n + 2))
+    lam_cols, mu_rows = _filling(lam)[1], _filling(mu)[0]
+    columns = [(identity, 1)]
+    if _has_block_symmetry(e_lam, lam_cols, -1, left=False):
+        columns = [(c, _sign(c)) for c in _block_stabilizer(lam_cols, n + 1)]
+    row_group = [_composer(identity)]
+    if _has_block_symmetry(e_mu, mu_rows, 1, left=True):
+        row_group = [_composer(r) for r in _block_stabilizer(mu_rows, n + 1)]
+    group_order = list(iter_permutations(identity))
+    rows: dict[tuple[int, ...], list[int]] = {}
     for g in group_order:
+        if g in rows:
+            continue
         # numerators only: scaling a row by its denominator keeps the rank
         numerators = multiply(multiply(e_lam, GroupAlgebraElement(n + 1, {g: 1})), e_mu).numerators
-        rows.append([numerators.get(images, 0) for images in group_order])
-    return rank(IntMatrix.from_rows(rows, len(group_order)))
+        row = [numerators.get(images, 0) for images in group_order]
+        signed = {1: row, -1: [-v for v in row]}
+        times_g = _composer(g)
+        for c, sign in columns:
+            cg = times_g(c)
+            for times_r in row_group:
+                rows.setdefault(times_r(cg), signed[sign])
+    return rank(IntMatrix.from_rows([rows[g] for g in group_order], len(group_order)))
 
 
 def induction_multiplicity(mu: Rows, m: int, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> int:
@@ -444,8 +506,8 @@ def verify_branching(
         counts={"character_pairs": character_pairs, "direct_pairs": direct_pairs},
         first_failure=first_failure,
         details={
-            "transversal": "injection bimodule basis uses coset sums over the "
-            "subgroup fixing 1..n pointwise (representative independent)"
+            "transversal": "injection bimodule basis is the permutations of S_{n+1}; "
+            "one product per (C_lam, R_mu) double coset"
         },
     )
 

@@ -23,6 +23,8 @@ from youngquiver.symgroup import (
     ClassSums,
     GroupAlgebraElement,
     _cycle_lengths,
+    _filling,
+    _has_block_symmetry,
     _sign,
     central_idempotent,
     centralizer_order,
@@ -169,6 +171,54 @@ def bimodule_hom_dimension(mu, lam):
         numerators = multiply(multiply(e_lam, element), e_mu).numerators
         rows.append([numerators.get(images, 0) for images in group_order])
     return rank(IntMatrix.from_rows(rows, len(group_order)))
+
+
+def multiply_route_matrix(e_lam, e_mu):
+    """The direct-rank matrix with one ``multiply`` route per permutation g
+    of S_{n+1}, e_lam * g * e_mu: the oracle for the rows
+    ``direct_hom_dimension`` fills by sign."""
+    group_order = list(iter_permutations(range(1, e_lam.degree + 1)))
+    rows = []
+    for g in group_order:
+        g_element = GroupAlgebraElement(e_lam.degree, {g: 1})
+        numerators = multiply(multiply(e_lam, g_element), e_mu).numerators
+        rows.append([numerators.get(images, 0) for images in group_order])
+    return IntMatrix.from_rows(rows, len(group_order))
+
+
+def rank_matrices(monkeypatch):
+    """The list that records every matrix ``symgroup`` passes to ``rank``."""
+    captured = []
+    original = symgroup.rank
+    monkeypatch.setattr(symgroup, "rank", lambda m: captured.append(m) or original(m))
+    return captured
+
+
+def unsigned_columns(shape, bounds=Bounds()):
+    """Mutant: a Young symmetrizer with the column signs flipped to +1, the
+    row sum times the unsigned column sum."""
+    f = young_symmetrizer(shape, bounds)
+    unsigned = {g: abs(c) for g, c in f.numerators.items()}
+    return GroupAlgebraElement(f.degree, unsigned, f.denominator)
+
+
+def one_coefficient_changed(shape, bounds=Bounds()):
+    """Mutant: a Young symmetrizer with its last coefficient doubled (left
+    as it is when it has a single term)."""
+    f = young_symmetrizer(shape, bounds)
+    if len(f.numerators) < 2:
+        return f
+    last = next(reversed(f.numerators))
+    return GroupAlgebraElement(
+        f.degree, {**f.numerators, last: 2 * f.numerators[last]}, f.denominator
+    )
+
+
+SYMMETRIZER_MUTANTS = {
+    "central": central_idempotent,
+    "unsigned_columns": unsigned_columns,
+    "one_coefficient_changed": one_coefficient_changed,
+}
 
 
 def fraction_pairing(mu, m, lam):
@@ -816,6 +866,24 @@ class TestCentralityByGenerators:
             assert certificate.first_failure == first_failure
             assert (certificate.counts, certificate.first_failure) == slow_idempotent_sweep(n)
 
+    @pytest.mark.parametrize(
+        "mutant,first_failure,checked",
+        [
+            ("central", None, 7),
+            ("unsigned_columns", {"check": "symmetrizer_idempotent", "partition": "2,1"}, 6),
+            ("one_coefficient_changed", {"check": "symmetrizer_idempotent", "partition": "2"}, 3),
+        ],
+    )
+    def test_symmetrizer_mutant_locators(self, monkeypatch, mutant, first_failure, checked):
+        monkeypatch.setattr(symgroup, "young_symmetrizer", SYMMETRIZER_MUTANTS[mutant])
+        certificate = verify_idempotent_system(3)
+        assert certificate.first_failure == first_failure
+        assert certificate.counts == {
+            "idempotents_checked": checked,
+            "symmetrizers_checked": checked,
+        }
+        assert (certificate.counts, certificate.first_failure) == slow_idempotent_sweep(3)
+
 
 class TestInjectionBimodule:
     def test_no_added_points(self):
@@ -873,6 +941,18 @@ class TestDirectHomDimension:
             for lam in partition_rows(n + 1):
                 assert direct_hom_dimension(mu, lam) == induction_multiplicity(mu, 1, lam)
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_rank_matrices_match_the_multiply_route(self, monkeypatch, n):
+        # rows filled by sign over each double coset, against a multiply
+        # route per permutation on canonical tableau symmetrizers
+        captured = rank_matrices(monkeypatch)
+        for mu in partition_rows(n):
+            for lam in partition_rows(n + 1):
+                direct_hom_dimension(mu, lam)
+                e_lam = tableau_symmetrizer(canonical_tableau(lam))
+                e_mu = tableau_symmetrizer(canonical_tableau(mu)).embed(n + 1)
+                assert captured.pop() == multiply_route_matrix(e_lam, e_mu)
+
     @pytest.mark.parametrize("n", range(4))
     def test_matches_the_bimodule_oracle(self, n):
         # one permutation per injection, against the coset sums of canonical
@@ -880,6 +960,62 @@ class TestDirectHomDimension:
         for mu in partition_rows(n):
             for lam in partition_rows(n + 1):
                 assert direct_hom_dimension(mu, lam) == bimodule_hom_dimension(mu, lam)
+
+
+class TestSymmetryGuards:
+    @pytest.mark.parametrize("mutant", [None, *SYMMETRIZER_MUTANTS])
+    @pytest.mark.parametrize("n", range(5))
+    def test_generators_decide_the_whole_group(self, mutant, n):
+        # x*c = sgn(c)*x over the column group and r*x = x over the row group,
+        # by multiply on every element, against the check on generators
+        make = SYMMETRIZER_MUTANTS.get(mutant, young_symmetrizer)
+        for mu in partition_rows(n):
+            x = make(mu)
+            rows, cols = _filling(mu)
+            column_group = symgroup._block_stabilizer(cols, n)
+            row_group = symgroup._block_stabilizer(rows, n)
+            signed = all(
+                multiply(x, GroupAlgebraElement(n, {c: 1})) == x.scale(_sign(c))
+                for c in column_group
+            )
+            fixed = all(multiply(GroupAlgebraElement(n, {r: 1}), x) == x for r in row_group)
+            assert _has_block_symmetry(x, cols, -1, left=False) == signed
+            assert _has_block_symmetry(x, rows, 1, left=True) == fixed
+            if mutant is None:
+                assert signed and fixed
+
+    @pytest.mark.parametrize(
+        "mutant,rejected_sides",
+        [
+            ("central", {"left", "right"}),
+            # R times the unsigned column sum is still fixed by R on the left
+            ("unsigned_columns", {"right"}),
+            ("one_coefficient_changed", {"left", "right"}),
+        ],
+    )
+    def test_mutant_rank_matrices_match_the_multiply_route(
+        self, monkeypatch, mutant, rejected_sides
+    ):
+        make = SYMMETRIZER_MUTANTS[mutant]
+        monkeypatch.setattr(symgroup, "young_symmetrizer", make)
+        original = symgroup._has_block_symmetry
+        rejected = set()
+
+        def recording(x, blocks, sign, left):
+            holds = original(x, blocks, sign, left)
+            if not holds:
+                rejected.add("left" if left else "right")
+            return holds
+
+        monkeypatch.setattr(symgroup, "_has_block_symmetry", recording)
+        captured = rank_matrices(monkeypatch)
+        for n in range(4):
+            for mu in partition_rows(n):
+                for lam in partition_rows(n + 1):
+                    direct_hom_dimension(mu, lam)
+                    expected = multiply_route_matrix(make(lam), make(mu).embed(n + 1))
+                    assert captured.pop() == expected
+        assert rejected == rejected_sides
 
 
 class TestBranchingBounds:
@@ -923,6 +1059,26 @@ class TestBranchingLocators:
             "expected": 1,
         }
         assert certificate.counts == {"character_pairs": 5, "direct_pairs": 5}
+
+    @pytest.mark.parametrize(
+        "mutant,pair,counts",
+        [
+            ("unsigned_columns", ["2", "2,1"], 5),
+            ("one_coefficient_changed", ["1", "2"], 2),
+        ],
+    )
+    def test_symmetrizer_mutant_rank_locators(self, monkeypatch, mutant, pair, counts):
+        monkeypatch.setattr(symgroup, "young_symmetrizer", SYMMETRIZER_MUTANTS[mutant])
+        for direct_n in (2, 3):
+            certificate = symgroup.verify_branching(3, direct_n)
+            assert certificate.verdict == "fail"
+            assert certificate.first_failure == {
+                "check": "direct_idempotent_rank",
+                "pair": pair,
+                "rank": 2,
+                "expected": 1,
+            }
+            assert certificate.counts == {"character_pairs": counts, "direct_pairs": counts}
 
 
 class TestInductionMultiplicity:
