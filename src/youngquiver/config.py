@@ -42,7 +42,8 @@ class Bounds:
     # of it the 9,215 pairings
     max_induction_degree: int = 12
     # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
-    # bounds admit, takes 0.8-1.1 s on 2 shared vCPUs (Python 3.11)
+    # bounds admit, takes 0.44-0.58 s on 2 shared vCPUs (Python 3.11); its
+    # 5,037 objects with a member share 1,923 distinct chains
     max_resolution_depth: int = 12
     # verify qdual --max-size 18 takes 7.4-8.6 s on 2 shared vCPUs (Python 3.11)
     max_qdual_size: int = 18

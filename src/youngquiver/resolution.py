@@ -26,7 +26,12 @@ dumped matrix's label.
 
 Because exactness of a complex of modules over the category holds iff it
 holds at every evaluation object, the whole verification reduces to exact
-integer linear algebra on one small matrix chain per object: the complex
+integer linear algebra on one small matrix chain per object.  The chain at
+an object depends only on the members present there, so objects with the
+same members share one chain, built once: over the bases of size at most 5
+at depth 8, the 2,505 objects with a member hold 768 distinct chains.  Each
+verifier checks a distinct chain once and reads its result at every object
+that has it, with the locator of the first failing object.  The complex
 property is a product of consecutive matrices being zero, and exactness is
 the rank identity rank(out) + rank(in) = dim at every position.  Each
 product is formed in one pass over its terms, which yields both its
@@ -89,7 +94,8 @@ class ObjectChain:
 class GradedComplex:
     """The complex for one base diagram, stored as one chain per object:
     ``chains[k]`` is the complex evaluated at the object with row tuple
-    ``objects[k]``."""
+    ``objects[k]``.  Objects with the same members hold the same chain
+    object."""
 
     xi: Partition
     depth: int
@@ -100,6 +106,12 @@ class GradedComplex:
 
 
 def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS) -> GradedComplex:
+    """The complex over ``xi`` truncated at position -depth, with one chain
+    per object up to size |xi| + depth.  The chain is keyed by the member
+    tuple ``_members_at`` reads at the object: it is built at the first
+    object with that key, and every later object with the same key holds
+    that same ``ObjectChain``.  Objects with no member share the chain with
+    no component."""
     if depth < 1:
         raise ValueError("depth must be positive")
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
@@ -111,33 +123,17 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
         for number, lam in enumerate(members)
     }
     arrows = [_arrows_into(upper, lower) for upper, lower in zip(strata, strata[1:])]
-    # shared by every object where no member is present
+    # one chain per distinct member set, shared by every object that has
+    # it; the empty set maps to the chain with no component
     nothing = ObjectChain(tuple(() for _ in strata), {})
+    by_members: dict[tuple[Rows, ...], ObjectChain] = {(): nothing}
     chains = []
     for mu in objects:
-        members = _members_at(xi.rows, mu)
-        if not members:
-            chains.append(nothing)
-            continue
-        cells: list[list[int]] = [[] for _ in strata]
-        for lam in members:
-            offset, number = where[lam]
-            cells[offset].append(number)
-        # the members' sizes, hence their offsets, form one contiguous run
-        occupied = [offset for offset, cell in enumerate(cells) if cell]
-        maps = {}
-        for offset in range(occupied[0], occupied[-1]):
-            cols, rows = cells[offset], cells[offset + 1]
-            row_of = {number: r for r, number in enumerate(rows)}
-            entries = {}
-            for c, number in enumerate(cols):
-                for lower, sign in arrows[offset][number]:
-                    r = row_of.get(lower)
-                    if r is not None:
-                        entries[(r, c)] = sign
-            if entries:
-                maps[offset] = IntMatrix(len(rows), len(cols), entries)
-        chains.append(ObjectChain(tuple(map(tuple, cells)), maps))
+        members = tuple(_members_at(xi.rows, mu))
+        chain = by_members.get(members)
+        if chain is None:
+            chain = by_members[members] = _chain_of(members, strata, where, arrows)
+        chains.append(chain)
 
     # linearity: the position -n term is generated in internal degree n
     linear = all(
@@ -146,6 +142,35 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
         for lam in members
     )
     return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains), linear)
+
+
+def _chain_of(
+    members: tuple[Rows, ...],
+    strata: tuple[tuple[Rows, ...], ...],
+    where: dict[Rows, tuple[int, int]],
+    arrows: list[list[list[tuple[int, int]]]],
+) -> ObjectChain:
+    """The chain at an object where exactly ``members`` are present: their
+    numbers at each offset, and the nonzero differentials between them."""
+    cells: list[list[int]] = [[] for _ in strata]
+    for lam in members:
+        offset, number = where[lam]
+        cells[offset].append(number)
+    # the members' sizes, hence their offsets, form one contiguous run
+    occupied = [offset for offset, cell in enumerate(cells) if cell]
+    maps = {}
+    for offset in range(occupied[0], occupied[-1]):
+        cols, rows = cells[offset], cells[offset + 1]
+        row_of = {number: r for r, number in enumerate(rows)}
+        entries = {}
+        for c, number in enumerate(cols):
+            for lower, sign in arrows[offset][number]:
+                r = row_of.get(lower)
+                if r is not None:
+                    entries[(r, c)] = sign
+        if entries:
+            maps[offset] = IntMatrix(len(rows), len(cols), entries)
+    return ObjectChain(tuple(map(tuple, cells)), maps)
 
 
 def _members_at(xi: Rows, mu: Rows) -> list[Rows]:
@@ -191,7 +216,11 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
     """Check that consecutive differentials compose to zero at every object.
 
     Each zero entry of a product that received two nonzero summands is one
-    diamond cancellation; the count of those is reported.
+    diamond cancellation; the count of those is reported.  Objects share
+    chains (see ``build_resolution``), so each distinct chain, told apart
+    by identity, is multiplied once: its cancellation count is added for
+    every object that has it, and the first object whose chain has a
+    nonzero product is the failure locator.
     """
     start = time.perf_counter()
     depth = complex_.depth
@@ -199,26 +228,26 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
     products_checked = 0
     cancellations = 0
     first_failure = None
+    # id(chain) -> (two-term zeros, first nonzero product as (offset, entries))
+    seen: dict[int, tuple[int, tuple[int, dict] | None]] = {}
     for mu, chain in zip(complex_.objects, complex_.chains):
         objects_checked += 1
         # every adjacent pair counts; one with an absent factor is zero
         products_checked += depth - 1
-        maps = chain.maps
-        for offset, low in sorted(maps.items()):
-            high = maps.get(offset + 1)
-            if high is None:
-                continue
-            nonzero, two_term_zeros = _compose(high, low)
-            cancellations += two_term_zeros
-            if nonzero and first_failure is None:
-                first_failure = {
-                    "object": format_partition(mu),
-                    "position": offset - depth,
-                    "nonzero_entries": sorted(
-                        [list(key) + [str(val)] for key, val in nonzero.items()]
-                    ),
-                }
-        if first_failure:
+        result = seen.get(id(chain))
+        if result is None:
+            result = seen[id(chain)] = _products_of(chain)
+        two_term_zeros, nonzero = result
+        cancellations += two_term_zeros
+        if nonzero is not None:
+            offset, entries = nonzero
+            first_failure = {
+                "object": format_partition(mu),
+                "position": offset - depth,
+                "nonzero_entries": sorted(
+                    [list(key) + [str(val)] for key, val in entries.items()]
+                ),
+            }
             break
     return Certificate.timed(
         start,
@@ -231,6 +260,24 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
         },
         first_failure=first_failure,
     )
+
+
+def _products_of(chain: ObjectChain) -> tuple[int, tuple[int, dict] | None]:
+    """The two-term zero cells of every product of adjacent stored maps in
+    ``chain``, and its first nonzero product as (offset, entries), or
+    None."""
+    maps = chain.maps
+    two_term_zeros = 0
+    first_nonzero = None
+    for offset, low in sorted(maps.items()):
+        high = maps.get(offset + 1)
+        if high is None:
+            continue
+        nonzero, zeros = _compose(high, low)
+        two_term_zeros += zeros
+        if nonzero and first_nonzero is None:
+            first_nonzero = (offset, nonzero)
+    return two_term_zeros, first_nonzero
 
 
 def _compose(high: IntMatrix, low: IntMatrix) -> tuple[dict[tuple[int, int], int], int]:
@@ -264,50 +311,48 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
     exact per object: components of the first omitted position vanish at
     every object within the size window, so no boundary artifacts occur.
     All three numbers are recorded for the first failing object and position.
+
+    The ranks, cohomology and Euler number of each distinct chain, told
+    apart by identity, are computed once.  An object other than the base
+    whose chain is acyclic passes without a further look; every other
+    object is compared position by position with its own expected values.
     """
     start = time.perf_counter()
     depth = complex_.depth
     first_failure = None
     positions_checked = 0
+    seen: dict[int, _Homology] = {}
     for mu, chain in zip(complex_.objects, complex_.chains):
-        at_base = mu == complex_.xi.rows
-        if not (at_base or any(chain.components)):
-            # zero at every position: exact, with Euler characteristic 0
-            positions_checked += len(chain.components)
+        positions_checked += len(chain.components)
+        if first_failure is not None:
             continue
-        dims = [len(cell) for cell in chain.components]
-        positions_checked += len(dims)
-        # rank of the map out of each position; an absent map and the map
-        # out of position 0 have rank 0
-        ranks_out = [0] * (depth + 1)
-        for offset, matrix in chain.maps.items():
-            ranks_out[offset] = rank(matrix)
-        for offset, dim in enumerate(dims):
+        homology = seen.get(id(chain))
+        if homology is None:
+            homology = seen[id(chain)] = _homology_of(chain, depth)
+        at_base = mu == complex_.xi.rows
+        if homology.acyclic and not at_base:
+            continue
+        for offset, dim in enumerate(homology.dims):
             position = offset - depth
-            rank_out = ranks_out[offset]
-            rank_in = ranks_out[offset - 1] if offset else 0
             expected_cohomology = 1 if position == 0 and at_base else 0
-            cohomology = dim - rank_out - rank_in
-            if cohomology != expected_cohomology and first_failure is None:
+            if homology.cohomology[offset] != expected_cohomology:
                 first_failure = {
                     "object": format_partition(mu),
                     "position": position,
                     "dim": dim,
-                    "rank_out": rank_out,
-                    "rank_in": rank_in,
-                    "cohomology": cohomology,
+                    "rank_out": homology.ranks_out[offset],
+                    "rank_in": homology.ranks_out[offset - 1] if offset else 0,
+                    "cohomology": homology.cohomology[offset],
                     "expected": expected_cohomology,
                 }
+                break
         # independent arithmetic cross-check of the same data
-        euler = sum(dims[::2]) - sum(dims[1::2])
         expected_euler = 1 if at_base else 0
-        if depth % 2:
-            euler = -euler
-        if euler != expected_euler and first_failure is None:
+        if first_failure is None and homology.euler != expected_euler:
             first_failure = {
                 "object": format_partition(mu),
                 "check": "euler",
-                "value": euler,
+                "value": homology.euler,
                 "expected": expected_euler,
             }
     return Certificate.timed(
@@ -320,6 +365,35 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
         },
         first_failure=first_failure,
     )
+
+
+@dataclass(frozen=True)
+class _Homology:
+    """One chain's dimensions, ranks out of each position, cohomology at
+    each position and Euler number; acyclic when the last two are all 0."""
+
+    dims: list[int]
+    ranks_out: list[int]
+    cohomology: list[int]
+    euler: int
+    acyclic: bool
+
+
+def _homology_of(chain: ObjectChain, depth: int) -> _Homology:
+    dims = [len(cell) for cell in chain.components]
+    # rank of the map out of each position; an absent map and the map out
+    # of position 0 have rank 0
+    ranks_out = [0] * (depth + 1)
+    for offset, matrix in chain.maps.items():
+        ranks_out[offset] = rank(matrix)
+    cohomology = [
+        dim - ranks_out[offset] - (ranks_out[offset - 1] if offset else 0)
+        for offset, dim in enumerate(dims)
+    ]
+    euler = sum(dims[::2]) - sum(dims[1::2])
+    if depth % 2:
+        euler = -euler
+    return _Homology(dims, ranks_out, cohomology, euler, not any(cohomology) and euler == 0)
 
 
 def betti_table(

@@ -100,14 +100,6 @@ class GroupAlgebraElement:
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", self.denominator // common)
 
-    @staticmethod
-    def one(degree: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(degree, {tuple(range(1, degree + 1)): 1})
-
-    @staticmethod
-    def zero(degree: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(degree, {})
-
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         # read only by the symgroup.multiply term-pair counter of perfbench/tracing.py
@@ -123,16 +115,6 @@ class GroupAlgebraElement:
             {images: c * scalar.numerator for images, c in self.numerators.items()},
             self.denominator * scalar.denominator,
         )
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        denominator = lcm(self.denominator, other.denominator)
-        mine, theirs = denominator // self.denominator, denominator // other.denominator
-        acc = {images: c * mine for images, c in self.numerators.items()}
-        for images, c in other.numerators.items():
-            acc[images] = acc.get(images, 0) + c * theirs
-        return GroupAlgebraElement(self.degree, acc, denominator)
 
     def embed(self, degree: int) -> "GroupAlgebraElement":
         """View inside a larger symmetric group, fixing the new points."""
@@ -195,15 +177,6 @@ def _mn_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
         sign * _mn_character(smaller, rest)
         for smaller, sign in _border_strip_removals(shape, first)
     )
-
-
-def character_value(lam: Rows, cycle_type: Rows) -> int:
-    """Irreducible character of the symmetric group, by Murnaghan-Nakayama."""
-    if sum(lam) != sum(cycle_type):
-        raise ValueError(
-            f"size mismatch: |{format_partition(lam)}| != |{format_partition(cycle_type)}|"
-        )
-    return _mn_character(lam, cycle_type)
 
 
 def specht_dimension(lam: Rows) -> int:

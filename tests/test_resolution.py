@@ -851,6 +851,187 @@ class TestRowRuleMutants:
         }
 
 
+def per_object_complex(complex_):
+    """``verify_complex`` without sharing: every object's products formed
+    afresh.  (counts, first_failure) in the certificate's order and with
+    its locator."""
+    depth = complex_.depth
+    counts = {"objects_checked": 0, "products_checked": 0, "diamond_cancellations": 0}
+    first_failure = None
+    for mu, chain in zip(complex_.objects, complex_.chains):
+        counts["objects_checked"] += 1
+        counts["products_checked"] += depth - 1
+        for offset, low in sorted(chain.maps.items()):
+            high = chain.maps.get(offset + 1)
+            if high is None:
+                continue
+            nonzero, two_term_zeros = _compose(high, low)
+            counts["diamond_cancellations"] += two_term_zeros
+            if nonzero and first_failure is None:
+                first_failure = {
+                    "object": format_partition(mu),
+                    "position": offset - depth,
+                    "nonzero_entries": sorted(
+                        [list(key) + [str(val)] for key, val in nonzero.items()]
+                    ),
+                }
+        if first_failure:
+            break
+    return counts, first_failure
+
+
+def per_object_exactness(complex_):
+    """``verify_exactness`` without sharing: ranks, cohomology and Euler
+    number recomputed at every object."""
+    depth = complex_.depth
+    positions_checked = 0
+    first_failure = None
+    for mu, chain in zip(complex_.objects, complex_.chains):
+        at_base = mu == complex_.xi.rows
+        dims = [len(cell) for cell in chain.components]
+        positions_checked += len(dims)
+        ranks_out = [0] * (depth + 1)
+        for offset, matrix in chain.maps.items():
+            ranks_out[offset] = rank(matrix)
+        for offset, dim in enumerate(dims):
+            position = offset - depth
+            rank_in = ranks_out[offset - 1] if offset else 0
+            expected = 1 if position == 0 and at_base else 0
+            cohomology = dim - ranks_out[offset] - rank_in
+            if cohomology != expected and first_failure is None:
+                first_failure = {
+                    "object": format_partition(mu),
+                    "position": position,
+                    "dim": dim,
+                    "rank_out": ranks_out[offset],
+                    "rank_in": rank_in,
+                    "cohomology": cohomology,
+                    "expected": expected,
+                }
+        euler = (-1) ** depth * (sum(dims[::2]) - sum(dims[1::2]))
+        expected_euler = 1 if at_base else 0
+        if euler != expected_euler and first_failure is None:
+            first_failure = {
+                "object": format_partition(mu),
+                "check": "euler",
+                "value": euler,
+                "expected": expected_euler,
+            }
+    counts = {"objects_checked": len(complex_.objects), "positions_checked": positions_checked}
+    return counts, first_failure
+
+
+def assert_matches_per_object(complex_):
+    for verify, oracle in (
+        (verify_complex, per_object_complex),
+        (verify_exactness, per_object_exactness),
+    ):
+        cert = verify(complex_)
+        assert (cert.counts, cert.first_failure) == oracle(complex_)
+
+
+class TestSharedChains:
+    """Objects with the same members share one chain, which each verifier
+    checks once; the per-object loops above are the oracle."""
+
+    @pytest.mark.parametrize("xi", BENCH_BASES)
+    def test_shared_path_matches_per_object_loops(self, xi):
+        assert_matches_per_object(build_resolution(xi, 8))
+
+    @pytest.mark.parametrize("kind", ["drop", "add"])
+    def test_row_rule_mutants_match_per_object_loops(self, kind, monkeypatch):
+        monkeypatch.setattr(resolution, "_members_at", mutated_members(kind))
+        complex_ = build_resolution(P(2, 1), 3)
+        assert not verify_resolution(P(2, 1), 3).passed
+        assert_matches_per_object(complex_)
+
+    def test_equal_members_share_one_chain(self):
+        complex_ = build_resolution(P(1), 4)
+        assert _members_at((1,), (2, 1)) == _members_at((1,), (3, 1))
+        assert chain_at(complex_, P(2, 1)) is chain_at(complex_, P(3, 1))
+        assert _members_at((1,), (2, 1)) != _members_at((1,), (2, 2))
+        assert chain_at(complex_, P(2, 1)) is not chain_at(complex_, P(2, 2))
+        # every object without members holds the one empty chain
+        empty = {id(chain) for chain in complex_.chains if not any(chain.components)}
+        assert len(empty) == 1
+
+    def test_bench_sweep_chain_count(self):
+        nonempty = distinct = 0
+        for xi in BENCH_BASES:
+            complex_ = build_resolution(xi, 8)
+            chains = [chain for chain in complex_.chains if any(chain.components)]
+            nonempty += len(chains)
+            distinct += len({id(chain) for chain in chains})
+            by_members = {}
+            for mu, chain in zip(complex_.objects, complex_.chains):
+                members = tuple(_members_at(xi.rows, mu))
+                assert by_members.setdefault(members, chain) is chain
+            assert len(by_members) == len({id(chain) for chain in complex_.chains})
+        assert (nonempty, distinct) == (2505, 768)
+
+    def test_forged_object_fails_alone(self):
+        # (2,1), (3,1) and (4,1) share one chain over (1) at depth 4; a forged
+        # chain at (3,1) fails there, and the earlier (2,1) still passes
+        complex_ = build_resolution(P(1), 4)
+        shared = chain_at(complex_, P(3, 1))
+        assert chain_at(complex_, P(2, 1)) is shared is chain_at(complex_, P(4, 1))
+        assert shared.maps[3].entries == {(0, 0): 1, (0, 1): -1}
+
+        flipped = dict(shared.maps)
+        flipped[3] = IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+        broken = with_chain(complex_, P(3, 1), replace(shared, maps=flipped))
+        assert verify_complex(broken).first_failure == {
+            "object": "3,1",
+            "position": -2,
+            "nonzero_entries": [[0, 0, "2"]],
+        }
+        assert_matches_per_object(broken)
+
+        dropped = {offset: m for offset, m in shared.maps.items() if offset != 3}
+        broken = with_chain(complex_, P(3, 1), replace(shared, maps=dropped))
+        assert verify_complex(broken).passed
+        assert verify_exactness(broken).first_failure == {
+            "object": "3,1",
+            "position": -1,
+            "dim": 2,
+            "rank_out": 0,
+            "rank_in": 1,
+            "cohomology": 1,
+            "expected": 0,
+        }
+        assert_matches_per_object(broken)
+
+        # an equal copy is another object, checked again, and passes
+        copy = replace(shared)
+        assert copy == shared and copy is not shared
+        unchanged = with_chain(complex_, P(3, 1), copy)
+        assert verify_complex(unchanged).passed
+        assert verify_exactness(unchanged).passed
+        assert_matches_per_object(unchanged)
+
+    def test_dump_lists_every_object_of_a_shared_chain(self):
+        xi, depth = P(2, 1), 5
+        complex_ = build_resolution(xi, depth)
+        matrices = verify_resolution(xi, depth, dump_matrices=True).details["matrices"]
+        expected = {}
+        shared_entries = 0
+        first_holder = {}
+        for mu, chain in zip(complex_.objects, complex_.chains):
+            holder = first_holder.setdefault(id(chain), mu)
+            for offset in chain.maps:
+                members = [
+                    [Partition(complex_.strata[k][n]) for n in chain.components[k]]
+                    for k in (offset + 1, offset)
+                ]
+                expected[f"{offset - depth}@{format_partition(mu)}"] = slow_matrix(
+                    *members
+                ).to_text()
+                shared_entries += holder != mu
+        assert shared_entries
+        assert len(matrices) == len(expected)
+        assert matrices == expected
+
+
 # verify resolution --xi 1 --depth 3 --dump-matrices --format json, as
 # printed by the assembly on Partitions with the rational matrix
 DUMP_XI_1_DEPTH_3 = {
