@@ -8,32 +8,43 @@ byte-identical between runs.
 
 import json
 import time
-from dataclasses import dataclass
 
 from ._version import __version__
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Certificate:
-    command: str
-    parameters: dict
-    verdict: str
-    counts: dict
-    first_failure: dict | None = None
-    details: dict | None = None
-    elapsed_ms: int = 0
-    tool_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
+    __slots__ = ("command", "parameters", "verdict", "counts", "first_failure", "details",
+                 "elapsed_ms", "tool_version", "schema_version")
 
-    def __post_init__(self) -> None:
-        if self.verdict not in ("pass", "fail"):
-            raise ValueError(f"verdict must be pass or fail, got {self.verdict!r}")
-        if self.verdict == "fail" and self.first_failure is None:
+    def __init__(
+        self,
+        command: str,
+        parameters: dict,
+        verdict: str,
+        counts: dict,
+        first_failure: dict | None = None,
+        details: dict | None = None,
+        elapsed_ms: int = 0,
+        tool_version: str = __version__,
+        schema_version: int = SCHEMA_VERSION,
+    ) -> None:
+        if verdict not in ("pass", "fail"):
+            raise ValueError(f"verdict must be pass or fail, got {verdict!r}")
+        if verdict == "fail" and first_failure is None:
             raise ValueError("failing certificate must carry a first_failure locator")
-        if self.verdict == "pass" and not any(self.counts.values()):
+        if verdict == "pass" and not any(counts.values()):
             raise ValueError("passing certificate must report a nonzero count")
+        self.command = command
+        self.parameters = parameters
+        self.verdict = verdict
+        self.counts = counts
+        self.first_failure = first_failure
+        self.details = details
+        self.elapsed_ms = elapsed_ms
+        self.tool_version = tool_version
+        self.schema_version = schema_version
 
     @classmethod
     def timed(

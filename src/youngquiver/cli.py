@@ -12,8 +12,7 @@ from the elapsed_ms field.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import qdual, quiver, resolution
 from ._version import __version__
@@ -40,8 +39,7 @@ class UsageError(ValueError):
     """An option, partition or config value the command cannot run with."""
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """One ``verify`` target.  ``flags`` maps each option the target reads
     to the driver parameter it fills; an option without a default is
     required.  ``battery`` holds the driver arguments of each run in the

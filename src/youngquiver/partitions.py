@@ -10,28 +10,37 @@ diagram ("" is also accepted on input).
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
+from typing import NamedTuple
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 
 
-@dataclass(frozen=True)
 class Partition:
-    rows: tuple[int, ...] = ()
+    __slots__ = ("rows", "size")
 
-    def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[int, ...] = ()) -> None:
+        rows = tuple(int(r) for r in rows)
         for i, r in enumerate(rows):
             if r <= 0:
                 raise ValueError(f"row lengths must be positive: {rows}")
             if i and rows[i - 1] < r:
                 raise ValueError(f"row lengths must be weakly decreasing: {rows}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "size", sum(rows))
 
-    @cached_property
-    def size(self) -> int:
-        return sum(self.rows)
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} of an immutable Partition")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     def row(self, r: int) -> int:
         """Length of 1-based row ``r``; 0 beyond the last row."""
@@ -51,7 +60,7 @@ EMPTY = Partition(())
 
 def format_partition(rows: tuple[int, ...]) -> str:
     """The text form of a row tuple: "3,1,1", or "0" for the empty diagram."""
-    return ",".join(str(r) for r in rows) if rows else "0"
+    return ",".join(map(str, rows)) if rows else "0"
 
 
 def parse_partition(text: str) -> Partition:
@@ -65,20 +74,32 @@ def parse_partition(text: str) -> Partition:
     return Partition(rows)
 
 
-@dataclass(frozen=True)
 class Node:
     """A cell position; rows and columns are 1-based."""
 
-    row: int
-    col: int
+    __slots__ = ("row", "col")
 
-    def __post_init__(self) -> None:
-        if self.row < 1 or self.col < 1:
-            raise ValueError(f"node coordinates must be >= 1: ({self.row}, {self.col})")
+    def __init__(self, row: int, col: int) -> None:
+        if row < 1 or col < 1:
+            raise ValueError(f"node coordinates must be >= 1: ({row}, {col})")
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} of an immutable Node")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Node:
+            return NotImplemented
+        return self.row == other.row and self.col == other.col
+
+    def __hash__(self) -> int:
+        return hash((self.row, self.col))
 
 
-@dataclass(frozen=True)
-class SkewClass:
+class SkewClass(NamedTuple):
     """Containment and strip structure of a skew pair.
 
     When ``contained`` is false the remaining fields are undefined (None).

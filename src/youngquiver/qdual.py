@@ -33,8 +33,8 @@ statements checked here are independent of that choice.
 """
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
@@ -57,8 +57,7 @@ from .quiver import hom_dim_C
 from .signs import path_signs
 
 
-@dataclass(frozen=True)
-class RelationSpace:
+class RelationSpace(NamedTuple):
     """Degree-2 relation span for one pair, in coordinates over the length-2
     path basis (paths are keyed by their middle vertex)."""
 
@@ -70,12 +69,18 @@ class RelationSpace:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
 class QuadraticPresentation:
-    max_size: int
-    objects: tuple[Partition, ...]
-    relations: dict[tuple[Partition, Partition], RelationSpace]
-    of_lattice: bool  # True: relations of the plain incidence category dual
+    def __init__(
+        self,
+        max_size: int,
+        objects: tuple[Partition, ...],
+        relations: dict[tuple[Partition, Partition], RelationSpace],
+        of_lattice: bool,  # True: relations of the plain incidence category dual
+    ) -> None:
+        self.max_size = max_size
+        self.objects = objects
+        self.relations = relations
+        self.of_lattice = of_lattice
 
     @cached_property
     def relation_rows(self) -> dict[tuple, tuple]:

@@ -5,8 +5,7 @@ morphism space is represented by its dimension, 0 or 1; no path algebra is
 ever materialized.
 """
 
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .partitions import (
@@ -22,8 +21,7 @@ from .signs import added_node_sign
 Rows = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class QuiverSlice:
+class QuiverSlice(NamedTuple):
     """All diagrams up to a size bound with the one-node-addition arrows.
 
     ``nodes`` holds row tuples in the order of ``partition_rows_up_to``.
@@ -69,32 +67,42 @@ def render(slice_: QuiverSlice, fmt: str, signs: bool = False) -> str:
     (-1)^(nodes above the added row)."""
     nodes = slice_.nodes
     names = [format_partition(rows) for rows in nodes]
-    arrows = [
-        (names[source], names[target], added_node_sign(nodes[source], r) if signs else None)
-        for source, target, r in slice_.arrows
-    ]
+    if fmt != "text":
+        # digits and commas need no escaping in JSON or DOT
+        names = [f'"{name}"' for name in names]
+    # an arrow is head, source name, sep, target name, sign label, tail
     if fmt == "json":
         # the layout of json.dumps(payload, indent=2), written directly: with
         # an indent, json.dumps runs its pure-Python encoder
-        quoted = {name: json.dumps(name) for name in names}
-        row = "[" + ",".join(["\n      {}"] * (3 if signs else 2)) + "\n    ]"
-        rows = [row.format(quoted[a], quoted[b], sign) for a, b, sign in arrows]
+        head, sep, tail = "[\n      ", ",\n      ", "\n    ]"
+        label = {1: ",\n      1", -1: ",\n      -1"}
+    elif fmt == "dot":
+        head, sep, tail = "  ", " -> ", ";"
+        label = {1: ' [label="+1"]', -1: ' [label="-1"]'}
+    else:
+        head, sep, tail = "", " -> ", ""
+        label = {1: " [+1]", -1: " [-1]"}
+    if signs:
+        lines = [
+            f"{head}{names[source]}{sep}{names[target]}"
+            f"{label[added_node_sign(nodes[source], r)]}{tail}"
+            for source, target, r in slice_.arrows
+        ]
+    else:
+        lines = [
+            f"{head}{names[source]}{sep}{names[target]}{tail}"
+            for source, target, _ in slice_.arrows
+        ]
+    if fmt == "json":
         return (
             f'{{\n  "max_size": {slice_.max_size},\n'
-            f'  "nodes": {_json_list([quoted[name] for name in names])},\n'
-            f'  "arrows": {_json_list(rows)}\n}}'
+            f'  "nodes": {_json_list(names)},\n'
+            f'  "arrows": {_json_list(lines)}\n}}'
         )
     if fmt == "dot":
-        label = ' [label="{:+d}"]' if signs else ""
-        lines = ["digraph young_lattice {"]
-        lines += [f'  "{name}";' for name in names]
-        lines += [f'  "{a}" -> "{b}"{label.format(sign)};' for a, b, sign in arrows]
-        lines.append("}")
-        return "\n".join(lines)
-    label = " [{:+d}]" if signs else ""
-    lines = [f"nodes: {len(names)}", f"arrows: {len(arrows)}"]
-    lines += [f"{a} -> {b}{label.format(sign)}" for a, b, sign in arrows]
-    return "\n".join(lines)
+        statements = [f"  {name};" for name in names]
+        return "\n".join(["digraph young_lattice {", *statements, *lines, "}"])
+    return "\n".join([f"nodes: {len(names)}", f"arrows: {len(lines)}", *lines])
 
 
 def _json_list(items: list[str]) -> str:

@@ -45,8 +45,8 @@ have two nonzero factors.
 """
 
 import time
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
@@ -73,8 +73,7 @@ def _strata_rows(base: Rows, depth: int) -> list[list[Rows]]:
     return [sorted(by_added[added], reverse=True) for added in range(depth, -1, -1)]
 
 
-@dataclass(frozen=True)
-class ObjectChain:
+class ObjectChain(NamedTuple):
     """The complex evaluated at one object: a chain of small matrices.
 
     ``components[offset]`` lists the numbers of the members of
@@ -90,8 +89,7 @@ class ObjectChain:
     maps: dict[int, IntMatrix]
 
 
-@dataclass(frozen=True)
-class GradedComplex:
+class GradedComplex(NamedTuple):
     """The complex for one base diagram, stored as one chain per object:
     ``chains[k]`` is the complex evaluated at the object with row tuple
     ``objects[k]``.  Objects with the same members hold the same chain
@@ -367,8 +365,7 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class _Homology:
+class _Homology(NamedTuple):
     """One chain's dimensions, ranks out of each position, cohomology at
     each position and Euler number; acyclic when the last two are all 0."""
 

@@ -27,7 +27,6 @@ quiver description is checked.
 """
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations as iter_permutations
@@ -73,7 +72,6 @@ def _sign(images: tuple[int, ...]) -> int:
     return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
 
 
-@dataclass(frozen=True)
 class GroupAlgebraElement:
     """Sparse rational combination of permutations of fixed degree.
 
@@ -84,21 +82,34 @@ class GroupAlgebraElement:
     are.  Keys are not validated: callers build them from permutations.
     """
 
-    degree: int
-    numerators: dict[tuple[int, ...], int]
-    denominator: int = 1
+    __slots__ = ("degree", "numerators", "denominator")
 
-    def __post_init__(self) -> None:
-        if not self.denominator:
+    def __init__(
+        self, degree: int, numerators: dict[tuple[int, ...], int], denominator: int = 1
+    ) -> None:
+        if not denominator:
             raise ZeroDivisionError("group algebra element with denominator 0")
-        numerators = {images: c for images, c in self.numerators.items() if c}
-        common = gcd(self.denominator, *numerators.values())
-        if self.denominator < 0:
+        numerators = {images: c for images, c in numerators.items() if c}
+        common = gcd(denominator, *numerators.values())
+        if denominator < 0:
             common = -common
         if common != 1:
             numerators = {images: c // common for images, c in numerators.items()}
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", self.denominator // common)
+        object.__setattr__(self, "denominator", denominator // common)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} of an immutable GroupAlgebraElement")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GroupAlgebraElement:
+            return NotImplemented
+        return (self.degree, self.numerators, self.denominator) == (
+            other.degree, other.numerators, other.denominator
+        )
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +8,7 @@ from youngquiver import cli, symgroup
 from youngquiver.cli import main
 from youngquiver.partitions import parse_partition, partitions_up_to
 
-from test_qdual import chain_dim_bareiss, widened
+from test_qdual import chain_dim_bareiss, widened, with_relation_spaces
 
 
 def run_cli(capsys, *argv):
@@ -151,9 +150,7 @@ class TestVerifyCommand:
         def inexact(**_):
             raise ArithmeticError("inexact division during elimination")
 
-        monkeypatch.setitem(
-            cli.SWEEPS, "signs", dataclasses.replace(cli.SWEEPS["signs"], driver=inexact)
-        )
+        monkeypatch.setitem(cli.SWEEPS, "signs", cli.SWEEPS["signs"]._replace(driver=inexact))
         code, out, err = run_cli(capsys, "verify", "signs", "--max-size", "3")
         assert code == 3
         assert out == ""
@@ -163,9 +160,7 @@ class TestVerifyCommand:
         def mismatched(**_):
             raise ValueError("degree mismatch: 2 vs 3")
 
-        monkeypatch.setitem(
-            cli.SWEEPS, "signs", dataclasses.replace(cli.SWEEPS["signs"], driver=mismatched)
-        )
+        monkeypatch.setitem(cli.SWEEPS, "signs", cli.SWEEPS["signs"]._replace(driver=mismatched))
         code, out, err = run_cli(capsys, "verify", "signs", "--max-size", "3")
         assert code == 3
         assert out == ""
@@ -179,7 +174,7 @@ class TestVerifyCommand:
             presentation = build(max_size, bounds, of_lattice=of_lattice)
             rel = presentation.relations[pair]
             relations = {**presentation.relations, pair: cli.qdual.RelationSpace(rel.mids, ())}
-            return dataclasses.replace(presentation, relations=relations)
+            return with_relation_spaces(presentation, relations)
 
         monkeypatch.setattr(cli.qdual, "build_quadratic_dual", without_anticommutativity)
         code, out, err = run_cli(capsys, "verify", "qdual", "--max-size", "4")

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -16,6 +15,7 @@ from youngquiver.partitions import (
     transpose,
 )
 from youngquiver.qdual import (
+    QuadraticPresentation,
     RelationSpace,
     _first_dimension_failure,
     build_quadratic_dual,
@@ -54,7 +54,7 @@ def annihilator_presentation(presentation):
         pair: RelationSpace(rel.mids, tuple(kernel_basis(rel.vectors, len(rel.mids))))
         for pair, rel in presentation.relations.items()
     }
-    return dataclasses.replace(presentation, relations=relations)
+    return with_relation_spaces(presentation, relations)
 
 
 def saturated_chains(mu, lam):
@@ -181,12 +181,19 @@ def widened(presentation, vectors=((3, 5, -1),)):
     for pair, rel in presentation.relations.items():
         if len(rel.mids) == 2 and rel.vectors:
             relations[pair] = RelationSpace(rel.mids + rel.mids[:1], vectors)
-    return dataclasses.replace(presentation, relations=relations)
+    return with_relation_spaces(presentation, relations)
+
+
+def with_relation_spaces(presentation, relations):
+    """The presentation with all its relation spaces replaced."""
+    return QuadraticPresentation(
+        presentation.max_size, presentation.objects, relations, presentation.of_lattice
+    )
 
 
 def with_relations(presentation, changed):
     """The presentation with the relation spaces of some pairs replaced."""
-    return dataclasses.replace(presentation, relations={**presentation.relations, **changed})
+    return with_relation_spaces(presentation, {**presentation.relations, **changed})
 
 
 def dense_first_failure(presentation, expected_dim, check, expected_key):

@@ -2,7 +2,6 @@ import importlib.util
 import json
 import pathlib
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -75,7 +74,7 @@ def with_chain(complex_, mu, chain):
     """``complex_`` with the chain at ``mu`` replaced."""
     chains = list(complex_.chains)
     chains[complex_.objects.index(mu.rows)] = chain
-    return replace(complex_, chains=tuple(chains))
+    return complex_._replace(chains=tuple(chains))
 
 
 class TestStratum:
@@ -277,7 +276,7 @@ def assembly_mismatch(complex_):
     field, else the first object whose chain differs, with both chains'
     components."""
     expected = strip_built_resolution(complex_.xi, complex_.depth)
-    assert replace(complex_, chains=()) == replace(expected, chains=())
+    assert complex_._replace(chains=()) == expected._replace(chains=())
     for mu, chain, oracle in zip(complex_.objects, complex_.chains, expected.chains):
         if chain != oracle:
             return {
@@ -389,7 +388,7 @@ class TestVerifyComplex:
         bad = chain.maps[1]
         maps = dict(chain.maps)
         maps[1] = IntMatrix(bad.n_rows, bad.n_cols, {(0, 0): 1, (0, 1): 1})
-        broken = with_chain(complex_, P(2, 1), replace(chain, maps=maps))
+        broken = with_chain(complex_, P(2, 1), chain._replace(maps=maps))
         cert = verify_complex(broken)
         assert not cert.passed
         assert cert.first_failure == {
@@ -478,7 +477,7 @@ class TestVerifyExactness:
         dead = chain.maps[0]
         assert (dead.n_rows, dead.n_cols, rank(dead)) == (2, 1, 1)
         maps = {offset: m for offset, m in chain.maps.items() if offset != 0}
-        broken = with_chain(complex_, P(2, 1), replace(chain, maps=maps))
+        broken = with_chain(complex_, P(2, 1), chain._replace(maps=maps))
         assert verify_complex(broken).passed
         cert = verify_exactness(broken)
         assert not cert.passed
@@ -979,7 +978,7 @@ class TestSharedChains:
 
         flipped = dict(shared.maps)
         flipped[3] = IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
-        broken = with_chain(complex_, P(3, 1), replace(shared, maps=flipped))
+        broken = with_chain(complex_, P(3, 1), shared._replace(maps=flipped))
         assert verify_complex(broken).first_failure == {
             "object": "3,1",
             "position": -2,
@@ -988,7 +987,7 @@ class TestSharedChains:
         assert_matches_per_object(broken)
 
         dropped = {offset: m for offset, m in shared.maps.items() if offset != 3}
-        broken = with_chain(complex_, P(3, 1), replace(shared, maps=dropped))
+        broken = with_chain(complex_, P(3, 1), shared._replace(maps=dropped))
         assert verify_complex(broken).passed
         assert verify_exactness(broken).first_failure == {
             "object": "3,1",
@@ -1002,7 +1001,7 @@ class TestSharedChains:
         assert_matches_per_object(broken)
 
         # an equal copy is another object, checked again, and passes
-        copy = replace(shared)
+        copy = shared._replace()
         assert copy == shared and copy is not shared
         unchanged = with_chain(complex_, P(3, 1), copy)
         assert verify_complex(unchanged).passed
