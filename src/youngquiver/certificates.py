@@ -16,7 +16,7 @@ SCHEMA_VERSION = 1
 
 class Certificate:
     __slots__ = ("command", "parameters", "verdict", "counts", "first_failure", "details",
-                 "elapsed_ms", "tool_version", "schema_version")
+                 "elapsed_ms")
 
     def __init__(
         self,
@@ -27,8 +27,6 @@ class Certificate:
         first_failure: dict | None = None,
         details: dict | None = None,
         elapsed_ms: int = 0,
-        tool_version: str = __version__,
-        schema_version: int = SCHEMA_VERSION,
     ) -> None:
         if verdict not in ("pass", "fail"):
             raise ValueError(f"verdict must be pass or fail, got {verdict!r}")
@@ -43,8 +41,6 @@ class Certificate:
         self.first_failure = first_failure
         self.details = details
         self.elapsed_ms = elapsed_ms
-        self.tool_version = tool_version
-        self.schema_version = schema_version
 
     @classmethod
     def timed(
@@ -75,8 +71,8 @@ class Certificate:
 
     def to_dict(self) -> dict:
         out = {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
             "command": self.command,
             "parameters": self.parameters,
             "verdict": self.verdict,

@@ -23,28 +23,30 @@ class BoundExceededError(ValueError):
 
 
 class Bounds(NamedTuple):
+    # Wall times are 3 fresh CLI runs each on 2 shared vCPUs (Python 3.11),
+    # as in the ROADMAP table "Where time goes now".
     # partitions_of, quiver slices, the signs sweep; verify signs --max-size 30
-    # takes 0.6-0.8 s and quiver --max-size 30 --signs --format json 0.6-0.7 s
-    # on 2 shared vCPUs (Python 3.11)
+    # takes 0.7-0.9 s and quiver --max-size 30 --signs --format json 0.6-0.7 s
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
-    # verify idempotents --n 6 takes 0.6-0.9 s and --n 7 35-40 s on 2
-    # shared vCPUs (Python 3.11), almost all of it Young symmetrizer products
+    # verify idempotents --n 6 takes 0.8-0.9 s and --n 7 38-41 s, almost all
+    # of it Young symmetrizer products
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}], one product per
-    # (C_lam, R_mu) double coset; the 59 direct ranks up to degree 4 take
-    # 0.6-0.8 s.  --direct-n 5 takes 59-72 s, 26 s of it the pair
-    # (1,1,1,1,1) -> (6), whose 720 double cosets are single permutations
+    # (C_lam, R_mu) double coset; verify morita --n 5 --direct-n 4, with the
+    # 59 direct ranks up to degree 4, takes 0.7-0.9 s.  --direct-n 5 took
+    # 59-72 s when last measured, 26 s of it the pair (1,1,1,1,1) -> (6),
+    # whose 720 double cosets are single permutations
     max_direct_hom_degree: int = 4
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
-    # --direct-n 4 takes 0.9-1.5 s on 2 shared vCPUs (Python 3.11), 0.7 s
-    # of it the 9,215 pairings
+    # --direct-n 4 takes 1.3-1.4 s, about 0.7 s of it the 9,215 pairings
     max_induction_degree: int = 12
     # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
-    # bounds admit, takes 0.44-0.58 s on 2 shared vCPUs (Python 3.11); its
-    # 5,037 objects with a member share 1,923 distinct chains
+    # bounds admit, takes 0.5-0.6 s and table betti on it 0.5 s; its 5,037
+    # objects with a member share 1,923 distinct chains
     max_resolution_depth: int = 12
-    # verify qdual --max-size 18 takes 7.4-8.6 s on 2 shared vCPUs (Python 3.11)
+    # verify qdual --max-size 18 takes 8.1-8.3 s and table dualdims
+    # --max-size 18 5.3-7.1 s
     max_qdual_size: int = 18
 
 
@@ -77,4 +79,6 @@ def load_bounds(path: str | None = None) -> Bounds:
         # bool is a subclass of int, but true/false is not a size
         if type(value) is not int:
             raise ValueError(f"bound {name} in {path} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"bound {name} in {path} must be non-negative, got {value}")
     return DEFAULT_BOUNDS._replace(**raw)

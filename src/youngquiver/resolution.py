@@ -210,7 +210,7 @@ def _arrows_into(upper: list[Rows], lower: list[Rows]) -> list[list[tuple[int, i
     return arrows
 
 
-def verify_complex(complex_: GradedComplex) -> Certificate:
+def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None]:
     """Check that consecutive differentials compose to zero at every object.
 
     Each zero entry of a product that received two nonzero summands is one
@@ -219,17 +219,18 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
     by identity, is multiplied once: its cancellation count is added for
     every object that has it, and the first object whose chain has a
     nonzero product is the failure locator.
+
+    Returns the counts, up to and including the first failing object, and
+    that failure, or None.  Every object counts depth - 1 products, so for
+    depth 2 and up the objects reached are ``products_checked / (depth - 1)``.
     """
-    start = time.perf_counter()
     depth = complex_.depth
-    objects_checked = 0
     products_checked = 0
     cancellations = 0
     first_failure = None
     # id(chain) -> (two-term zeros, first nonzero product as (offset, entries))
     seen: dict[int, tuple[int, tuple[int, dict] | None]] = {}
     for mu, chain in zip(complex_.objects, complex_.chains):
-        objects_checked += 1
         # every adjacent pair counts; one with an absent factor is zero
         products_checked += depth - 1
         result = seen.get(id(chain))
@@ -247,17 +248,8 @@ def verify_complex(complex_: GradedComplex) -> Certificate:
                 ),
             }
             break
-    return Certificate.timed(
-        start,
-        command="verify resolution.complex",
-        parameters={"xi": str(complex_.xi), "depth": complex_.depth},
-        counts={
-            "objects_checked": objects_checked,
-            "products_checked": products_checked,
-            "diamond_cancellations": cancellations,
-        },
-        first_failure=first_failure,
-    )
+    counts = {"products_checked": products_checked, "diamond_cancellations": cancellations}
+    return counts, first_failure
 
 
 def _products_of(chain: ObjectChain) -> tuple[int, tuple[int, dict] | None]:
@@ -299,7 +291,7 @@ def _compose(high: IntMatrix, low: IntMatrix) -> tuple[dict[tuple[int, int], int
     return nonzero, two_term_zeros
 
 
-def verify_exactness(complex_: GradedComplex) -> Certificate:
+def verify_exactness(complex_: GradedComplex) -> tuple[dict[str, int], dict | None]:
     """Exactness away from position 0 and one-dimensional cohomology at 0,
     concentrated at the base object.
 
@@ -314,8 +306,10 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
     apart by identity, are computed once.  An object other than the base
     whose chain is acyclic passes without a further look; every other
     object is compared position by position with its own expected values.
+
+    Returns the counts, which cover every object and position even after a
+    failure, and the first failure, or None.
     """
-    start = time.perf_counter()
     depth = complex_.depth
     first_failure = None
     positions_checked = 0
@@ -353,16 +347,8 @@ def verify_exactness(complex_: GradedComplex) -> Certificate:
                 "value": homology.euler,
                 "expected": expected_euler,
             }
-    return Certificate.timed(
-        start,
-        command="verify resolution.exactness",
-        parameters={"xi": str(complex_.xi), "depth": complex_.depth},
-        counts={
-            "objects_checked": len(complex_.objects),
-            "positions_checked": positions_checked,
-        },
-        first_failure=first_failure,
-    )
+    counts = {"objects_checked": len(complex_.objects), "positions_checked": positions_checked}
+    return counts, first_failure
 
 
 class _Homology(NamedTuple):
@@ -415,18 +401,19 @@ def verify_resolution(
     dump_matrices: bool = False,
 ) -> Certificate:
     """Build the complex and run every check: linearity, complex property,
-    exactness.  One combined certificate."""
+    exactness.  One combined certificate, whose locator is the first failure
+    in that order, tagged with the check that failed."""
     start = time.perf_counter()
     complex_ = build_resolution(xi, depth, bounds)
-    complex_cert = verify_complex(complex_)
-    exact_cert = verify_exactness(complex_)
+    complex_counts, complex_failure = verify_complex(complex_)
+    exact_counts, exact_failure = verify_exactness(complex_)
     first_failure = None
     if not complex_.linear:
         first_failure = {"check": "linearity"}
-    elif not complex_cert.passed:
-        first_failure = dict(complex_cert.first_failure, failing_check="complex")
-    elif not exact_cert.passed:
-        first_failure = dict(exact_cert.first_failure, failing_check="exactness")
+    elif complex_failure:
+        first_failure = dict(complex_failure, failing_check="complex")
+    elif exact_failure:
+        first_failure = dict(exact_failure, failing_check="exactness")
     details: dict = {"linear": complex_.linear}
     if dump_matrices:
         stored = [
@@ -442,12 +429,7 @@ def verify_resolution(
         start,
         command="verify resolution",
         parameters={"xi": str(xi), "depth": depth},
-        counts={
-            "objects_checked": exact_cert.counts["objects_checked"],
-            "positions_checked": exact_cert.counts["positions_checked"],
-            "products_checked": complex_cert.counts["products_checked"],
-            "diamond_cancellations": complex_cert.counts["diamond_cancellations"],
-        },
+        counts={**exact_counts, **complex_counts},
         first_failure=first_failure,
         details=details,
     )

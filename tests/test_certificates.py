@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from youngquiver.certificates import Certificate
+from youngquiver.cli import SWEEPS
 from youngquiver.signs import verify_signs_sweep
 
 
@@ -33,3 +37,45 @@ class TestHonestVerdicts:
             assert cert.passed
             assert cert.counts["diamonds_checked"] == 0
             assert cert.counts["orders_checked"] > 0
+
+
+# sha256 of each default-battery certificate: ``to_dict()`` without
+# ``elapsed_ms``, dumped as JSON with indent 2, keyed by target and
+# arguments.  A change to any of them must be deliberate.
+GOLDEN = {
+    "signs 10": "c8ba4ee7b64723c22892d69f38b880bba5ad32594caafb5f02429babaa7b4d6b",
+    "resolution 0 6": "bf30cd52f174fc5284af983545edf903efba0a7347250185a4ea60549b271a8e",
+    "resolution 1 6": "49fc02431177928089ce8f129845e6e73d6c0c74c54a7b805999cfa908b1c908",
+    "resolution 2 6": "28a8e414681e8c69e04fb3da66acbbd844479bd3dc29287df3e4a78a0a369394",
+    "resolution 1,1 6": "5443187057c9a963d93155b48c800d5058f15d2db9509462ffab12e172a97940",
+    "resolution 3 6": "96fbd60807e132dac7ef526d367d00252cae1d93790b0e1dba00139ba3d157bd",
+    "resolution 2,1 6": "d5359f7aca500d918eefb694150cf30c3bc7cec639bebc6e4c7c074554fe96ff",
+    "resolution 1,1,1 6": "facac943405c3f965cbc1c72906be2310013a0e253b0b539e4c588ac25e661d9",
+    "resolution 4 6": "ac457ab743ccf5694d2d7924d5cbf01392ecb6f5e8f6f422ba302e25ac4a88aa",
+    "resolution 3,1 6": "e3e82a196546bdaea53fc922300aa69cc43217a1ce5785441d4a4ed97bf82cb8",
+    "resolution 2,2 6": "63d3b6b14ed652d4d48083a44c3068570be8e4354f4bf0dd4e76e985d39db96d",
+    "resolution 2,1,1 6": "d3d0e5a54801f043b5c1d5a4c77322370f94ae55f535ac820d977583491aeea2",
+    "resolution 1,1,1,1 6": "8462b683b0e394b4ef9fbe029433d1368c876758be8e465408303aa738d9b8e0",
+    "qdual 7": "0034791cb3d9e8101d652fa710bca15a32fad0feece314bee168b31d6ffdb8ff",
+    "morita 5 3": "4c182e495592c94e5de62443d27faa46b73a1929fc4b18bfa0f7f53fe02a4491",
+    "idempotents 5": "13e23a6f68bf79694abcb3fd15720b79d83ea9781586ef27b2ba5e1d43fe6d5e",
+}
+
+BATTERY = {
+    " ".join([target, *map(str, args)]): (sweep.driver, args)
+    for target, sweep in SWEEPS.items()
+    for args in sweep.battery
+}
+
+
+def test_every_battery_run_has_a_golden_digest():
+    assert list(BATTERY) == list(GOLDEN)
+
+
+@pytest.mark.parametrize("run", list(BATTERY))
+def test_battery_certificate_is_unchanged(run):
+    driver, args = BATTERY[run]
+    fields = driver(*args).to_dict()
+    del fields["elapsed_ms"]
+    digest = hashlib.sha256(json.dumps(fields, indent=2).encode()).hexdigest()
+    assert digest == GOLDEN[run]

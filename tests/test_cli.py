@@ -8,7 +8,7 @@ from youngquiver import cli, symgroup
 from youngquiver.cli import main
 from youngquiver.partitions import parse_partition, partitions_up_to
 
-from test_qdual import chain_dim_bareiss, widened, with_relation_spaces
+from oracles import chain_dim_bareiss, widened, with_relation_spaces
 
 
 def run_cli(capsys, *argv):

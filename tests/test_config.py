@@ -58,6 +58,7 @@ def test_retired_tableau_bound_is_unknown(tmp_path, monkeypatch, capsys):
         ({"max_group_degree": True}, "max_group_degree"),
         ({"max_group_degree": 7.0}, "max_group_degree"),
         ({"max_group_degree": None}, "max_group_degree"),
+        ({"max_group_degree": -1}, "max_group_degree"),
         (7, "JSON object"),
     ],
 )
@@ -76,6 +77,17 @@ def test_non_integer_value_is_cli_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(ENV_CONFIG_PATH, str(config))
     assert main(["verify", "idempotents", "--n", "2"]) == 2
     assert "max_group_degree" in capsys.readouterr().err
+
+
+def test_negative_bound_is_cli_usage_error(tmp_path, monkeypatch, capsys):
+    from youngquiver.cli import main
+
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"max_qdual_size": -3}))
+    monkeypatch.setenv(ENV_CONFIG_PATH, str(config))
+    assert main(["verify", "qdual", "--max-size", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bound max_qdual_size in {config} must be non-negative, got -3\n"
 
 
 def test_check_bound():

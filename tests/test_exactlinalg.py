@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from youngquiver.exactlinalg import IntMatrix, multiply, rank, rref
 
-from test_qdual import kernel_basis, two_term_corank
+from oracles import kernel_basis, two_term_corank
 
 
 def identity(n):

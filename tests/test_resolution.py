@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import pathlib
 import re
 
 import pytest
@@ -35,6 +33,8 @@ from youngquiver.resolution import (
     verify_resolution,
 )
 from youngquiver.signs import arrow_sign
+
+from oracles import load_bench_workloads
 
 P = lambda *rows: Partition(tuple(rows))
 
@@ -374,12 +374,15 @@ class TestAssemblyOracle:
 class TestVerifyComplex:
     def test_empty_base_any_depth(self):
         for depth in (1, 3, 5):
-            assert verify_complex(build_resolution(EMPTY, depth)).passed
+            complex_ = build_resolution(EMPTY, depth)
+            counts, first_failure = verify_complex(complex_)
+            assert first_failure is None
+            assert counts["products_checked"] == len(complex_.objects) * (depth - 1)
 
     def test_staircase_deep(self):
-        cert = verify_complex(build_resolution(P(2, 1), 6))
-        assert cert.passed
-        assert cert.counts["diamond_cancellations"] > 0
+        counts, first_failure = verify_complex(build_resolution(P(2, 1), 6))
+        assert first_failure is None
+        assert counts["diamond_cancellations"] > 0
 
     def test_detects_wrong_signs(self):
         # corrupt one differential entry and watch the product survive
@@ -389,18 +392,14 @@ class TestVerifyComplex:
         maps = dict(chain.maps)
         maps[1] = IntMatrix(bad.n_rows, bad.n_cols, {(0, 0): 1, (0, 1): 1})
         broken = with_chain(complex_, P(2, 1), chain._replace(maps=maps))
-        cert = verify_complex(broken)
-        assert not cert.passed
-        assert cert.first_failure == {
+        counts, first_failure = verify_complex(broken)
+        assert first_failure == {
             "object": "2,1",
             "position": -2,
             "nonzero_entries": [[0, 0, "2"]],
         }
-        assert cert.counts == {
-            "objects_checked": 6,
-            "products_checked": 6,
-            "diamond_cancellations": 0,
-        }
+        # one product per object at depth 2: six objects, (2,1) the sixth
+        assert counts == {"products_checked": 6, "diamond_cancellations": 0}
 
     def test_multiplies_a_map_that_build_resolution_leaves_out(self):
         # build_resolution stores no map out of position -2 at object (2), whose
@@ -415,13 +414,12 @@ class TestVerifyComplex:
             {0: IntMatrix(1, 1, {(0, 0): 1}), **chain.maps},
         )
         broken = with_chain(complex_, P(2), forged)
-        cert = verify_complex(broken)
-        assert cert.first_failure == {
+        assert verify_complex(broken)[1] == {
             "object": "2",
             "position": -2,
             "nonzero_entries": [[0, 0, "1"]],
         }
-        assert verify_exactness(broken).first_failure == {
+        assert verify_exactness(broken)[1] == {
             "object": "2",
             "position": -1,
             "dim": 1,
@@ -440,23 +438,20 @@ class TestVerifyComplex:
         low = IntMatrix.from_rows([[1], [-1], [1]])
         high = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 0, 1]])
         forged = ObjectChain(((0,), (0, 1, 2), (0, 1, 2), (0,)), {0: low, 1: high})
-        cert = verify_complex(with_chain(complex_, P(2, 1), forged))
-        assert cert.first_failure == {
+        counts, first_failure = verify_complex(with_chain(complex_, P(2, 1), forged))
+        assert first_failure == {
             "object": "2,1",
             "position": -3,
             "nonzero_entries": [[1, 0, "2"], [2, 0, "1"]],
         }
-        assert cert.counts == {
-            "objects_checked": 6,
-            "products_checked": 12,
-            "diamond_cancellations": 1,
-        }
+        # two products per object at depth 3: six objects, (2,1) the sixth
+        assert counts == {"products_checked": 12, "diamond_cancellations": 1}
 
 
 class TestVerifyExactness:
     def test_cohomology_at_base_object(self):
         complex_ = build_resolution(EMPTY, 3)
-        assert verify_exactness(complex_).passed
+        assert verify_exactness(complex_)[1] is None
         assert len(components_at(complex_, 0, EMPTY)) == 1
         assert rank(matrix_at(complex_, -1, EMPTY)) == 0  # rank into position 0
 
@@ -466,7 +461,7 @@ class TestVerifyExactness:
         assert len(components_at(complex_, 0, P(2))) == 1
         assert len(components_at(complex_, -1, P(2))) == 1
         assert len(components_at(complex_, -2, P(2))) == 0
-        assert verify_exactness(complex_).passed
+        assert verify_exactness(complex_)[1] is None
         assert rank(matrix_at(complex_, -1, P(2))) == 1
 
     def test_detects_broken_exactness(self):
@@ -478,10 +473,9 @@ class TestVerifyExactness:
         assert (dead.n_rows, dead.n_cols, rank(dead)) == (2, 1, 1)
         maps = {offset: m for offset, m in chain.maps.items() if offset != 0}
         broken = with_chain(complex_, P(2, 1), chain._replace(maps=maps))
-        assert verify_complex(broken).passed
-        cert = verify_exactness(broken)
-        assert not cert.passed
-        assert cert.first_failure == {
+        assert verify_complex(broken)[1] is None
+        counts, first_failure = verify_exactness(broken)
+        assert first_failure == {
             "object": "2,1",
             "position": -2,
             "dim": 1,
@@ -490,14 +484,14 @@ class TestVerifyExactness:
             "cohomology": 1,
             "expected": 0,
         }
-        assert cert.counts == {"objects_checked": 7, "positions_checked": 21}
+        assert counts == {"objects_checked": 7, "positions_checked": 21}
 
     def test_empty_chain_at_the_base_still_fails(self):
         # with no component at the base, position 0 there has no cohomology
         complex_ = build_resolution(P(1), 2)
         nothing = ObjectChain(tuple(() for _ in complex_.strata), {})
-        cert = verify_exactness(with_chain(complex_, P(1), nothing))
-        assert cert.first_failure == {
+        counts, first_failure = verify_exactness(with_chain(complex_, P(1), nothing))
+        assert first_failure == {
             "object": "1",
             "position": 0,
             "dim": 0,
@@ -506,16 +500,16 @@ class TestVerifyExactness:
             "cohomology": 0,
             "expected": 1,
         }
-        assert cert.counts == {"objects_checked": 7, "positions_checked": 21}
+        assert counts == {"objects_checked": 7, "positions_checked": 21}
 
     def test_objects_with_no_component_count_every_position(self):
         complex_ = build_resolution(P(2, 1), 3)
         empty = [chain for chain in complex_.chains if not any(chain.components)]
         assert empty
-        cert = verify_exactness(complex_)
-        assert cert.passed
+        counts, first_failure = verify_exactness(complex_)
+        assert first_failure is None
         positions = len(complex_.objects) * (complex_.depth + 1)
-        assert cert.counts == {
+        assert counts == {
             "objects_checked": len(complex_.objects),
             "positions_checked": positions,
         }
@@ -531,7 +525,7 @@ class TestVerifyExactness:
 
     def test_rank_identity_audit_trail(self):
         complex_ = build_resolution(P(2), 3)
-        assert verify_exactness(complex_).passed
+        assert verify_exactness(complex_)[1] is None
         for mu in objects_of(complex_):
             ranks_out = [rank(matrix_at(complex_, i, mu)) for i in range(-3, 0)] + [0]
             for offset, i in enumerate(range(-3, 1)):
@@ -541,7 +535,6 @@ class TestVerifyExactness:
                 assert dim - ranks_out[offset] - rank_in == expected
 
     def test_certificate_holds_no_per_object_data(self):
-        assert verify_exactness(build_resolution(P(2), 3)).details is None
         details = verify_resolution(P(2), 3).details
         assert details == {"linear": True}
 
@@ -661,16 +654,6 @@ class TestTransposedMirror:
                 low = mirrored_matrix(complex_, i, mu)
                 high = mirrored_matrix(complex_, i + 1, mu)
                 assert multiply(high, low).is_zero()
-
-
-def _load_bench_workloads():
-    """``perfbench/workloads.py``, loaded read-only from its file: the gate's
-    closed forms and its recorded diamond counts."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 BENCH_BASES = partitions_up_to(5)
@@ -852,13 +835,12 @@ class TestRowRuleMutants:
 
 def per_object_complex(complex_):
     """``verify_complex`` without sharing: every object's products formed
-    afresh.  (counts, first_failure) in the certificate's order and with
-    its locator."""
+    afresh.  (counts, first_failure) in the order and with the locator that
+    ``verify_complex`` returns."""
     depth = complex_.depth
-    counts = {"objects_checked": 0, "products_checked": 0, "diamond_cancellations": 0}
+    counts = {"products_checked": 0, "diamond_cancellations": 0}
     first_failure = None
     for mu, chain in zip(complex_.objects, complex_.chains):
-        counts["objects_checked"] += 1
         counts["products_checked"] += depth - 1
         for offset, low in sorted(chain.maps.items()):
             high = chain.maps.get(offset + 1)
@@ -925,8 +907,7 @@ def assert_matches_per_object(complex_):
         (verify_complex, per_object_complex),
         (verify_exactness, per_object_exactness),
     ):
-        cert = verify(complex_)
-        assert (cert.counts, cert.first_failure) == oracle(complex_)
+        assert verify(complex_) == oracle(complex_)
 
 
 class TestSharedChains:
@@ -979,7 +960,7 @@ class TestSharedChains:
         flipped = dict(shared.maps)
         flipped[3] = IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
         broken = with_chain(complex_, P(3, 1), shared._replace(maps=flipped))
-        assert verify_complex(broken).first_failure == {
+        assert verify_complex(broken)[1] == {
             "object": "3,1",
             "position": -2,
             "nonzero_entries": [[0, 0, "2"]],
@@ -988,8 +969,8 @@ class TestSharedChains:
 
         dropped = {offset: m for offset, m in shared.maps.items() if offset != 3}
         broken = with_chain(complex_, P(3, 1), shared._replace(maps=dropped))
-        assert verify_complex(broken).passed
-        assert verify_exactness(broken).first_failure == {
+        assert verify_complex(broken)[1] is None
+        assert verify_exactness(broken)[1] == {
             "object": "3,1",
             "position": -1,
             "dim": 2,
@@ -1004,8 +985,8 @@ class TestSharedChains:
         copy = shared._replace()
         assert copy == shared and copy is not shared
         unchanged = with_chain(complex_, P(3, 1), copy)
-        assert verify_complex(unchanged).passed
-        assert verify_exactness(unchanged).passed
+        assert verify_complex(unchanged)[1] is None
+        assert verify_exactness(unchanged)[1] is None
         assert_matches_per_object(unchanged)
 
     def test_dump_lists_every_object_of_a_shared_chain(self):
@@ -1082,7 +1063,7 @@ def test_matrix_dump_is_unchanged(capsys):
 def test_bench_gate_counts(xi):
     """The counts the benchmark gate demands of each base at depth 8, so a
     drift fails the suite before it fails the benchmark."""
-    workloads = _load_bench_workloads()
+    workloads = load_bench_workloads()
     depth = workloads.RESOLUTION_DEPTH
     assert (workloads.RESOLUTION_MAX_BASE, depth) == (5, 8)
     cert = verify_resolution(xi, depth)

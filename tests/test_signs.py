@@ -128,9 +128,9 @@ class TestGrowthProcedure:
             assert len(addition_orders(lam)) == specht_dimension(lam.rows)
 
     def test_sweep_certificate(self):
-        cert = verify_growth_agreement(8)
-        assert cert.passed
-        assert cert.counts["partitions_checked"] == len(partitions_up_to(8))
+        counts, first_failure = verify_growth_agreement(8)
+        assert first_failure is None
+        assert counts["partitions_checked"] == len(partitions_up_to(8))
 
 
 class TestAnticommutativity:
@@ -191,7 +191,7 @@ class TestFailureLocator:
         assert cert.verdict == "fail"
         assert cert.counts["diamonds_checked"] == 2
         assert cert.first_failure == {"diamond": ["2", "2,1", "3", "3,1"], "products": [-1, -1]}
-        assert verify_growth_agreement(8).first_failure["partition"] == "2,1"
+        assert verify_growth_agreement(8)[1]["partition"] == "2,1"
 
     def test_flip_on_a_right_path(self, monkeypatch):
         # (4,2,1) -> (4,2,2) is the second arrow of the right path above (3,2,1)
@@ -203,7 +203,7 @@ class TestFailureLocator:
             "diamond": ["3,2,1", "3,2,2", "4,2,1", "4,2,2"],
             "products": [-1, -1],
         }
-        assert verify_growth_agreement(8).first_failure["partition"] == "4,2,1"
+        assert verify_growth_agreement(8)[1]["partition"] == "4,2,1"
 
 
 @st.composite

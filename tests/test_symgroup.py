@@ -37,6 +37,8 @@ from youngquiver.symgroup import (
     young_symmetrizer,
 )
 
+from oracles import load_bench_workloads
+
 P = lambda *rows: tuple(rows)
 EMPTY = ()
 
@@ -1187,9 +1189,7 @@ class TestPieri:
 def test_bench_gate_counts():
     """The counts the benchmark gate demands of the ``symgroup`` workload, so
     a drift fails the suite before it fails the benchmark."""
-    from test_resolution import _load_bench_workloads
-
-    workloads = _load_bench_workloads()
+    workloads = load_bench_workloads()
     n, direct_n = workloads.SYMGROUP_N, workloads.SYMGROUP_DIRECT_N
     assert (n, direct_n) == (5, 3)
     branching = symgroup.verify_branching(n, direct_n)
