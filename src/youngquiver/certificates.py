@@ -84,5 +84,5 @@ class Certificate:
         out["elapsed_ms"] = self.elapsed_ms
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)

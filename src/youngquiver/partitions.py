@@ -74,31 +74,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(rows)
 
 
-class Node:
-    """A cell position; rows and columns are 1-based."""
-
-    __slots__ = ("row", "col")
-
-    def __init__(self, row: int, col: int) -> None:
-        if row < 1 or col < 1:
-            raise ValueError(f"node coordinates must be >= 1: ({row}, {col})")
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"field {name!r} of an immutable Node")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Node:
-            return NotImplemented
-        return self.row == other.row and self.col == other.col
-
-    def __hash__(self) -> int:
-        return hash((self.row, self.col))
-
-
 class SkewClass(NamedTuple):
     """Containment and strip structure of a skew pair.
 
@@ -123,29 +98,11 @@ def transpose(lam: Partition) -> Partition:
     return Partition(tuple(cols))
 
 
-def addable_nodes(lam: Partition) -> list[Node]:
-    """Cells whose addition yields a partition, listed top row first."""
-    return [Node(r + 1, lam.row(r + 1) + 1) for r in addable_rows(lam.rows)]
-
-
-def add_node(lam: Partition, node: Node) -> Partition:
-    current = lam.row(node.row)
-    if node.col <= current:
-        raise ValueError(f"cell ({node.row},{node.col}) is already occupied in {lam}")
-    if node.col != current + 1:
-        raise ValueError(
-            f"cell ({node.row},{node.col}) would leave a gap in row {node.row} of {lam}"
-        )
-    if node.row > 1 and lam.row(node.row - 1) <= current:
-        raise ValueError(
-            f"adding at ({node.row},{node.col}) would break weak decrease in {lam}"
-        )
-    rows = list(lam.rows)
-    if node.row == len(rows) + 1:
-        rows.append(1)
-    else:
-        rows[node.row - 1] += 1
-    return Partition(tuple(rows))
+def add_node(lam: Partition, r: int) -> Partition:
+    """``lam`` with one node added in 0-based row ``r``."""
+    if r not in addable_rows(lam.rows):
+        raise ValueError(f"0-based row {r} of {lam} takes no node")
+    return Partition(grow_row(lam.rows, r))
 
 
 def addable_rows(rows: tuple[int, ...]) -> list[int]:
@@ -161,9 +118,21 @@ def grow_row(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 
 def grown_rows(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Row tuples of the one-node extensions of ``rows``, in the order of
-    ``addable_nodes``."""
+    """Row tuples of the one-node extensions of ``rows``, top row first."""
     return [grow_row(rows, r) for r in addable_rows(rows)]
+
+
+def removable_rows(rows: tuple[int, ...]) -> list[int]:
+    """The 0-based rows of ``rows`` that end in a removable corner, top row
+    first."""
+    padded = rows + (0,)
+    return [r for r, length in enumerate(rows) if length > padded[r + 1]]
+
+
+def shrink_row(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``rows`` with the corner of the removable 0-based row ``r`` taken
+    away."""
+    return rows[:r] + (rows[r] - 1,) + rows[r + 1 :] if rows[r] > 1 else rows[:r]
 
 
 def strip_tops(

@@ -42,7 +42,7 @@ from .exactlinalg import Scalar, normalize, rref
 from .partitions import (
     Partition,
     add_node,
-    addable_nodes,
+    addable_rows,
     diamond_vertices,
     diamonds_up_to,
     format_partition,
@@ -107,11 +107,7 @@ class QuadraticPresentation:
 
 
 def _middle_vertices(mu: Partition, lam: Partition) -> list[Partition]:
-    return [
-        nu
-        for nu in (add_node(mu, cell) for cell in addable_nodes(mu))
-        if lam.contains(nu)
-    ]
+    return [nu for nu in (add_node(mu, r) for r in addable_rows(mu.rows)) if lam.contains(nu)]
 
 
 def build_quadratic_dual(

@@ -56,8 +56,11 @@ from .partitions import (
     format_partition,
     partition_rows_up_to,
     partitions_of,
+    removable_rows,
+    shrink_row,
     strip_tops,
 )
+from .signs import added_node_sign
 
 Rows = tuple[int, ...]
 
@@ -191,21 +194,16 @@ def _arrows_into(upper: list[Rows], lower: list[Rows]) -> list[list[tuple[int, i
     """Entry j lists the members lam of ``lower`` covered by the member nu
     numbered j of ``upper``, as (number of lam, sign of the arrow lam -> nu):
     remove each corner of nu and keep the results that lie in ``lower``.
-    The arrow adds a node in 0-based row r, so its sign is
-    ``signs.added_node_sign(lam, r)``, the parity of the nodes above row r,
-    which lam and nu share: (-1)^sum(nu[:r])."""
+    The arrow adds a node in 0-based row r, and lam and nu have the same
+    rows above r, so its sign ``added_node_sign(lam, r)`` is read off nu."""
     by_rows = {lam: number for number, lam in enumerate(lower)}
     arrows = []
     for rows in upper:
         found = []
-        above = 0
-        for r, length in enumerate(rows):
-            if r + 1 == len(rows) or length > rows[r + 1]:
-                smaller = rows[:r] + (length - 1,) + rows[r + 1 :] if length > 1 else rows[:r]
-                number = by_rows.get(smaller)
-                if number is not None:
-                    found.append((number, -1 if above % 2 else 1))
-            above += length
+        for r in removable_rows(rows):
+            number = by_rows.get(shrink_row(rows, r))
+            if number is not None:
+                found.append((number, added_node_sign(rows, r)))
         arrows.append(found)
     return arrows
 
@@ -220,25 +218,22 @@ def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None
     every object that has it, and the first object whose chain has a
     nonzero product is the failure locator.
 
-    Returns the counts, up to and including the first failing object, and
-    that failure, or None.  Every object counts depth - 1 products, so for
-    depth 2 and up the objects reached are ``products_checked / (depth - 1)``.
+    Returns the counts, which cover every object even after a failure, and
+    the first failure, or None.  Every object counts depth - 1 products,
+    one per adjacent pair of positions.
     """
     depth = complex_.depth
-    products_checked = 0
     cancellations = 0
     first_failure = None
     # id(chain) -> (two-term zeros, first nonzero product as (offset, entries))
     seen: dict[int, tuple[int, tuple[int, dict] | None]] = {}
     for mu, chain in zip(complex_.objects, complex_.chains):
-        # every adjacent pair counts; one with an absent factor is zero
-        products_checked += depth - 1
         result = seen.get(id(chain))
         if result is None:
             result = seen[id(chain)] = _products_of(chain)
         two_term_zeros, nonzero = result
         cancellations += two_term_zeros
-        if nonzero is not None:
+        if nonzero is not None and first_failure is None:
             offset, entries = nonzero
             first_failure = {
                 "object": format_partition(mu),
@@ -247,8 +242,11 @@ def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None
                     [list(key) + [str(val)] for key, val in entries.items()]
                 ),
             }
-            break
-    counts = {"products_checked": products_checked, "diamond_cancellations": cancellations}
+    counts = {
+        # every adjacent pair counts; one with an absent factor is zero
+        "products_checked": len(complex_.objects) * (depth - 1),
+        "diamond_cancellations": cancellations,
+    }
     return counts, first_failure
 
 

@@ -3,11 +3,12 @@
 The closed form is the implementation: the sign of row r in a diagram is
 (-1)^(number of nodes strictly above row r), and an arrow adding a node in
 row r carries the sign of that row.  It is written once, on row tuples
-(``added_node_sign``); ``row_sign``, ``arrow_sign``, the diamond sweep
-and the arrow labels of ``quiver.render`` all read it.  The incremental growth procedure (all rows of the empty
-diagram start at +1; adding a node in row r flips every row strictly below
-r) is kept alongside as an independent oracle - agreement of the two on
-every addition order is checked by the verification sweep.
+(``added_node_sign``); ``arrow_sign``, the diamond sweep, the growth oracle,
+the differentials of ``resolution`` and the arrow labels of
+``quiver.render`` all read it.  The incremental growth procedure (all rows
+of the empty diagram start at +1; adding a node in row r flips every row
+strictly below r) is kept alongside as an independent oracle - agreement of
+the two on every addition order is checked by the verification sweep.
 """
 
 import random
@@ -16,15 +17,15 @@ import time
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .partitions import (
-    EMPTY,
-    Node,
     Partition,
-    add_node,
+    addable_rows,
     diamond_vertices,
     diamonds_up_to,
     format_partition,
     grow_row,
-    partitions_up_to,
+    partition_rows_up_to,
+    removable_rows,
+    shrink_row,
 )
 
 # growth agreement tries every addition order of a diagram with at most
@@ -37,13 +38,6 @@ def added_node_sign(lower: tuple[int, ...], r: int) -> int:
     """The closed form on row tuples: the sign of the arrow that adds a node
     to 0-based row ``r`` of ``lower``, (-1)^(nodes of lower above row r)."""
     return -1 if sum(lower[:r]) % 2 else 1
-
-
-def row_sign(lam: Partition, row: int) -> int:
-    """(-1)^(number of nodes of lam strictly above ``row``)."""
-    if row < 1:
-        raise ValueError("rows are 1-based")
-    return added_node_sign(lam.rows, row - 1)
 
 
 def arrow_sign(lam: Partition, mu: Partition) -> int:
@@ -66,59 +60,49 @@ def path_signs(bottom: tuple[int, ...], r1: int, r2: int) -> tuple[int, int]:
     return left, right
 
 
-def growth_signs(additions: list[Node]) -> tuple[list[int], list[int]]:
-    """Run the incremental procedure along a node-addition sequence from the
-    empty diagram.  Returns (row signs of rows 1..k+1 after all additions,
-    arrow signs read off along the path).  This is the test oracle for the
-    closed form; it validates the sequence as it goes."""
+def growth_signs(additions: list[int]) -> tuple[list[int], list[int]]:
+    """Run the incremental procedure along a sequence of 0-based rows that
+    each take a node, from the empty diagram.  Returns (row signs of rows
+    0..k after all additions, arrow signs read off along the path).  This is
+    the test oracle for the closed form; it validates the sequence as it
+    goes."""
     n_rows = len(additions) + 1
     signs = [1] * n_rows
-    shape = EMPTY
+    shape: tuple[int, ...] = ()
     along_path = []
-    for node in additions:
-        shape = add_node(shape, node)
-        along_path.append(signs[node.row - 1])
-        for r in range(node.row, n_rows):
-            signs[r] = -signs[r]
+    for r in additions:
+        if r not in addable_rows(shape):
+            raise ValueError(f"0-based row {r} of {format_partition(shape)} takes no node")
+        shape = grow_row(shape, r)
+        along_path.append(signs[r])
+        for below in range(r + 1, n_rows):
+            signs[below] = -signs[below]
     return signs, along_path
 
 
-def addition_orders(lam: Partition) -> list[list[Node]]:
-    """Every order in which lam can be grown from the empty diagram one
-    addable node at a time."""
-    if lam.size == 0:
+def addition_orders(rows: tuple[int, ...]) -> list[list[int]]:
+    """Every order, as 0-based rows, in which ``rows`` can be grown from the
+    empty diagram one addable node at a time."""
+    if not rows:
         return [[]]
-    out = []
-    for r in range(1, len(lam.rows) + 1):
-        if lam.row(r) > lam.row(r + 1):  # removable corner
-            smaller_rows = list(lam.rows)
-            smaller_rows[r - 1] -= 1
-            if smaller_rows[r - 1] == 0:
-                smaller_rows.pop()
-            smaller = Partition(tuple(smaller_rows))
-            for order in addition_orders(smaller):
-                out.append(order + [Node(r, lam.row(r))])
-    return out
+    return [
+        order + [r]
+        for r in removable_rows(rows)
+        for order in addition_orders(shrink_row(rows, r))
+    ]
 
 
-def _sampled_orders(lam: Partition, seed: int) -> list[list[Node]]:
-    rng = random.Random(f"{seed}:{lam}")
+def _sampled_orders(rows: tuple[int, ...], seed: int) -> list[list[int]]:
+    rng = random.Random(f"{seed}:{format_partition(rows)}")
     orders = []
     for _ in range(SAMPLES):
-        shape = lam
-        reversed_nodes = []
-        while shape.size:
-            corners = [
-                r for r in range(1, len(shape.rows) + 1) if shape.row(r) > shape.row(r + 1)
-            ]
-            r = rng.choice(corners)
-            reversed_nodes.append(Node(r, shape.row(r)))
-            rows = list(shape.rows)
-            rows[r - 1] -= 1
-            if rows[r - 1] == 0:
-                rows.pop()
-            shape = Partition(tuple(rows))
-        orders.append(list(reversed(reversed_nodes)))
+        shape = rows
+        reversed_rows = []
+        while shape:
+            r = rng.choice(removable_rows(shape))
+            reversed_rows.append(r)
+            shape = shrink_row(shape, r)
+        orders.append(reversed_rows[::-1])
     return orders
 
 
@@ -129,31 +113,34 @@ def verify_growth_agreement(
 
     All addition orders are tried up to ``EXHAUSTIVE_LIMIT`` nodes; beyond
     that ``SAMPLES`` deterministic orders per diagram.  Returns the counts
-    and the first failure, or None.
+    and the first failure, or None.  The failing order is listed as the
+    1-based (row, column) of each added node.
     """
     check_bound(max_size, bounds.max_partition_size, "sign verification size")
     partitions_checked = 0
     orders_checked = 0
     first_failure = None
-    for lam in partitions_up_to(max_size, bounds):
-        if lam.size <= EXHAUSTIVE_LIMIT:
-            orders = addition_orders(lam)
+    for rows in partition_rows_up_to(max_size, bounds):
+        if sum(rows) <= EXHAUSTIVE_LIMIT:
+            orders = addition_orders(rows)
         else:
-            orders = _sampled_orders(lam, seed=max_size)
+            orders = _sampled_orders(rows, seed=max_size)
         partitions_checked += 1
         for order in orders:
             grown_rows, grown_path = growth_signs(order)
-            expected_rows = [row_sign(lam, r) for r in range(1, len(order) + 2)]
-            shape = EMPTY
+            expected_rows = [added_node_sign(rows, r) for r in range(len(order) + 1)]
+            shape = ()
             expected_path = []
-            for node in order:
-                expected_path.append(row_sign(shape, node.row))
-                shape = add_node(shape, node)
+            nodes = []
+            for r in order:
+                expected_path.append(added_node_sign(shape, r))
+                shape = grow_row(shape, r)
+                nodes.append([r + 1, shape[r]])
             orders_checked += 1
             if grown_rows != expected_rows or grown_path != expected_path:
                 first_failure = {
-                    "partition": str(lam),
-                    "order": [[n.row, n.col] for n in order],
+                    "partition": format_partition(rows),
+                    "order": nodes,
                     "grown_rows": grown_rows,
                     "closed_form_rows": expected_rows,
                 }

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from youngquiver.config import BoundExceededError
 from youngquiver.partitions import (
     EMPTY,
-    Node,
     Partition,
     SkewClass,
     add_node,
-    addable_nodes,
     addable_rows,
     diamond_vertices,
     diamonds_up_to,
@@ -20,6 +18,8 @@ from youngquiver.partitions import (
     partition_rows_up_to,
     partitions_of,
     partitions_up_to,
+    removable_rows,
+    shrink_row,
     skew_classify,
     subdiagram_rows,
     transpose,
@@ -33,9 +33,10 @@ def subdiagrams(lam):
 
 
 def skew_nodes(mu, lam):
-    """Cells of lam not in mu, for lam containing mu."""
+    """Cells of lam not in mu, for lam containing mu, as 1-based (row,
+    column) pairs."""
     return [
-        Node(r, c)
+        (r, c)
         for r in range(1, len(lam.rows) + 1)
         for c in range(mu.row(r) + 1, lam.row(r) + 1)
     ]
@@ -49,9 +50,10 @@ def lattice_join(mu, nu):
 
 def diamonds_above(bottom):
     """The oracle diamond sequence on ``Partition``s: every pair of one-node
-    extensions of ``bottom`` from ``addable_nodes`` and ``add_node``, the
-    mids sorted by rows, with their rowwise maximum as the top."""
-    mids = [add_node(bottom, node) for node in addable_nodes(bottom)]
+    extensions of ``bottom`` from ``addable_by_brute_force`` and
+    ``add_node``, the mids sorted by rows, with their rowwise maximum as the
+    top."""
+    mids = [add_node(bottom, r) for r in addable_by_brute_force(bottom)]
     diamonds = []
     for i in range(len(mids)):
         for j in range(i + 1, len(mids)):
@@ -153,47 +155,92 @@ class TestTranspose:
 
 
 def addable_by_brute_force(lam):
-    """Try every cell in rows 1..k+1 and keep those yielding partitions."""
+    """Try every row 0..k and keep those where one more node yields a
+    partition."""
     out = []
-    for r in range(1, len(lam.rows) + 2):
+    for r in range(len(lam.rows) + 1):
         candidate = list(lam.rows) + [0]
-        candidate[r - 1] += 1
+        candidate[r] += 1
         trimmed = tuple(v for v in candidate if v)
         if all(trimmed[i] >= trimmed[i + 1] for i in range(len(trimmed) - 1)):
-            out.append(Node(r, lam.row(r) + 1))
+            out.append(r)
+    return out
+
+
+def removable_by_brute_force(rows):
+    """Try every row and keep those where one node less yields a partition."""
+    out = []
+    for r in range(len(rows)):
+        candidate = list(rows)
+        candidate[r] -= 1
+        if all(candidate[i] >= candidate[i + 1] for i in range(len(candidate) - 1)):
+            out.append(r)
     return out
 
 
 class TestAddableNodes:
+    """The rows of the addable nodes, from ``addable_rows``."""
+
     def test_empty(self):
-        assert addable_nodes(EMPTY) == [Node(1, 1)]
+        assert addable_rows(()) == [0]
 
     def test_staircase(self):
-        assert addable_nodes(P(2, 1)) == [Node(1, 3), Node(2, 2), Node(3, 1)]
+        assert addable_rows((2, 1)) == [0, 1, 2]
 
     def test_rectangle(self):
-        assert addable_nodes(P(2, 2)) == [Node(1, 3), Node(3, 1)]
+        assert addable_rows((2, 2)) == [0, 2]
 
     @given(partitions())
     def test_matches_brute_force(self, lam):
-        assert addable_nodes(lam) == addable_by_brute_force(lam)
+        assert addable_rows(lam.rows) == addable_by_brute_force(lam)
 
     @given(partitions())
     def test_count_is_distinct_row_lengths_plus_one(self, lam):
-        assert len(addable_nodes(lam)) == len(set(lam.rows)) + 1
+        assert len(addable_rows(lam.rows)) == len(set(lam.rows)) + 1
+
+
+class TestRemovableRows:
+    def test_empty(self):
+        assert removable_rows(()) == []
+
+    def test_staircase(self):
+        assert removable_rows((2, 1)) == [0, 1]
+        assert shrink_row((2, 1), 1) == (2,)
+        assert shrink_row((2, 1), 0) == (1, 1)
+
+    def test_rectangle(self):
+        assert removable_rows((2, 2)) == [1]
+        assert shrink_row((2, 2), 1) == (2, 1)
+
+    @given(partitions())
+    def test_count_is_distinct_row_lengths(self, lam):
+        assert len(removable_rows(lam.rows)) == len(set(lam.rows))
+
+    def test_matches_brute_force_to_nine(self):
+        for rows in partition_rows_up_to(9):
+            assert removable_rows(rows) == removable_by_brute_force(rows)
+
+    def test_shrink_undoes_grow_to_ten(self):
+        for rows in partition_rows_up_to(10):
+            for r in addable_rows(rows):
+                grown = grow_row(rows, r)
+                assert r in removable_rows(grown)
+                assert shrink_row(grown, r) == rows
 
 
 class TestRowTupleHelpers:
     def test_grown_rows_match_add_node_exhaustive_to_nine(self):
         for lam in partitions_up_to(9):
-            assert grown_rows(lam.rows) == [add_node(lam, cell).rows for cell in addable_nodes(lam)]
+            assert grown_rows(lam.rows) == [add_node(lam, r).rows for r in addable_rows(lam.rows)]
 
     def test_addable_rows_and_grow_row_match_brute_force_to_nine(self):
         for lam in partitions_up_to(9):
-            nodes = addable_by_brute_force(lam)
-            assert addable_rows(lam.rows) == [node.row - 1 for node in nodes]
-            for node in nodes:
-                assert grow_row(lam.rows, node.row - 1) == add_node(lam, node).rows
+            rows = addable_by_brute_force(lam)
+            assert addable_rows(lam.rows) == rows
+            for r in rows:
+                grown = list(lam.rows) + [0]
+                grown[r] += 1
+                assert grow_row(lam.rows, r) == add_node(lam, r).rows == tuple(v for v in grown if v)
 
     def test_subdiagram_rows_match_the_containment_scan_to_nine(self):
         for lam in partitions_up_to(9):
@@ -206,27 +253,31 @@ class TestRowTupleHelpers:
 
 class TestAddNode:
     def test_first_node(self):
-        assert add_node(EMPTY, Node(1, 1)) == P(1)
+        assert add_node(EMPTY, 0) == P(1)
 
     def test_interior(self):
-        assert add_node(P(2, 1), Node(2, 2)) == P(2, 2)
+        assert add_node(P(2, 1), 1) == P(2, 2)
 
-    def test_occupied_cell_rejected(self):
-        with pytest.raises(ValueError, match="occupied"):
-            add_node(P(2, 1), Node(1, 1))
+    def test_new_row(self):
+        assert add_node(P(2, 1), 2) == P(2, 1, 1)
 
     def test_gap_rejected(self):
-        with pytest.raises(ValueError, match="gap"):
-            add_node(P(1), Node(1, 3))
+        for lam, r in [(P(1), 2), (EMPTY, 1)]:
+            with pytest.raises(ValueError, match="takes no node"):
+                add_node(lam, r)
 
     def test_monotonicity_break_rejected(self):
-        with pytest.raises(ValueError):
-            add_node(P(1), Node(2, 2))
+        with pytest.raises(ValueError, match="takes no node"):
+            add_node(P(2, 2), 1)
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError, match="takes no node"):
+            add_node(P(1), -1)
 
     @given(partitions())
     def test_every_addable_node_works(self, lam):
-        for node in addable_nodes(lam):
-            bigger = add_node(lam, node)
+        for r in addable_rows(lam.rows):
+            bigger = add_node(lam, r)
             assert bigger.size == lam.size + 1
             assert bigger.contains(lam)
 
@@ -345,14 +396,14 @@ class TestDiamonds:
     @given(partitions(max_size=10))
     def test_completion_unique(self, bottom):
         # any common extension of two distinct mids by one node is the join
-        mids = [add_node(bottom, node) for node in addable_nodes(bottom)]
+        mids = [add_node(bottom, r) for r in addable_rows(bottom.rows)]
         for i in range(len(mids)):
             for j in range(i + 1, len(mids)):
                 join = lattice_join(mids[i], mids[j])
                 tops = [
-                    add_node(mids[i], node)
-                    for node in addable_nodes(mids[i])
-                    if add_node(mids[i], node).contains(mids[j])
+                    add_node(mids[i], r)
+                    for r in addable_rows(mids[i].rows)
+                    if add_node(mids[i], r).contains(mids[j])
                 ]
                 assert tops == [join]
 

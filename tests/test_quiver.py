@@ -8,7 +8,7 @@ from youngquiver.partitions import (
     EMPTY,
     Partition,
     add_node,
-    addable_nodes,
+    addable_rows,
     format_partition,
     grow_row,
     partitions_of,
@@ -112,7 +112,7 @@ class TestQuiverSlice:
         for k, node in enumerate(s.nodes):
             if sum(node) < 6:
                 out = [arrow for arrow in s.arrows if arrow[0] == k]
-                assert len(out) == len(addable_nodes(Partition(node)))
+                assert len(out) == len(addable_rows(node))
 
     @pytest.mark.parametrize("n", range(4))
     def test_out_degree_matches_branching_multiplicities(self, n):
@@ -120,7 +120,7 @@ class TestQuiverSlice:
             branching = sum(
                 induction_multiplicity(mu.rows, 1, lam.rows) for lam in partitions_of(n + 1)
             )
-            assert branching == len(addable_nodes(mu))
+            assert branching == len(addable_rows(mu.rows))
 
     def test_bound(self):
         message = "quiver slice size 31 exceeds configured bound 30"
@@ -164,10 +164,10 @@ def slow_rendering(max_size, fmt, signs):
     from ``arrow_sign`` and both ends of every arrow formatted anew."""
     nodes = partitions_up_to(max_size)
     arrows = [
-        (node, add_node(node, cell))
+        (node, add_node(node, r))
         for node in nodes
         if node.size < max_size
-        for cell in addable_nodes(node)
+        for r in addable_rows(node.rows)
     ]
     if fmt == "dot":
         lines = ["digraph young_lattice {"]

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from youngquiver.exactlinalg import IntMatrix
-from youngquiver.partitions import Node, Partition
+from youngquiver.partitions import Partition
 from youngquiver.symgroup import GroupAlgebraElement
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -33,7 +33,6 @@ def test_cli_import_loads_no_dataclasses():
 
 FIELDS = [
     (Partition((3, 1)), ("rows", "size")),
-    (Node(2, 3), ("row", "col")),
     (IntMatrix(2, 2, {(0, 1): 1}), ("n_rows", "n_cols", "entries")),
     (GroupAlgebraElement(2, {(2, 1): 1}, 2), ("degree", "numerators", "denominator")),
 ]
@@ -59,14 +58,6 @@ def test_partition_hashes_as_its_field_tuple():
         assert hash(a) == hash(b) == hash((rows,))
     assert Partition((2,)) != Partition((1, 1))
     assert Partition((2,)) != (2,)
-
-
-def test_node_hashes_as_its_field_tuple():
-    assert Node(2, 3) == Node(2, 3)
-    assert hash(Node(2, 3)) == hash((2, 3))
-    assert Node(2, 3) != Node(3, 2)
-    assert Node(2, 3) != (2, 3)
-    assert len({Node(1, 1), Node(1, 1), Node(1, 2)}) == 2
 
 
 @pytest.mark.parametrize(

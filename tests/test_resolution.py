@@ -398,8 +398,9 @@ class TestVerifyComplex:
             "position": -2,
             "nonzero_entries": [[0, 0, "2"]],
         }
-        # one product per object at depth 2: six objects, (2,1) the sixth
-        assert counts == {"products_checked": 6, "diamond_cancellations": 0}
+        # one product per object at depth 2, counted at all seven objects
+        # although (2,1), the sixth, fails
+        assert counts == {"products_checked": 7, "diamond_cancellations": 0}
 
     def test_multiplies_a_map_that_build_resolution_leaves_out(self):
         # build_resolution stores no map out of position -2 at object (2), whose
@@ -444,8 +445,10 @@ class TestVerifyComplex:
             "position": -3,
             "nonzero_entries": [[1, 0, "2"], [2, 0, "1"]],
         }
-        # two products per object at depth 3: six objects, (2,1) the sixth
-        assert counts == {"products_checked": 12, "diamond_cancellations": 1}
+        # two products per object at depth 3, counted at all 30 objects
+        # although (2,1), the sixth, fails: the forged chain cancels once,
+        # the other objects 13 times
+        assert counts == {"products_checked": 60, "diamond_cancellations": 14}
 
 
 class TestVerifyExactness:
@@ -715,6 +718,13 @@ def mutated_arrows(kind, call, member):
     return wrapped
 
 
+def assert_one_extent(cert, depth):
+    """A failing certificate's counts cover every object, products
+    included: depth - 1 of them per object."""
+    counts = cert.counts
+    assert counts["products_checked"] == counts["objects_checked"] * (depth - 1)
+
+
 class TestMutants:
     """Certificates of mutated differentials, recorded from the assembly on
     ``Partition``s with ``arrow_sign`` and the rational matrix."""
@@ -722,11 +732,12 @@ class TestMutants:
     def test_flipped_sign_fails_the_complex(self, monkeypatch):
         monkeypatch.setattr(resolution, "_arrows_into", mutated_arrows("flip", 1, 0))
         cert = verify_resolution(P(1), 4)
+        assert_one_extent(cert, 4)
         assert cert.counts == {
             "objects_checked": 19,
             "positions_checked": 95,
-            "products_checked": 33,
-            "diamond_cancellations": 2,
+            "products_checked": 57,
+            "diamond_cancellations": 3,
         }
         assert cert.first_failure == {
             "object": "2,1,1",
@@ -738,11 +749,12 @@ class TestMutants:
     def test_dropped_arrow_fails_the_complex(self, monkeypatch):
         monkeypatch.setattr(resolution, "_arrows_into", mutated_arrows("drop", 1, 0))
         cert = verify_resolution(P(1), 4)
+        assert_one_extent(cert, 4)
         assert cert.counts == {
             "objects_checked": 19,
             "positions_checked": 95,
-            "products_checked": 33,
-            "diamond_cancellations": 2,
+            "products_checked": 57,
+            "diamond_cancellations": 3,
         }
         assert cert.first_failure == {
             "object": "2,1,1",
@@ -756,6 +768,7 @@ class TestMutants:
         # can see it
         monkeypatch.setattr(resolution, "_arrows_into", mutated_arrows("drop", 0, 1))
         cert = verify_resolution(P(1), 4)
+        assert_one_extent(cert, 4)
         assert cert.counts == {
             "objects_checked": 19,
             "positions_checked": 95,
@@ -800,6 +813,7 @@ class TestRowRuleMutants:
         monkeypatch.setattr(resolution, "_members_at", mutated_members("drop"))
         xi = P(2, 1)
         cert = verify_resolution(xi, 3)
+        assert_one_extent(cert, 3)
         assert cert.first_failure == {
             "object": "3,1",
             "position": 0,
@@ -820,6 +834,7 @@ class TestRowRuleMutants:
         monkeypatch.setattr(resolution, "_members_at", mutated_members("add"))
         xi = P(2, 1)
         cert = verify_resolution(xi, 3)
+        assert_one_extent(cert, 3)
         assert cert.first_failure == {
             "object": "2,1,1,1",
             "position": -2,
@@ -836,7 +851,8 @@ class TestRowRuleMutants:
 def per_object_complex(complex_):
     """``verify_complex`` without sharing: every object's products formed
     afresh.  (counts, first_failure) in the order and with the locator that
-    ``verify_complex`` returns."""
+    ``verify_complex`` returns: the counts cover every object, and the
+    locator is the first failing one."""
     depth = complex_.depth
     counts = {"products_checked": 0, "diamond_cancellations": 0}
     first_failure = None
@@ -856,8 +872,6 @@ def per_object_complex(complex_):
                         [list(key) + [str(val)] for key, val in nonzero.items()]
                     ),
                 }
-        if first_failure:
-            break
     return counts, first_failure
 
 

@@ -4,13 +4,12 @@ from hypothesis import strategies as st
 
 from youngquiver import signs
 from youngquiver.partitions import (
-    EMPTY,
-    Node,
     Partition,
-    add_node,
+    addable_rows,
     diamond_vertices,
     diamonds_up_to,
-    partitions_up_to,
+    grow_row,
+    partition_rows_up_to,
 )
 from youngquiver.signs import (
     added_node_sign,
@@ -18,7 +17,6 @@ from youngquiver.signs import (
     arrow_sign,
     growth_signs,
     path_signs,
-    row_sign,
     verify_growth_agreement,
     verify_signs_sweep,
 )
@@ -48,24 +46,25 @@ LATTICE_SIGNS_UP_TO_FOUR = {
 
 class TestClosedForm:
     def test_row_signs_of_single_box(self):
-        assert [row_sign(P(1), r) for r in (1, 2, 3, 4)] == [1, -1, -1, -1]
+        assert [added_node_sign((1,), r) for r in range(4)] == [1, -1, -1, -1]
 
     def test_row_signs_of_hook(self):
-        assert [row_sign(P(2, 1), r) for r in (1, 2, 3, 4)] == [1, 1, -1, -1]
+        assert [added_node_sign((2, 1), r) for r in range(4)] == [1, 1, -1, -1]
 
     def test_row_signs_across_size_four(self):
-        # per-diagram row signs carried alongside the arrow labels
+        # per-diagram signs of 0-based rows 0..3, carried alongside the
+        # arrow labels
         expected = {
-            P(3): [1, -1, -1, -1],
-            P(1, 1, 1): [1, -1, 1, -1],
-            P(4): [1, 1, 1, 1],
-            P(3, 1): [1, -1, 1, 1],
-            P(2, 2): [1, 1, 1, 1],
-            P(2, 1, 1): [1, 1, -1, 1],
-            P(1, 1, 1, 1): [1, -1, 1, -1],
+            (3,): [1, -1, -1, -1],
+            (1, 1, 1): [1, -1, 1, -1],
+            (4,): [1, 1, 1, 1],
+            (3, 1): [1, -1, 1, 1],
+            (2, 2): [1, 1, 1, 1],
+            (2, 1, 1): [1, 1, -1, 1],
+            (1, 1, 1, 1): [1, -1, 1, -1],
         }
-        for lam, signs_ in expected.items():
-            assert [row_sign(lam, r) for r in (1, 2, 3, 4)] == signs_
+        for rows, signs_ in expected.items():
+            assert [added_node_sign(rows, r) for r in range(4)] == signs_
 
     def test_all_lattice_labels_up_to_four(self):
         for (lam, mu), sign in LATTICE_SIGNS_UP_TO_FOUR.items():
@@ -102,35 +101,47 @@ class TestGrowthProcedure:
     def test_two_paths_by_hand(self):
         # row-first growth of (2,1): flips land below the touched row, so the
         # final addition in row 2 sees sign (+1)(+1) -> +1
-        rows, path = growth_signs([Node(1, 1), Node(1, 2), Node(2, 1)])
+        rows, path = growth_signs([0, 0, 1])
         assert path == [1, 1, 1]
         assert rows == [1, 1, -1, -1]
         # column-first growth reaches the same diagram with the same row
         # signs through different intermediate flips
-        rows2, path2 = growth_signs([Node(1, 1), Node(2, 1), Node(1, 2)])
+        rows2, path2 = growth_signs([0, 1, 0])
         assert path2 == [1, -1, 1]
         assert rows2 == [1, 1, -1, -1]
 
+    def test_orders_by_hand(self):
+        assert addition_orders(()) == [[]]
+        assert addition_orders((2, 1)) == [[0, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "order", [[1], [0, 2], [0, 1, 1], [-1]], ids=["gap", "gap-below", "equal-row", "negative"]
+    )
+    def test_row_that_takes_no_node_rejected(self, order):
+        with pytest.raises(ValueError, match="takes no node"):
+            growth_signs(order)
+
     def test_all_orders_small(self):
-        for lam in partitions_up_to(5):
+        for lam in partition_rows_up_to(5):
             for order in addition_orders(lam):
                 grown_rows, grown_path = growth_signs(order)
-                assert grown_rows == [row_sign(lam, r) for r in range(1, len(order) + 2)]
-                shape = EMPTY
-                for node, got in zip(order, grown_path):
-                    assert got == row_sign(shape, node.row)
-                    shape = add_node(shape, node)
+                assert grown_rows == [added_node_sign(lam, r) for r in range(len(order) + 1)]
+                shape = ()
+                for r, got in zip(order, grown_path):
+                    assert got == added_node_sign(shape, r)
+                    shape = grow_row(shape, r)
+                assert shape == lam
 
     def test_order_counts_are_standard_tableau_counts(self):
         from youngquiver.symgroup import specht_dimension
 
-        for lam in partitions_up_to(5):
-            assert len(addition_orders(lam)) == specht_dimension(lam.rows)
+        for lam in partition_rows_up_to(5):
+            assert len(addition_orders(lam)) == specht_dimension(lam)
 
     def test_sweep_certificate(self):
         counts, first_failure = verify_growth_agreement(8)
         assert first_failure is None
-        assert counts["partitions_checked"] == len(partitions_up_to(8))
+        assert counts["partitions_checked"] == len(partition_rows_up_to(8))
 
 
 class TestAnticommutativity:
@@ -181,8 +192,8 @@ def flip_one_arrow(monkeypatch, lower, r):
 
 class TestFailureLocator:
     """A one-arrow flip fails the diamond sweep at the first diamond through
-    that arrow, and the growth oracle, which reads the same closed form
-    through ``row_sign``, fails on its own at the arrow's lower diagram."""
+    that arrow, and the growth oracle, which reads the same closed form,
+    fails on its own at the arrow's lower diagram."""
 
     def test_flip_on_a_left_path(self, monkeypatch):
         # (2,1) -> (3,1) is the second arrow of the left path above (2)
@@ -206,17 +217,72 @@ class TestFailureLocator:
         assert verify_growth_agreement(8)[1]["partition"] == "4,2,1"
 
 
+def flip_one_growth_sign(monkeypatch, call):
+    """Negate the row-2 sign that the growth procedure returns on its
+    0-based ``call``-th call; the row signs of the closed form are kept."""
+    grow = signs.growth_signs
+    calls = []
+
+    def flipped(order):
+        rows, path = grow(order)
+        if len(calls) == call:
+            rows[1] = -rows[1]
+        calls.append(call)
+        return rows, path
+
+    monkeypatch.setattr(signs, "growth_signs", flipped)
+
+
+class TestGrowthLocator:
+    """A flipped growth sign fails the sweep at the order that carries it.
+    The sweep reaches (3,1,1) after 28 exhaustive orders, and (4,2,1) after
+    44 exhaustive orders of sizes 0-5 and 3 seeded orders for each of the
+    16 diagrams of sizes 6 and 7 before it."""
+
+    def test_exhaustive_order(self, monkeypatch):
+        # the fourth of the six orders of (3,1,1)
+        flip_one_growth_sign(monkeypatch, 28 + 3)
+        cert = verify_signs_sweep(8)
+        assert cert.verdict == "fail"
+        assert cert.counts == {
+            "diamonds_checked": 62,
+            "partitions_checked": 16,
+            "orders_checked": 32,
+        }
+        assert cert.first_failure == {
+            "partition": "3,1,1",
+            "order": [[1, 1], [2, 1], [1, 2], [1, 3], [3, 1]],
+            "grown_rows": [1, 1, 1, -1, -1, -1],
+            "closed_form_rows": [1, -1, 1, -1, -1, -1],
+        }
+
+    def test_seeded_order(self, monkeypatch):
+        # the third seeded order of (4,2,1): the drawn order is pinned too
+        flip_one_growth_sign(monkeypatch, 44 + 3 * 16 + 2)
+        cert = verify_signs_sweep(8)
+        assert cert.verdict == "fail"
+        assert cert.counts == {
+            "diamonds_checked": 62,
+            "partitions_checked": 36,
+            "orders_checked": 95,
+        }
+        assert cert.first_failure == {
+            "partition": "4,2,1",
+            "order": [[1, 1], [2, 1], [1, 2], [3, 1], [2, 2], [1, 3], [1, 4]],
+            "grown_rows": [1, -1, 1, -1, -1, -1, -1, -1],
+            "closed_form_rows": [1, 1, 1, -1, -1, -1, -1, -1],
+        }
+
+
 @st.composite
 def random_addition_order(draw, max_size=8):
     size = draw(st.integers(min_value=0, max_value=max_size))
-    shape = EMPTY
+    shape = ()
     order = []
     for _ in range(size):
-        from youngquiver.partitions import addable_nodes
-
-        node = draw(st.sampled_from(addable_nodes(shape)))
-        order.append(node)
-        shape = add_node(shape, node)
+        r = draw(st.sampled_from(addable_rows(shape)))
+        order.append(r)
+        shape = grow_row(shape, r)
     return order
 
 
@@ -224,8 +290,8 @@ class TestPathIndependence:
     @given(random_addition_order())
     @settings(max_examples=150)
     def test_growth_agrees_with_closed_form(self, order):
-        shape = EMPTY
-        for node in order:
-            shape = add_node(shape, node)
+        shape = ()
+        for r in order:
+            shape = grow_row(shape, r)
         rows, _ = growth_signs(order)
-        assert rows == [row_sign(shape, r) for r in range(1, len(order) + 2)]
+        assert rows == [added_node_sign(shape, r) for r in range(len(order) + 1)]
