@@ -33,13 +33,12 @@ class Bounds(NamedTuple):
     # of it Young symmetrizer products
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}], one product per
-    # (C_lam, R_mu) double coset; verify morita --n 5 --direct-n 4, with the
-    # 59 direct ranks up to degree 4, takes 0.7-0.9 s.  --direct-n 5 took
-    # 59-72 s when last measured, 26 s of it the pair (1,1,1,1,1) -> (6),
-    # whose 720 double cosets are single permutations
-    max_direct_hom_degree: int = 4
+    # double coset of the symmetrizers' full Young stabilizers; verify morita
+    # --n 11 --direct-n 5, the slowest input this bound admits, takes
+    # 3.7-4.8 s, of which the 77 degree-5 ranks are 2.4-2.7 s in process
+    max_direct_hom_degree: int = 5
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
-    # --direct-n 4 takes 1.3-1.4 s, about 0.7 s of it the 9,215 pairings
+    # --direct-n 4 takes 0.7-0.8 s, about 0.5 s of it the 9,215 pairings
     max_induction_degree: int = 12
     # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
     # bounds admit, takes 0.5-0.6 s and table betti on it 0.5 s; its 5,037

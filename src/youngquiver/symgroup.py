@@ -9,14 +9,16 @@ denominator; a product composes the tuples directly and sums integers.
 Characters come from the Murnaghan-Nakayama recursion on border strips,
 centrally primitive idempotents from the character formula, and Young
 symmetrizers e = k·R·C from the row group R and column group C of a shape
-filled row by row.  A direct rank uses r·e_mu = e_mu and e_lam·c =
-sgn(c)·e_lam: it computes e_lam·g·e_mu once per (C_lam, R_mu) double coset
-and fills the rest of the coset by sign, after checking both symmetries on
-generators; ``multiply`` stays the one general product and the tests'
-oracle.  An element is central exactly when its coefficients are constant
-on each conjugacy class, which one scan over its terms decides; central
-elements are then multiplied in the basis of class sums by the class
-multiplication constants, not in the group algebra.  Induction
+filled row by row.  A direct rank uses the full Young stabilizers of the
+symmetrizers, r·e_mu = ψ(r)·e_mu and e_lam·c = χ(c)·e_lam with ψ, χ
+trivial or sign on each block: it computes e_lam·g·e_mu once per double
+coset, after checking both symmetries on generators, and ranks those
+products alone, since every other row is ± one of them; ``multiply``
+stays the one general product and the tests' oracle.  An element is
+central exactly when its coefficients are constant on each conjugacy
+class, which one scan over its terms decides; central elements are then
+multiplied in the basis of class sums by the class multiplication
+constants, not in the group algebra.  Induction
 multiplicities are integer character pairings over cycle-type pairs
 weighted by class sizes, divided exactly by the group order once at the
 end, which keeps them feasible well past the point where summing over group
@@ -329,20 +331,50 @@ def _filling(shape: Rows) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     return tuple(rows), cols
 
 
-def _has_block_symmetry(x: GroupAlgebraElement, blocks, sign: int, left: bool) -> bool:
-    """Whether t·x (``left``) or x·t equals sign·x for each transposition t
-    of two adjacent entries of a block.  These t generate the block
-    stabilizer, so then r·x = x for every r in it (left, sign 1), or
-    x·c = sgn(c)·x for every c in it (right, sign -1)."""
-    for block in blocks:
+@cache
+def _stabilizer_blocks(shape: Rows, left: bool) -> tuple[tuple[Rows, int], ...]:
+    """(block, character) pairs of the Young subgroup that fixes the Young
+    symmetrizer e = k·R·C of ``shape`` up to a character, on the ``left``
+    (r·e) or on the right (e·c); the character is 1 (trivial) or -1 (sign).
+
+    On the right each column of length > 1 acts by sign, and in each row
+    the entries whose column has length 1 commute with C, so they form one
+    trivial block.  On the left, transposed, each row of length > 1 acts
+    trivially, and in each column the entries whose row has length 1 form
+    one sign block.  Blocks of one entry are dropped."""
+    rows, cols = _filling(shape)
+    main, cross, character = (rows, cols, 1) if left else (cols, rows, -1)
+    alone = {entry for block in main if len(block) == 1 for entry in block}
+    blocks = [(block, character) for block in main]
+    blocks += [(tuple(e for e in block if e in alone), -character) for block in cross]
+    return tuple((block, c) for block, c in blocks if len(block) > 1)
+
+
+def _transpositions(blocks, degree: int, left: bool):
+    """(p -> t·p if ``left`` else p·t, character) for each transposition t
+    of two adjacent entries of a block, with that block's character.  The
+    t generate the blocks' Young subgroup."""
+    for block, character in blocks:
         for a, b in zip(block, block[1:]):
-            t = list(range(1, x.degree + 1))
-            t[a - 1], t[b - 1] = b, a
-            t = tuple(t)
-            relabel = (lambda p: _composer(p)(t)) if left else _composer(t)
-            if {relabel(p): sign * c for p, c in x.numerators.items()} != x.numerators:
-                return False
-    return True
+            if left:
+                # t·p relabels p's images a and b
+                swap = {a: b, b: a}
+                yield (lambda p, swap=swap: tuple(map(swap.get, p, p))), character
+            else:
+                t = list(range(1, degree + 1))
+                t[a - 1], t[b - 1] = b, a
+                yield _composer(tuple(t)), character
+
+
+def _acts_by_characters(x: GroupAlgebraElement, blocks, left: bool) -> bool:
+    """Whether t·x (``left``) or x·t equals χ(t)·x for each generator t of
+    the blocks' Young subgroup, χ its block's character.  Then every
+    element of the subgroup acts on x by the product of its blocks'
+    characters."""
+    return all(
+        {move(p): character * c for p, c in x.numerators.items()} == x.numerators
+        for move, character in _transpositions(blocks, x.degree, left)
+    )
 
 
 def young_symmetrizer(shape: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebraElement:
@@ -366,40 +398,59 @@ def direct_hom_dimension(mu: Rows, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -
     basis, and this is the degree-one hom dimension measured directly on
     idempotents, with no combinatorics.
 
-    For c in lam's column group and r in mu's row group, e_lam·c =
-    sgn(c)·e_lam and r·e_mu = e_mu, so the row of c·g·r is sgn(c) times the
-    row of g: one product per double coset gives every row.  Both
-    symmetries are checked on generators first, and a side that fails its
-    check shares no rows."""
+    For c in the right stabilizer of e_lam and r in the left stabilizer of
+    e_mu (``_stabilizer_blocks``), e_lam·c = χ(c)·e_lam and r·e_mu =
+    ψ(r)·e_mu, so the row of c·g·r is χ(c)·ψ(r) times the row of g.  One
+    product per double coset therefore spans the same rows, and only those
+    products are ranked.  Both symmetries are checked on generators first,
+    and a side that fails its check shares no rows."""
     n = sum(mu)
     if sum(lam) != n + 1:
         raise ValueError("target must have exactly one more node than source")
     check_bound(n, bounds.max_direct_hom_degree, "direct hom degree")
+    group_order, rows, _ = _coset_rows(mu, lam, bounds)
+    return rank(IntMatrix.from_rows(rows, len(group_order)))
+
+
+def _coset_rows(mu: Rows, lam: Rows, bounds: Bounds):
+    """(the permutations g of S_{n+1} in order, one row e_lam·g·e_mu per
+    double coset, g -> (index of its coset's row, sign)): the row of g is
+    sign times that row.  The cosets are the orbits of the checked
+    generators, walked from their first permutation."""
+    n = sum(mu)
     e_lam = young_symmetrizer(lam, bounds)
     e_mu = young_symmetrizer(mu, bounds).embed(n + 1)
-    identity = tuple(range(1, n + 2))
-    lam_cols, mu_rows = _filling(lam)[1], _filling(mu)[0]
-    columns = [(identity, 1)]
-    if _has_block_symmetry(e_lam, lam_cols, -1, left=False):
-        columns = [(c, _sign(c)) for c in _block_stabilizer(lam_cols, n + 1)]
-    row_group = [_composer(identity)]
-    if _has_block_symmetry(e_mu, mu_rows, 1, left=True):
-        row_group = [_composer(r) for r in _block_stabilizer(mu_rows, n + 1)]
-    group_order = list(iter_permutations(identity))
-    rows: dict[tuple[int, ...], list[int]] = {}
+    lam_blocks = _stabilizer_blocks(lam, left=False)
+    if not _acts_by_characters(e_lam, lam_blocks, left=False):
+        lam_blocks = ()
+    mu_blocks = _stabilizer_blocks(mu, left=True)
+    if not _acts_by_characters(e_mu, mu_blocks, left=True):
+        mu_blocks = ()
+    # row(t·g) = χ(t)·row(g) and row(g·t) = ψ(t)·row(g)
+    moves = [
+        *_transpositions(lam_blocks, n + 1, left=True),
+        *_transpositions(mu_blocks, n + 1, left=False),
+    ]
+    group_order = list(iter_permutations(range(1, n + 2)))
+    rows: list[list[int]] = []
+    cover: dict[tuple[int, ...], tuple[int, int]] = {}
     for g in group_order:
-        if g in rows:
+        if g in cover:
             continue
+        index = len(rows)
         # numerators only: scaling a row by its denominator keeps the rank
         numerators = multiply(multiply(e_lam, GroupAlgebraElement(n + 1, {g: 1})), e_mu).numerators
-        row = [numerators.get(images, 0) for images in group_order]
-        signed = {1: row, -1: [-v for v in row]}
-        times_g = _composer(g)
-        for c, sign in columns:
-            cg = times_g(c)
-            for times_r in row_group:
-                rows.setdefault(times_r(cg), signed[sign])
-    return rank(IntMatrix.from_rows([rows[g] for g in group_order], len(group_order)))
+        rows.append([numerators.get(images, 0) for images in group_order])
+        cover[g] = (index, 1)
+        orbit = [g]
+        for h in orbit:
+            sign = cover[h][1]
+            for move, character in moves:
+                k = move(h)
+                if k not in cover:
+                    cover[k] = (index, sign * character)
+                    orbit.append(k)
+    return group_order, rows, cover
 
 
 def induction_multiplicity(mu: Rows, m: int, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> int:
@@ -490,8 +541,8 @@ def verify_branching(
         counts={"character_pairs": character_pairs, "direct_pairs": direct_pairs},
         first_failure=first_failure,
         details={
-            "transversal": "injection bimodule basis is the permutations of S_{n+1}; "
-            "one product per (C_lam, R_mu) double coset"
+            "transversal": "injection bimodule basis is S_{n+1}; "
+            "one product per double coset of the stabilizers of e_lam, e_mu"
         },
     )
 

@@ -57,7 +57,7 @@ GOLDEN = {
     "resolution 2,1,1 6": "d3d0e5a54801f043b5c1d5a4c77322370f94ae55f535ac820d977583491aeea2",
     "resolution 1,1,1,1 6": "8462b683b0e394b4ef9fbe029433d1368c876758be8e465408303aa738d9b8e0",
     "qdual 7": "0034791cb3d9e8101d652fa710bca15a32fad0feece314bee168b31d6ffdb8ff",
-    "morita 5 3": "4c182e495592c94e5de62443d27faa46b73a1929fc4b18bfa0f7f53fe02a4491",
+    "morita 5 3": "fb2abeb709f212678e820ff48a585ee66a0862c17ae54c9188cf32760a25b623",
     "idempotents 5": "13e23a6f68bf79694abcb3fd15720b79d83ea9781586ef27b2ba5e1d43fe6d5e",
 }
 

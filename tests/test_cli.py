@@ -203,8 +203,8 @@ class TestVerifyCommand:
                 "induction degree 13 exceeds configured bound 12",
             ),
             (
-                ("morita", "--n", "5", "--direct-n", "5"),
-                "direct hom degree 5 exceeds configured bound 4",
+                ("morita", "--n", "6", "--direct-n", "6"),
+                "direct hom degree 6 exceeds configured bound 5",
             ),
         ],
     )

@@ -23,8 +23,7 @@ from youngquiver.symgroup import (
     ClassSums,
     GroupAlgebraElement,
     _cycle_lengths,
-    _filling,
-    _has_block_symmetry,
+    _acts_by_characters,
     _mn_character,
     _sign,
     central_idempotent,
@@ -217,6 +216,14 @@ def multiply_route_matrix(e_lam, e_mu):
         numerators = multiply(multiply(e_lam, g_element), e_mu).numerators
         rows.append([numerators.get(images, 0) for images in group_order])
     return IntMatrix.from_rows(rows, len(group_order))
+
+
+def coset_expansion(group_order, rows, cover):
+    """Every row of the direct-rank matrix, read off the one product row of
+    its double coset times its coset sign (``symgroup._coset_rows``): the
+    matrix ``direct_hom_dimension`` stands for by the product rows alone."""
+    expanded = [[sign * v for v in rows[index]] for index, sign in map(cover.get, group_order)]
+    return IntMatrix.from_rows(expanded, len(group_order))
 
 
 def rank_matrices(monkeypatch):
@@ -966,7 +973,7 @@ class TestDirectHomDimension:
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            direct_hom_dimension(P(5), P(6))
+            direct_hom_dimension(P(6), P(7))
 
     @pytest.mark.parametrize("n", range(4))
     def test_matches_character_oracle(self, n):
@@ -976,15 +983,19 @@ class TestDirectHomDimension:
 
     @pytest.mark.parametrize("n", range(5))
     def test_rank_matrices_match_the_multiply_route(self, monkeypatch, n):
-        # rows filled by sign over each double coset, against a multiply
-        # route per permutation on canonical tableau symmetrizers
+        # the product rows expanded by their coset signs, against a multiply
+        # route per permutation on canonical tableau symmetrizers; the rank
+        # is taken on the product rows alone and equals the unshared rank
         captured = rank_matrices(monkeypatch)
         for mu in partition_rows(n):
             for lam in partition_rows(n + 1):
-                direct_hom_dimension(mu, lam)
                 e_lam = tableau_symmetrizer(canonical_tableau(lam))
                 e_mu = tableau_symmetrizer(canonical_tableau(mu)).embed(n + 1)
-                assert captured.pop() == multiply_route_matrix(e_lam, e_mu)
+                expected = multiply_route_matrix(e_lam, e_mu)
+                group_order, rows, cover = symgroup._coset_rows(mu, lam, Bounds())
+                assert coset_expansion(group_order, rows, cover) == expected
+                assert direct_hom_dimension(mu, lam) == rank(expected)
+                assert captured.pop() == IntMatrix.from_rows(rows, len(group_order))
 
     @pytest.mark.parametrize("n", range(4))
     def test_matches_the_bimodule_oracle(self, n):
@@ -995,34 +1006,58 @@ class TestDirectHomDimension:
                 assert direct_hom_dimension(mu, lam) == bimodule_hom_dimension(mu, lam)
 
 
+def block_characters(blocks, n):
+    """(c, χ(c)) over the Young subgroup of ``blocks``, χ(c) the sign of c
+    on the entries of the sign blocks: the oracle for the guard's
+    characters."""
+    signed = {entry for block, character in blocks if character < 0 for entry in block}
+    for c in symgroup._block_stabilizer([block for block, _ in blocks], n):
+        yield c, _sign(tuple(c[i - 1] if i in signed else i for i in range(1, n + 1)))
+
+
 class TestSymmetryGuards:
+    def test_stabilizer_blocks(self):
+        stabilizer = symgroup._stabilizer_blocks
+        # e = k·R for a single row: the whole group fixes it on both sides
+        assert stabilizer(P(3), left=False) == (((1, 2, 3), 1),)
+        assert stabilizer(P(3), left=True) == (((1, 2, 3), 1),)
+        assert stabilizer(P(1, 1, 1), left=False) == (((1, 2, 3), -1),)
+        assert stabilizer(P(1, 1, 1), left=True) == (((1, 2, 3), -1),)
+        # filling 1 2 3 / 4: column (1, 4) by sign, 2 and 3 sit in columns
+        # of length 1; on the left only the first row
+        assert stabilizer(P(3, 1), left=False) == (((1, 4), -1), ((2, 3), 1))
+        assert stabilizer(P(3, 1), left=True) == (((1, 2, 3), 1),)
+        # filling 1 2 / 3 / 4: 3 and 4 sit in rows of length 1
+        assert stabilizer(P(2, 1, 1), left=True) == (((1, 2), 1), ((3, 4), -1))
+        # one double coset, so one product, for (1,1,1,1) -> (5)
+        assert len(symgroup._coset_rows(P(1, 1, 1, 1), P(5), Bounds())[1]) == 1
+
     @pytest.mark.parametrize("mutant", [None, *SYMMETRIZER_MUTANTS])
     @pytest.mark.parametrize("n", range(5))
     def test_generators_decide_the_whole_group(self, mutant, n):
-        # x*c = sgn(c)*x over the column group and r*x = x over the row group,
-        # by multiply on every element, against the check on generators
+        # x*c = χ(c)*x over the right stabilizer blocks and r*x = ψ(r)*x over
+        # the left ones, by multiply on every element, against the check on
+        # generators
         make = SYMMETRIZER_MUTANTS.get(mutant, young_symmetrizer)
         for mu in partition_rows(n):
             x = make(mu)
-            rows, cols = _filling(mu)
-            column_group = symgroup._block_stabilizer(cols, n)
-            row_group = symgroup._block_stabilizer(rows, n)
-            signed = all(
-                multiply(x, GroupAlgebraElement(n, {c: 1})) == x.scale(_sign(c))
-                for c in column_group
-            )
-            fixed = all(multiply(GroupAlgebraElement(n, {r: 1}), x) == x for r in row_group)
-            assert _has_block_symmetry(x, cols, -1, left=False) == signed
-            assert _has_block_symmetry(x, rows, 1, left=True) == fixed
-            if mutant is None:
-                assert signed and fixed
+            for left in (False, True):
+                blocks = symgroup._stabilizer_blocks(mu, left)
+                holds = True
+                for images, character in block_characters(blocks, n):
+                    c = GroupAlgebraElement(n, {images: 1})
+                    holds &= (multiply(c, x) if left else multiply(x, c)) == x.scale(character)
+                assert _acts_by_characters(x, blocks, left) == holds
+                if mutant is None:
+                    assert holds
 
     @pytest.mark.parametrize(
         "mutant,rejected_sides",
         [
             ("central", {"left", "right"}),
-            # R times the unsigned column sum is still fixed by R on the left
-            ("unsigned_columns", {"right"}),
+            # R times the unsigned column sum is fixed by R on the left, but
+            # not by the sign on a column's entries in rows of length 1
+            ("unsigned_columns", {"left", "right"}),
             ("one_coefficient_changed", {"left", "right"}),
         ],
     )
@@ -1031,23 +1066,22 @@ class TestSymmetryGuards:
     ):
         make = SYMMETRIZER_MUTANTS[mutant]
         monkeypatch.setattr(symgroup, "young_symmetrizer", make)
-        original = symgroup._has_block_symmetry
+        original = symgroup._acts_by_characters
         rejected = set()
 
-        def recording(x, blocks, sign, left):
-            holds = original(x, blocks, sign, left)
+        def recording(x, blocks, left):
+            holds = original(x, blocks, left)
             if not holds:
                 rejected.add("left" if left else "right")
             return holds
 
-        monkeypatch.setattr(symgroup, "_has_block_symmetry", recording)
-        captured = rank_matrices(monkeypatch)
+        monkeypatch.setattr(symgroup, "_acts_by_characters", recording)
         for n in range(4):
             for mu in partition_rows(n):
                 for lam in partition_rows(n + 1):
-                    direct_hom_dimension(mu, lam)
                     expected = multiply_route_matrix(make(lam), make(mu).embed(n + 1))
-                    assert captured.pop() == expected
+                    coset_rows = symgroup._coset_rows(mu, lam, Bounds())
+                    assert coset_expansion(*coset_rows) == expected
         assert rejected == rejected_sides
 
 
