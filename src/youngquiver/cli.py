@@ -19,9 +19,11 @@ from ._version import __version__
 from .certificates import Certificate
 from .config import BoundExceededError, Bounds, load_bounds
 from .partitions import (
+    contains,
     format_partition,
     parse_partition,
-    partitions_of,
+    partition_rows,
+    partition_rows_up_to,
     partitions_up_to,
     subdiagram_rows,
 )
@@ -174,27 +176,26 @@ def _table_rows(args, bounds) -> list[tuple[str, int]]:
     if args.target == "pieri":
         _require(args.mu is not None and args.m is not None,
                  "table pieri requires --mu and --m")
+        mu = args.mu.rows
         return [
-            (str(lam), quiver.hom_dim_C(args.mu, lam))
-            for lam in partitions_of(args.mu.size + args.m, bounds)
-            if lam.contains(args.mu)
+            (format_partition(lam), quiver.hom_dim_C(mu, lam))
+            for lam in partition_rows(sum(mu) + args.m, bounds)
+            if contains(lam, mu)
         ]
     if args.target == "betti":
         _require(args.xi is not None and args.depth is not None,
                  "table betti requires --xi and --depth")
         table = resolution.betti_table(args.xi, args.depth, bounds)
         return [
-            (f"{i}:{lam}", flag)
-            for (i, lam), flag in sorted(
-                table.items(), key=lambda kv: (-kv[0][0], kv[0][1].rows)
-            )
+            (f"{i}:{format_partition(lam)}", flag)
+            for (i, lam), flag in sorted(table.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
         ]
     _require(args.max_size is not None, "table dualdims requires --max-size")
     presentation = qdual.build_quadratic_dual(args.max_size, bounds)
     return [
-        (f"{format_partition(mu)}->{lam}", presentation.walk(mu).get(lam.rows, 0))
-        for lam in presentation.objects
-        for mu in subdiagram_rows(lam.rows)
+        (f"{format_partition(mu)}->{format_partition(lam)}", presentation.walk(mu).get(lam, 0))
+        for lam in partition_rows_up_to(args.max_size, bounds)
+        for mu in subdiagram_rows(lam)
     ]
 
 

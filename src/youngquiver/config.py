@@ -44,8 +44,8 @@ class Bounds(NamedTuple):
     # bounds admit, takes 0.5-0.6 s and table betti on it 0.5 s; its 5,037
     # objects with a member share 1,923 distinct chains
     max_resolution_depth: int = 12
-    # verify qdual --max-size 18 takes 8.1-8.3 s and table dualdims
-    # --max-size 18 5.3-7.1 s
+    # verify qdual --max-size 18 takes 6.8-7.9 s and table dualdims
+    # --max-size 18 4.4-6.0 s
     max_qdual_size: int = 18
 
 

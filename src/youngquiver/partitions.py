@@ -47,15 +47,19 @@ class Partition:
         return self.rows[r - 1] if 1 <= r <= len(self.rows) else 0
 
     def contains(self, other: "Partition") -> bool:
-        return len(other.rows) <= len(self.rows) and all(
-            a >= b for a, b in zip(self.rows, other.rows)
-        )
+        return contains(self.rows, other.rows)
 
     def __str__(self) -> str:
         return format_partition(self.rows)
 
 
 EMPTY = Partition(())
+
+
+def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """Whether the diagram with rows ``outer`` contains the one with rows
+    ``inner``."""
+    return len(inner) <= len(outer) and all(a >= b for a, b in zip(outer, inner))
 
 
 def format_partition(rows: tuple[int, ...]) -> str:
@@ -88,14 +92,10 @@ class SkewClass(NamedTuple):
     has_row_pair: bool | None = None
 
 
-def transpose(lam: Partition) -> Partition:
-    if not lam.rows:
-        return EMPTY
-    cols = [0] * lam.rows[0]
-    for length in lam.rows:
-        for c in range(length):
-            cols[c] += 1
-    return Partition(tuple(cols))
+def transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The row tuple of the transposed diagram: its column lengths."""
+    columns = rows[0] if rows else 0
+    return tuple(sum(1 for length in rows if length > c) for c in range(columns))
 
 
 def add_node(lam: Partition, r: int) -> Partition:
@@ -189,21 +189,18 @@ def subdiagram_rows(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(below(0, lam[0] if lam else 0), key=sum)
 
 
-def skew_classify(mu: Partition, lam: Partition) -> SkewClass:
+def skew_classify(mu: tuple[int, ...], lam: tuple[int, ...]) -> SkewClass:
     """Read off the row tuples: row r holds two skew nodes iff
     lam_r - mu_r >= 2, and rows r, r+1 share a skew column iff
     lam_{r+1} > mu_r (a column pair anywhere implies one in adjacent rows)."""
-    if not lam.contains(mu):
+    if not contains(lam, mu):
         return SkewClass(contained=False)
-    outer = lam.rows
-    inner = mu.rows + (0,) * (len(outer) - len(mu.rows))
-    row_pair = any(a - b >= 2 for a, b in zip(outer, inner))
-    col_pair = any(a > b for a, b in zip(outer[1:], inner))
+    inner = mu + (0,) * (len(lam) - len(mu))
     return SkewClass(
         contained=True,
-        size=lam.size - mu.size,
-        has_column_pair=col_pair,
-        has_row_pair=row_pair,
+        size=sum(lam) - sum(mu),
+        has_column_pair=any(a > b for a, b in zip(lam[1:], inner)),
+        has_row_pair=any(a - b >= 2 for a, b in zip(lam, inner)),
     )
 
 

@@ -127,7 +127,7 @@ def build_quadratic_dual(
             # the degree-2 hom space: with canonical generators every
             # surviving composite is the canonical generator itself, so it
             # is the all-ones row when that space is nonzero
-            if of_lattice or hom_dim_C(mu, lam):
+            if of_lattice or hom_dim_C(mu.rows, lam.rows):
                 vectors = ((1,) * len(mids),)
             else:
                 vectors = ()
@@ -215,7 +215,7 @@ def dual_hom_dim(mu: Partition, lam: Partition, presentation: QuadraticPresentat
 def _expected_relation_dimension(mu: Partition, lam: Partition) -> int:
     """The three-case table: 0 for a column pair, full for a row pair,
     codimension one across a diamond."""
-    sk = skew_classify(mu, lam)
+    sk = skew_classify(mu.rows, lam.rows)
     if sk.has_column_pair:
         return 0
     n_paths = len(_middle_vertices(mu, lam))
@@ -226,7 +226,7 @@ def _expected_relation_dimension(mu: Partition, lam: Partition) -> int:
 
 def _transposes(presentation: QuadraticPresentation) -> dict[tuple, Partition]:
     """Every object's transpose, keyed by the object's row tuple."""
-    return {p.rows: transpose(p) for p in presentation.objects}
+    return {p.rows: Partition(transpose(p.rows)) for p in presentation.objects}
 
 
 def _first_dimension_failure(

@@ -2,14 +2,13 @@
 
 Hom spaces of the column-relation category are at most one-dimensional, so a
 morphism space is represented by its dimension, 0 or 1; no path algebra is
-ever materialized.
+ever materialized.  Diagrams are row tuples throughout.
 """
 
 from typing import NamedTuple
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .partitions import (
-    Partition,
     addable_rows,
     format_partition,
     grow_row,
@@ -34,16 +33,16 @@ class QuiverSlice(NamedTuple):
     arrows: tuple[tuple[int, int, int], ...]
 
 
-def hom_dim_C(mu: Partition, lam: Partition) -> int:
-    """1 iff lam contains mu and the skew shape is a horizontal strip
-    (no two skew nodes in one column), else 0."""
+def hom_dim_C(mu: Rows, lam: Rows) -> int:
+    """1 iff the row tuple lam contains mu and the skew shape is a
+    horizontal strip (no two skew nodes in one column), else 0."""
     sk = skew_classify(mu, lam)
     return 1 if sk.contained and not sk.has_column_pair else 0
 
 
-def hom_dim_Cprime_mod_J(mu: Partition, lam: Partition) -> int:
-    """1 iff lam contains mu and the skew shape has neither a same-column
-    pair nor a same-row pair (a rook strip), else 0."""
+def hom_dim_Cprime_mod_J(mu: Rows, lam: Rows) -> int:
+    """1 iff the row tuple lam contains mu and the skew shape has neither a
+    same-column pair nor a same-row pair (a rook strip), else 0."""
     sk = skew_classify(mu, lam)
     return 1 if sk.contained and not sk.has_column_pair and not sk.has_row_pair else 0
 

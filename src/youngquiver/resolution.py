@@ -54,8 +54,8 @@ from .exactlinalg import IntMatrix, rank
 from .partitions import (
     Partition,
     format_partition,
+    partition_rows,
     partition_rows_up_to,
-    partitions_of,
     removable_rows,
     shrink_row,
     strip_tops,
@@ -379,16 +379,17 @@ def _homology_of(chain: ObjectChain, depth: int) -> _Homology:
 
 def betti_table(
     xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS
-) -> dict[tuple[int, Partition], int]:
-    """Indicator of a projective appearing at each position; row sums over a
-    fixed position equal the stratum size."""
+) -> dict[tuple[int, Rows], int]:
+    """Indicator of a projective appearing at each position, keyed by the
+    position and the row tuple of each diagram of the matching size; row
+    sums over a fixed position equal the stratum size."""
     check_bound(depth, bounds.max_resolution_depth, "resolution depth")
-    table: dict[tuple[int, Partition], int] = {}
+    table: dict[tuple[int, Rows], int] = {}
     for offset, members in enumerate(_strata_rows(xi.rows, depth)):
         i = offset - depth
         present = set(members)
-        for lam in partitions_of(xi.size - i, bounds):
-            table[(i, lam)] = 1 if lam.rows in present else 0
+        for lam in partition_rows(xi.size - i, bounds):
+            table[(i, lam)] = 1 if lam in present else 0
     return table
 
 

@@ -57,7 +57,7 @@ def test_criterion_2_induction_equals_pieri(capsys):
             for m in range(1, 4):
                 for lam in partitions_of(n + m):
                     assert induction_multiplicity(mu.rows, m, lam.rows) == hom_dim_C(
-                        mu, lam
+                        mu.rows, lam.rows
                     ), (str(mu), m, str(lam))
                     pairs += 1
     assert pairs > 0

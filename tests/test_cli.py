@@ -6,7 +6,7 @@ import pytest
 
 from youngquiver import cli, symgroup
 from youngquiver.cli import main
-from youngquiver.partitions import parse_partition, partitions_up_to
+from youngquiver.partitions import parse_partition, partitions_of, partitions_up_to
 
 from oracles import chain_dim_bareiss, widened, with_relation_spaces
 
@@ -15,6 +15,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pieri_by_skew_columns(mu, m):
+    """``table pieri`` rows from ``Partition``s: every lam of size |mu| + m
+    that contains mu, flagged 1 when no column holds two of its skew nodes
+    (a horizontal strip), else 0."""
+    rows = []
+    for lam in partitions_of(mu.size + m):
+        if lam.contains(mu):
+            columns = [
+                c
+                for r in range(1, len(lam.rows) + 1)
+                for c in range(mu.row(r) + 1, lam.row(r) + 1)
+            ]
+            rows.append((str(lam), int(len(columns) == len(set(columns)))))
+    return rows
 
 
 class TestQuiverCommand:
@@ -260,6 +276,21 @@ class TestTableCommand:
         else:
             expected = "\n".join(f"{key}: {value}" for key, value in rows)
         code, out, err = run_cli(capsys, "table", "dualdims", "--max-size", "8", "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("mu, m", [("3,1", 4), ("2,2,1", 3), ("0", 6)])
+    def test_pieri_matches_the_strip_oracle(self, capsys, fmt, mu, m):
+        rows = pieri_by_skew_columns(parse_partition(mu), m)
+        assert 0 < sum(flag for _, flag in rows) < len(rows)
+        if fmt == "json":
+            expected = json.dumps({"target": "pieri", "rows": rows}, indent=2)
+        else:
+            expected = "\n".join(f"{key}: {value}" for key, value in rows)
+        code, out, err = run_cli(
+            capsys, "table", "pieri", "--mu", mu, "--m", str(m), "--format", fmt
+        )
         assert code == 0 and err == ""
         assert out == expected + "\n"
 

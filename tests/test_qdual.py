@@ -65,7 +65,7 @@ def dense_first_failure(presentation, expected_dim, check, expected_key):
     """The dense expected side: every pair |mu| <= |lam|, scanned lam, then
     mu, in object order, with ``expected_dim`` of the transposed pair from
     ``skew_classify``; returns the pairs checked and the first mismatch."""
-    transposed = {p.rows: transpose(p) for p in presentation.objects}
+    transposed = {p.rows: transpose(p.rows) for p in presentation.objects}
     pairs_checked = 0
     for lam in presentation.objects:
         for mu in presentation.objects:
@@ -132,7 +132,7 @@ class TestRelationSpaces:
 
     def test_three_case_table_everywhere(self, presentation):
         for (mu, lam), rel in presentation.relations.items():
-            sk = skew_classify(mu, lam)
+            sk = skew_classify(mu.rows, lam.rows)
             if sk.has_column_pair:
                 assert rel.dimension == 0
             elif sk.has_row_pair:
@@ -169,7 +169,7 @@ class TestDualHomDimensions:
         # (2,2)\(1) holds a same-row pair in row 2, so the dual hom dies;
         # the transposed-category side computes the same answer independently
         computed = dual_hom_dim(P(1), P(2, 2), presentation)
-        assert computed == hom_dim_C(transpose(P(1)), transpose(P(2, 2)))
+        assert computed == hom_dim_C(transpose((1,)), transpose((2, 2)))
         assert computed == 0
 
     def test_row_strip_target(self, presentation):
@@ -189,7 +189,7 @@ class TestDualHomDimensions:
         # computed from paths-modulo-relations; compared against the strip rule
         for lam in partitions_up_to(6):
             for mu in subdiagrams(lam):
-                sk = skew_classify(mu, lam)
+                sk = skew_classify(mu.rows, lam.rows)
                 expected = 0 if sk.has_row_pair else 1
                 assert dual_hom_dim(mu, lam, presentation) == expected
 
@@ -241,7 +241,7 @@ class TestStripExpectedSide:
         for mu in objects:
             expected = set()
             for lam in objects:
-                sk = skew_classify(mu, lam)
+                sk = skew_classify(mu.rows, lam.rows)
                 if sk.contained and not sk.has_row_pair and not (rook and sk.has_column_pair):
                     expected.add(lam.rows)
             tops = strip_tops(mu.rows, 10, rook)
@@ -331,7 +331,7 @@ class TestSelfDuality:
         for lam in partitions_up_to(7):
             for mu in partitions_up_to(lam.size):
                 assert dual_hom_dim(mu, lam, presentation) == hom_dim_C(
-                    transpose(mu), transpose(lam)
+                    transpose(mu.rows), transpose(lam.rows)
                 )
 
 
@@ -350,7 +350,7 @@ class TestLatticeDual:
         for lam in partitions_up_to(6):
             for mu in subdiagrams(lam):
                 assert dual_hom_dim(mu, lam, lattice_presentation) == (
-                    hom_dim_Cprime_mod_J(transpose(mu), transpose(lam))
+                    hom_dim_Cprime_mod_J(transpose(mu.rows), transpose(lam.rows))
                 )
 
 
@@ -360,7 +360,7 @@ class TestBeyondDefaultRange:
         for lam in partitions_up_to(8):
             for mu in subdiagrams(lam):
                 assert dual_hom_dim(mu, lam, presentation8) == hom_dim_C(
-                    transpose(mu), transpose(lam)
+                    transpose(mu.rows), transpose(lam.rows)
                 )
 
 
@@ -379,7 +379,7 @@ class TestKoszulNumericalCriterion:
         for lam, below in intervals.items():
             for mu in below:
                 total = sum(
-                    (-1) ** (nu.size - mu.size) * hom_dim_C(mu, nu) * dual[(nu, lam)]
+                    (-1) ** (nu.size - mu.size) * hom_dim_C(mu.rows, nu.rows) * dual[(nu, lam)]
                     for nu in below
                     if nu.contains(mu)
                 )
@@ -392,7 +392,7 @@ class TestInvolution:
         double = annihilator_presentation(presentation)
         for lam in partitions_up_to(6):
             for mu in partitions_up_to(lam.size):
-                assert dual_hom_dim(mu, lam, double) == hom_dim_C(mu, lam)
+                assert dual_hom_dim(mu, lam, double) == hom_dim_C(mu.rows, lam.rows)
 
     def test_annihilator_dimensions_complementary(self):
         presentation = build_quadratic_dual(5)

@@ -35,52 +35,52 @@ def subdiagrams(lam):
 def projective_support(lam, degree):
     """Diagrams of size |lam| + degree with a nonzero hom from lam: the
     degree-``degree`` part of the projective generated at lam."""
-    return [mu for mu in partitions_of(lam.size + degree) if hom_dim_C(lam, mu)]
+    return [mu for mu in partitions_of(lam.size + degree) if hom_dim_C(lam.rows, mu.rows)]
 
 
 class TestHomDimensions:
     def test_identity_morphism(self):
-        assert hom_dim_C(P(2, 1), P(2, 1)) == 1
+        assert hom_dim_C((2, 1), (2, 1)) == 1
 
     def test_column_pair_killed(self):
-        assert hom_dim_C(P(1), P(1, 1, 1)) == 0
+        assert hom_dim_C((1,), (1, 1, 1)) == 0
 
     def test_spread_nodes_survive(self):
-        assert hom_dim_C(P(1), P(2, 1)) == 1
+        assert hom_dim_C((1,), (2, 1)) == 1
 
     def test_not_contained(self):
-        assert hom_dim_C(P(2), P(1, 1)) == 0
+        assert hom_dim_C((2,), (1, 1)) == 0
 
     def test_rook_strip_variant(self):
-        assert hom_dim_Cprime_mod_J(P(1), P(2, 1)) == 1
-        assert hom_dim_Cprime_mod_J(P(1), P(3)) == 0
-        assert hom_dim_Cprime_mod_J(P(1), P(1, 1, 1)) == 0
+        assert hom_dim_Cprime_mod_J((1,), (2, 1)) == 1
+        assert hom_dim_Cprime_mod_J((1,), (3,)) == 0
+        assert hom_dim_Cprime_mod_J((1,), (1, 1, 1)) == 0
 
     def test_agrees_with_pieri_up_to_eight(self):
         # the Pieri rule as a character pairing: the multiplicity of lam in
         # the module induced from mu and the trivial module of the other nodes
         for lam in partitions_up_to(8):
             for mu in partitions_up_to(lam.size):
-                assert hom_dim_C(mu, lam) == induction_multiplicity(
+                assert hom_dim_C(mu.rows, lam.rows) == induction_multiplicity(
                     mu.rows, lam.size - mu.size, lam.rows
                 )
 
     def test_rook_strip_is_product_of_both_sides(self):
         for lam in partitions_up_to(8):
-            for mu in subdiagrams(lam):
-                expected = hom_dim_C(mu, lam) * hom_dim_C(transpose(mu), transpose(lam))
-                assert hom_dim_Cprime_mod_J(mu, lam) == expected
+            for mu in (m.rows for m in subdiagrams(lam)):
+                expected = hom_dim_C(mu, lam.rows) * hom_dim_C(transpose(mu), transpose(lam.rows))
+                assert hom_dim_Cprime_mod_J(mu, lam.rows) == expected
 
     def test_composition_consistency(self):
         # a nonzero composable chain can only die via the column relation
         for lam in partitions_up_to(8):
             for nu in subdiagrams(lam):
                 for mu in subdiagrams(nu):
-                    through = hom_dim_C(mu, nu) * hom_dim_C(nu, lam)
+                    through = hom_dim_C(mu.rows, nu.rows) * hom_dim_C(nu.rows, lam.rows)
                     column_killed = (
-                        1 if skew_classify(mu, lam).has_column_pair else 0
+                        1 if skew_classify(mu.rows, lam.rows).has_column_pair else 0
                     )
-                    assert through <= hom_dim_C(mu, lam) + column_killed
+                    assert through <= hom_dim_C(mu.rows, lam.rows) + column_killed
 
 
 class TestQuiverSlice:

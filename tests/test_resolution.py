@@ -94,7 +94,7 @@ class TestStratum:
         for xi in partitions_up_to(4):
             for i in range(-4, 1):
                 for rows in stratum_rows(xi, i):
-                    sk = skew_classify(xi, Partition(rows))
+                    sk = skew_classify(xi.rows, rows)
                     assert sk.contained and sk.size == -i and not sk.has_row_pair
 
     def test_completeness(self):
@@ -102,7 +102,7 @@ class TestStratum:
         xi = P(2, 1)
         members = set(stratum_rows(xi, -2))
         for lam in partitions_of(xi.size + 2):
-            sk = skew_classify(xi, lam)
+            sk = skew_classify(xi.rows, lam.rows)
             expected = sk.contained and not sk.has_row_pair
             assert (lam.rows in members) == expected
 
@@ -147,7 +147,7 @@ class TestBuild:
             for mu in objects_of(complex_):
                 present = components_at(complex_, offset - complex_.depth, mu)
                 assert present == tuple(
-                    lam for lam in map(Partition, members) if hom_dim_C(lam, mu) == 1
+                    lam for lam in map(Partition, members) if hom_dim_C(lam.rows, mu.rows) == 1
                 )
 
     def test_entries_in_zero_plus_minus_one(self):
@@ -162,7 +162,7 @@ def slow_components(complex_):
     """Presence by the 0/1 hom space, probed for every member and object."""
     return {
         (offset - complex_.depth, mu): tuple(
-            lam for lam in map(Partition, members) if hom_dim_C(lam, mu) == 1
+            lam for lam in map(Partition, members) if hom_dim_C(lam.rows, mu.rows) == 1
         )
         for offset, members in enumerate(complex_.strata)
         for mu in objects_of(complex_)
@@ -329,7 +329,7 @@ class TestAssemblyOracle:
             found = _horizontal_strip_extensions(lam.rows, max_size)
             assert len(found) == len(set(found))
             assert sorted(found) == sorted(
-                mu.rows for mu in partitions_up_to(max_size) if hom_dim_C(lam, mu) == 1
+                mu for mu in partition_rows_up_to(max_size) if hom_dim_C(lam.rows, mu) == 1
             )
 
     @pytest.mark.parametrize("xi, depth", SMALL_COMPLEXES)
@@ -558,7 +558,7 @@ class TestBettiTable:
         table = betti_table(EMPTY, 4)
         for i in range(-4, 1):
             row = [lam for (j, lam), flag in table.items() if j == i and flag]
-            assert row == ([P(*([1] * -i))] if i else [EMPTY])
+            assert row == [(1,) * -i]
 
     def test_stratum_row_sums(self):
         table = betti_table(P(1), 3)
@@ -569,14 +569,14 @@ class TestBettiTable:
     def test_selected_rows(self):
         table = betti_table(P(1), 2)
         assert [lam for (i, lam), flag in table.items() if i == -2 and flag] == [
-            P(2, 1),
-            P(1, 1, 1),
+            (2, 1),
+            (1, 1, 1),
         ]
         table2 = betti_table(P(3, 2), 1)
         assert [lam for (i, lam), flag in table2.items() if i == -1 and flag] == [
-            P(4, 2),
-            P(3, 3),
-            P(3, 2, 1),
+            (4, 2),
+            (3, 3),
+            (3, 2, 1),
         ]
 
 
@@ -625,9 +625,9 @@ def mirrored_matrix(complex_, i, mu):
 
     def present(stratum_index):
         return tuple(
-            transpose(lam)
-            for lam in map(Partition, complex_.strata[stratum_index + complex_.depth])
-            if hom_dim_C(lam, mu) == 1
+            Partition(transpose(lam))
+            for lam in complex_.strata[stratum_index + complex_.depth]
+            if hom_dim_C(lam, mu.rows) == 1
         )
 
     rows = present(i + 1)
@@ -695,7 +695,7 @@ class TestArrowSigns:
             expected = [
                 lam.rows
                 for lam in partitions_of(xi.size + depth - offset)
-                if (sk := skew_classify(xi, lam)).contained and not sk.has_row_pair
+                if (sk := skew_classify(xi.rows, lam.rows)).contained and not sk.has_row_pair
             ]
             assert rows == expected
             # one position enumerated alone gives the same members

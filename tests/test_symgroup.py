@@ -285,7 +285,7 @@ def fraction_pairing(mu, m, lam):
 def pieri_coefficient(mu, m, lam):
     """1 iff lam\\mu is a horizontal strip of size m (no column holds two
     skew nodes), else 0."""
-    sk = skew_classify(Partition(mu), Partition(lam))
+    sk = skew_classify(mu, lam)
     if not sk.contained or sk.size != m:
         return 0
     return 0 if sk.has_column_pair else 1
@@ -1217,7 +1217,9 @@ class TestPieri:
             for lam in partitions_of(size):
                 for m in range(size + 1):
                     for mu in partitions_of(size - m):
-                        assert hom_dim_C(mu, lam) == pieri_coefficient(mu.rows, m, lam.rows)
+                        assert hom_dim_C(mu.rows, lam.rows) == pieri_coefficient(
+                            mu.rows, m, lam.rows
+                        )
 
 
 def test_bench_gate_counts():
