@@ -26,7 +26,12 @@ class Bounds(NamedTuple):
     # Wall times are 3 fresh CLI runs each on 2 shared vCPUs (Python 3.11),
     # as in the ROADMAP table "Where time goes now".
     # partitions_of, quiver slices, the signs sweep; verify signs --max-size 30
-    # takes 0.7-0.9 s and quiver --max-size 30 --signs --format json 0.6-0.7 s
+    # takes 0.7-0.9 s and quiver --max-size 30 --signs --format json 0.6-0.7 s.
+    # It is also the one bound on a resolution: |xi| + depth at most this.
+    # verify resolution --xi 5,4,3,2,1,1,1 --depth 13, the slowest input it
+    # admits (timed over all 1,212 bases of size <= 17 at depth 30 - |xi|),
+    # takes 0.4-0.6 s, as does (5,4,3,2,1,1,1,1) at depth 12; table betti
+    # on it takes 0.2-0.3 s
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
     # verify idempotents --n 6 takes 0.8-0.9 s and --n 7 38-41 s, almost all
@@ -40,10 +45,6 @@ class Bounds(NamedTuple):
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
     # --direct-n 4 takes 0.7-0.8 s, about 0.5 s of it the 9,215 pairings
     max_induction_degree: int = 12
-    # verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12, the slowest input the
-    # bounds admit, takes 0.5-0.6 s and table betti on it 0.5 s; its 5,037
-    # objects with a member share 1,923 distinct chains
-    max_resolution_depth: int = 12
     # verify qdual --max-size 18 takes 6.8-7.9 s and table dualdims
     # --max-size 18 4.4-6.0 s
     max_qdual_size: int = 18

@@ -65,11 +65,13 @@ from .signs import added_node_sign
 Rows = tuple[int, ...]
 
 
-def _strata_rows(base: Rows, depth: int) -> list[list[Rows]]:
+def _strata_rows(base: Rows, depth: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[list[Rows]]:
     """Row tuples of the strata at positions -depth .. 0: position i holds
     the tops of the vertical strips of -i nodes over ``base``, in reverse
-    lexicographic order."""
+    lexicographic order.  The one bound on a resolution, |base| + depth at
+    most ``max_partition_size``, is checked before any strip is listed."""
     size = sum(base)
+    check_bound(size + depth, bounds.max_partition_size, "resolution size")
     by_added: list[list[Rows]] = [[] for _ in range(depth + 1)]
     for rows in strip_tops(base, size + depth):
         by_added[sum(rows) - size].append(rows)
@@ -115,8 +117,7 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     no component."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    check_bound(depth, bounds.max_resolution_depth, "resolution depth")
-    strata = tuple(map(tuple, _strata_rows(xi.rows, depth)))
+    strata = tuple(map(tuple, _strata_rows(xi.rows, depth, bounds)))
     objects = partition_rows_up_to(xi.size + depth, bounds)
     where = {
         lam: (offset, number)
@@ -383,9 +384,8 @@ def betti_table(
     """Indicator of a projective appearing at each position, keyed by the
     position and the row tuple of each diagram of the matching size; row
     sums over a fixed position equal the stratum size."""
-    check_bound(depth, bounds.max_resolution_depth, "resolution depth")
     table: dict[tuple[int, Rows], int] = {}
-    for offset, members in enumerate(_strata_rows(xi.rows, depth)):
+    for offset, members in enumerate(_strata_rows(xi.rows, depth, bounds)):
         i = offset - depth
         present = set(members)
         for lam in partition_rows(xi.size - i, bounds):

@@ -145,22 +145,15 @@ def multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
     """Convolution product (bilinear extension of composition).
 
     The images of p*q are p's images read at q's images, so one
-    ``itemgetter`` per term of ``b`` composes it with every term of ``a``.
+    ``_composer`` per term of ``b`` composes it with every term of ``a``.
     """
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     acc: dict[tuple[int, ...], int] = {}
-    if a.degree < 2:
-        # the trivial group; itemgetter returns a tuple only for two or more indices
-        for p, x in a.numerators.items():
-            for y in b.numerators.values():
-                acc[p] = acc.get(p, 0) + x * y
-    else:
-        left, left_numerators = tuple(a.numerators), tuple(a.numerators.values())
-        for q, y in b.numerators.items():
-            compose = itemgetter(*[j - 1 for j in q])
-            for r, x in zip(map(compose, left), left_numerators):
-                acc[r] = acc.get(r, 0) + x * y
+    left, left_numerators = tuple(a.numerators), tuple(a.numerators.values())
+    for q, y in b.numerators.items():
+        for r, x in zip(map(_composer(q), left), left_numerators):
+            acc[r] = acc.get(r, 0) + x * y
     return GroupAlgebraElement(a.degree, acc, a.denominator * b.denominator)
 
 
@@ -270,15 +263,12 @@ class ClassSums:
         """(i, j) -> the nonzero (k, c_ijk).  Every permutation of S_n is
         conjugate to its inverse, so c_ijk also counts the x in C_i with
         x z_k in C_j, which composes z_k into x as ``multiply`` does."""
-        if self.degree < 2:
-            # the trivial group; itemgetter returns a tuple only for two or more indices
-            return {(0, 0): [(0, 1)]}
         representatives: dict[int, tuple[int, ...]] = {}
         for images, k in self.class_of.items():
             representatives.setdefault(k, images)
         counts: dict[tuple[int, int, int], int] = {}
         for k, z in representatives.items():
-            compose = itemgetter(*[j - 1 for j in z])
+            compose = _composer(z)
             for x, i in self.class_of.items():
                 key = (i, self.class_of[compose(x)], k)
                 counts[key] = counts.get(key, 0) + 1
@@ -301,7 +291,8 @@ class ClassSums:
 
 def _composer(q: tuple[int, ...]):
     """p -> pq, p's images read at q's images (the identity map below
-    degree 2, where the group is trivial)."""
+    degree 2, where the group is trivial and ``itemgetter`` would not
+    return a tuple)."""
     if len(q) < 2:
         return lambda p: p
     return itemgetter(*[j - 1 for j in q])

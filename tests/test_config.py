@@ -28,9 +28,9 @@ def test_load_from_file(tmp_path):
 
 def test_env_var_points_at_file(tmp_path, monkeypatch):
     config = tmp_path / "bounds.json"
-    config.write_text(json.dumps({"max_resolution_depth": 8}))
+    config.write_text(json.dumps({"max_induction_degree": 8}))
     monkeypatch.setenv(ENV_CONFIG_PATH, str(config))
-    assert load_bounds().max_resolution_depth == 8
+    assert load_bounds().max_induction_degree == 8
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -49,6 +49,25 @@ def test_retired_tableau_bound_is_unknown(tmp_path, monkeypatch, capsys):
     assert main(["verify", "signs", "--max-size", "2"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: unknown bound names in {config}: ['max_tableau_size']\n"
+
+
+def test_retired_resolution_depth_bound_is_unknown(tmp_path, monkeypatch, capsys):
+    # the resolution is bounded by |xi| + depth <= max_partition_size alone
+    from youngquiver.cli import main
+
+    assert Bounds._fields == (
+        "max_partition_size",
+        "max_group_degree",
+        "max_direct_hom_degree",
+        "max_induction_degree",
+        "max_qdual_size",
+    )
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"max_resolution_depth": 12}))
+    monkeypatch.setenv(ENV_CONFIG_PATH, str(config))
+    assert main(["verify", "resolution", "--xi", "1", "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown bound names in {config}: ['max_resolution_depth']\n"
 
 
 @pytest.mark.parametrize(

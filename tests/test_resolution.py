@@ -1,11 +1,12 @@
 import json
 import re
+import time
 
 import pytest
 
 from youngquiver import resolution
 from youngquiver.cli import main
-from youngquiver.config import BoundExceededError
+from youngquiver.config import BoundExceededError, Bounds
 from youngquiver.exactlinalg import IntMatrix, multiply, rank
 from youngquiver.partitions import (
     EMPTY,
@@ -107,10 +108,21 @@ class TestStratum:
             assert (lam.rows in members) == expected
 
     def test_bound(self):
-        with pytest.raises(BoundExceededError):
-            build_resolution(EMPTY, 13)
-        with pytest.raises(BoundExceededError):
-            betti_table(EMPTY, 13)
+        # |xi| + depth is capped by max_partition_size (30), at any depth
+        with pytest.raises(BoundExceededError, match="resolution size 31 "):
+            build_resolution(EMPTY, 31)
+        with pytest.raises(BoundExceededError, match="resolution size 31 "):
+            betti_table(EMPTY, 31)
+        assert build_resolution(EMPTY, 30).depth == 30
+        assert len(betti_table(EMPTY, 30)) == len(partition_rows_up_to(30))
+
+    def test_bound_follows_configured_size(self):
+        bounds = Bounds(max_partition_size=4)
+        with pytest.raises(BoundExceededError, match="resolution size 5 exceeds configured bound 4"):
+            build_resolution(P(2, 1), 2, bounds)
+        with pytest.raises(BoundExceededError, match="resolution size 5 exceeds configured bound 4"):
+            betti_table(P(2, 1), 2, bounds)
+        assert build_resolution(P(2, 1), 1, bounds).depth == 1
 
 
 class TestBuild:
@@ -605,17 +617,58 @@ def test_betti_output_matches_per_position_table(xi, depth, fmt, capsys):
     assert capsys.readouterr().out == slow_betti_output(xi, depth, fmt) + "\n"
 
 
-@pytest.mark.parametrize(
-    "xi, depth, message",
-    [
-        ("2,1", "13", "resolution depth 13 exceeds configured bound 12"),
-        ("30", "1", "partition size 31 exceeds configured bound 30"),
-    ],
+RESOLUTION_COMMANDS = pytest.mark.parametrize(
+    "command", [("verify", "resolution"), ("table", "betti")], ids=["verify", "betti"]
 )
-def test_betti_bound_messages(xi, depth, message, capsys, monkeypatch):
+
+
+@RESOLUTION_COMMANDS
+@pytest.mark.parametrize("xi, depth", [("2,1", "28"), ("30", "1")])
+def test_resolution_size_messages(command, xi, depth, capsys, monkeypatch):
     monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
-    assert main(["table", "betti", "--xi", xi, "--depth", depth]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main([*command, "--xi", xi, "--depth", depth]) == 2
+    assert capsys.readouterr().err == "error: resolution size 31 exceeds configured bound 30\n"
+
+
+@RESOLUTION_COMMANDS
+def test_huge_depth_fails_before_any_strip(command, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("strips were listed before the size was checked")
+
+    monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
+    monkeypatch.setattr(resolution, "strip_tops", no_work)
+    start = time.perf_counter()
+    assert main([*command, "--xi", "0", "--depth", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == "error: resolution size 1000000000 exceeds configured bound 30\n"
+
+
+class TestAdmittedDepths:
+    """Depths past 12, up to the size cap |xi| + depth = 30.  Every object
+    up to size 30 is checked: positions depth + 1 and products depth - 1
+    times each."""
+
+    @pytest.mark.parametrize(
+        "xi, depth", [(EMPTY, 30), (P(2, 1), 27), (P(5, 4, 3, 2, 1, 1, 1), 13)]
+    )
+    def test_closed_form_counts(self, xi, depth):
+        certificate = verify_resolution(xi, depth)
+        assert certificate.passed
+        objects = 28_629
+        assert len(partition_rows_up_to(30)) == objects
+        assert certificate.counts["objects_checked"] == objects
+        assert certificate.counts["positions_checked"] == objects * (depth + 1)
+        assert certificate.counts["products_checked"] == objects * (depth - 1)
+
+    def test_deepest_betti_row_sums(self, capsys):
+        argv = ["table", "betti", "--xi", "0", "--depth", "30", "--format", "json"]
+        assert main(argv) == 0
+        sums: dict[int, int] = {}
+        for key, flag in json.loads(capsys.readouterr().out)["rows"]:
+            i = int(key.split(":")[0])
+            sums[i] = sums.get(i, 0) + flag
+        assert sums == {i: len(stratum_rows(EMPTY, i)) for i in range(-30, 1)}
 
 
 def mirrored_matrix(complex_, i, mu):
