@@ -1,12 +1,12 @@
 """Command-line entry point for verification sweeps and table exports.
 
 Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = usage or bounds
-error (a bad option, partition or config value, a configured bound exceeded,
-or a file that cannot be read or written), 3 = internal error (an
-``ArithmeticError`` or any other ``ValueError`` raised inside the toolkit,
-never a verdict).  Certificates go to stdout as JSON (or to --out); every
-sweep is deterministic, so certificates are byte-stable across runs apart
-from the elapsed_ms field.
+error (a bad option, including one the target does not read, a bad partition
+or config value, a configured bound exceeded, or a file that cannot be read
+or written), 3 = internal error (an ``ArithmeticError`` or any other
+``ValueError`` raised inside the toolkit, never a verdict).  Certificates go
+to stdout as JSON (or to --out); every sweep is deterministic, so
+certificates are byte-stable across runs apart from the elapsed_ms field.
 """
 
 import argparse
@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 
 from . import qdual, quiver, resolution
 from ._version import __version__
-from .certificates import Certificate
 from .config import BoundExceededError, Bounds, load_bounds
 from .partitions import (
     contains,
@@ -42,15 +41,27 @@ class UsageError(ValueError):
 
 
 class Sweep(NamedTuple):
-    """One ``verify`` target.  ``flags`` maps each option the target reads
-    to the driver parameter it fills; an option without a default is
-    required.  ``battery`` holds the driver arguments of each run in the
-    default battery."""
+    """One ``verify`` or ``table`` target.  ``flags`` maps each option the
+    target reads to the driver parameter it fills; the target accepts no
+    other option, and one without a default in ``OPTIONS`` is required.
+    ``battery`` holds the driver arguments of each run in the default
+    battery; a table has none."""
 
-    driver: Callable[..., Certificate]
+    driver: Callable
     flags: dict[str, str]
-    battery: tuple[tuple, ...]
+    battery: tuple[tuple, ...] = ()
 
+
+OPTIONS = {
+    "--max-size": dict(type=int, help="largest diagram size swept"),
+    "--xi": dict(help="base partition, e.g. 2,1"),
+    "--depth": dict(type=int, help="resolution truncation depth"),
+    "--n": dict(type=int, help="symmetric group degree bound"),
+    "--direct-n": dict(type=int, default=3, help="degree cap for direct idempotent ranks"),
+    "--dump-matrices": dict(action="store_true", help="add every nonzero differential"),
+    "--mu": dict(help="source partition, e.g. 2"),
+    "--m": dict(type=int, help="number of added nodes"),
+}
 
 SWEEPS = {
     "signs": Sweep(verify_signs_sweep, {"--max-size": "max_size"}, ((10,),)),
@@ -64,6 +75,38 @@ SWEEPS = {
         verify_branching, {"--n": "n_max", "--direct-n": "direct_n_max"}, ((5, 3),)
     ),
     "idempotents": Sweep(verify_idempotent_system, {"--n": "n_max"}, ((5,),)),
+}
+
+
+def _pieri_rows(mu, m, bounds) -> list[tuple[str, int]]:
+    return [
+        (format_partition(lam), quiver.hom_dim_C(mu.rows, lam))
+        for lam in partition_rows(mu.size + m, bounds)
+        if contains(lam, mu.rows)
+    ]
+
+
+def _betti_rows(xi, depth, bounds) -> list[tuple[str, int]]:
+    table = resolution.betti_table(xi, depth, bounds)
+    return [
+        (f"{i}:{format_partition(lam)}", flag)
+        for (i, lam), flag in sorted(table.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+    ]
+
+
+def _dualdims_rows(max_size, bounds) -> list[tuple[str, int]]:
+    presentation = qdual.build_quadratic_dual(max_size, bounds)
+    return [
+        (f"{format_partition(mu)}->{format_partition(lam)}", presentation.walk(mu).get(lam, 0))
+        for lam in partition_rows_up_to(max_size, bounds)
+        for mu in subdiagram_rows(lam)
+    ]
+
+
+TABLES = {
+    "pieri": Sweep(_pieri_rows, {"--mu": "mu", "--m": "m"}),
+    "betti": Sweep(_betti_rows, {"--xi": "xi", "--depth": "depth"}),
+    "dualdims": Sweep(_dualdims_rows, {"--max-size": "max_size"}),
 }
 
 
@@ -82,28 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
     quiver_p.add_argument("--signs", action="store_true", help="label arrows with signs")
     quiver_p.add_argument("--out")
 
-    verify_p = sub.add_parser("verify", help="run a verification sweep")
-    verify_p.add_argument("target", choices=tuple(SWEEPS))
-    verify_p.add_argument("--max-size", type=int, help="signs/qdual sweep bound")
-    verify_p.add_argument("--xi", help="base partition for resolution, e.g. 2,1")
-    verify_p.add_argument("--depth", type=int, help="resolution truncation depth")
-    verify_p.add_argument("--n", type=int, help="symmetric group degree bound")
-    verify_p.add_argument(
-        "--direct-n", type=int, default=3, help="degree cap for direct idempotent ranks"
-    )
-    verify_p.add_argument("--dump-matrices", action="store_true")
-    verify_p.add_argument("--format", choices=("text", "json"), default="json")
-    verify_p.add_argument("--out")
-
-    table_p = sub.add_parser("table", help="print a deterministic table")
-    table_p.add_argument("target", choices=("pieri", "betti", "dualdims"))
-    table_p.add_argument("--mu", help="source partition for pieri")
-    table_p.add_argument("--m", type=int, help="added node count for pieri")
-    table_p.add_argument("--xi", help="base partition for betti")
-    table_p.add_argument("--depth", type=int, help="depth for betti")
-    table_p.add_argument("--max-size", type=int, help="size bound for dualdims")
-    table_p.add_argument("--format", choices=("text", "json"), default="text")
-    table_p.add_argument("--out")
+    for command, targets, default_format, help_text in (
+        ("verify", SWEEPS, "json", "run a verification sweep"),
+        ("table", TABLES, "text", "print a deterministic table"),
+    ):
+        command_p = sub.add_parser(command, help=help_text)
+        target_sub = command_p.add_subparsers(dest="target", required=True)
+        for target, entry in targets.items():
+            # no abbreviations: --m would otherwise stand for --max-size
+            target_p = target_sub.add_parser(target, allow_abbrev=False)
+            for flag in entry.flags:
+                target_p.add_argument(flag, **OPTIONS[flag])
+            target_p.add_argument("--format", choices=("text", "json"), default=default_format)
+            target_p.add_argument("--out")
 
     return parser
 
@@ -149,17 +183,20 @@ def _cmd_quiver(args, bounds) -> int:
     return 0
 
 
-def _cmd_verify(args, bounds) -> int:
-    sweep = SWEEPS[args.target]
-    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in sweep.flags}
-    missing = [flag for flag, value in values.items() if value is None]
-    _require(not missing, f"verify {args.target} requires {' and '.join(missing)}")
-    _require(args.target != "resolution" or args.depth > 0,
-             f"verify resolution requires --depth of at least 1, got {args.depth}")
-    certificate = sweep.driver(
-        **{sweep.flags[flag]: value for flag, value in values.items()}, bounds=bounds
-    )
+def _run(args, targets: dict[str, Sweep], bounds):
+    """Check that the target's required options are given, then call its driver."""
+    entry = targets[args.target]
+    values = {param: getattr(args, flag[2:].replace("-", "_"))
+              for flag, param in entry.flags.items()}
+    missing = [flag for flag, param in entry.flags.items() if values[param] is None]
+    _require(not missing, f"{args.command} {args.target} requires {' and '.join(missing)}")
+    return entry.driver(**values, bounds=bounds)
 
+
+def _cmd_verify(args, bounds) -> int:
+    _require(args.target != "resolution" or args.depth != 0,
+             "verify resolution requires --depth of at least 1, got 0")
+    certificate = _run(args, SWEEPS, bounds)
     if args.format == "json":
         _emit(certificate.to_json(), args.out)
     else:
@@ -172,35 +209,8 @@ def _cmd_verify(args, bounds) -> int:
     return 0 if certificate.passed else MATH_FAILURE
 
 
-def _table_rows(args, bounds) -> list[tuple[str, int]]:
-    if args.target == "pieri":
-        _require(args.mu is not None and args.m is not None,
-                 "table pieri requires --mu and --m")
-        mu = args.mu.rows
-        return [
-            (format_partition(lam), quiver.hom_dim_C(mu, lam))
-            for lam in partition_rows(sum(mu) + args.m, bounds)
-            if contains(lam, mu)
-        ]
-    if args.target == "betti":
-        _require(args.xi is not None and args.depth is not None,
-                 "table betti requires --xi and --depth")
-        table = resolution.betti_table(args.xi, args.depth, bounds)
-        return [
-            (f"{i}:{format_partition(lam)}", flag)
-            for (i, lam), flag in sorted(table.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-        ]
-    _require(args.max_size is not None, "table dualdims requires --max-size")
-    presentation = qdual.build_quadratic_dual(args.max_size, bounds)
-    return [
-        (f"{format_partition(mu)}->{format_partition(lam)}", presentation.walk(mu).get(lam, 0))
-        for lam in partition_rows_up_to(args.max_size, bounds)
-        for mu in subdiagram_rows(lam)
-    ]
-
-
 def _cmd_table(args, bounds) -> int:
-    rows = _table_rows(args, bounds)
+    rows = _run(args, TABLES, bounds)
     if args.format == "json":
         _emit(json.dumps({"target": args.target, "rows": rows}, indent=2), args.out)
     else:

@@ -5,8 +5,8 @@ tuple is the empty diagram.  All values are immutable and hashable, so they
 can be used as dictionary keys.  The sweeps run on bare row tuples; a
 ``Partition`` wraps one with validation, containment and row access.
 
-Text form: row lengths joined by commas ("3,1,1"), with "0" for the empty
-diagram ("" is also accepted on input).
+Text form: ASCII-digit row lengths joined by commas ("3,1,1"), with "0" for
+the empty diagram ("" is also accepted on input).
 """
 
 from collections.abc import Iterator
@@ -71,11 +71,11 @@ def parse_partition(text: str) -> Partition:
     stripped = text.strip()
     if stripped in ("", "0"):
         return EMPTY
-    try:
-        rows = tuple(int(part) for part in stripped.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition {text!r}") from exc
-    return Partition(rows)
+    parts = [part.strip() for part in stripped.split(",")]
+    # ASCII digits only: int() would also take "1_0", "+3" and non-ASCII digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"cannot parse partition {text!r}")
+    return Partition(tuple(map(int, parts)))
 
 
 class SkewClass(NamedTuple):

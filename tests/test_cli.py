@@ -1,4 +1,8 @@
+import argparse
+import hashlib
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -133,6 +137,14 @@ class TestVerifyCommand:
             capsys, "verify", "resolution", "--xi", "1,2", "--depth", "3"
         )
         assert code == 2
+
+    def test_unparsable_partition_is_one_line_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "resolution", "--xi", "2,1_1", "--depth", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot parse partition '2,1_1'\n"
 
     def test_certificates_byte_stable(self, capsys):
         outputs = []
@@ -308,6 +320,34 @@ class TestTableCommand:
         positive = [key for key, flag in rows if flag]
         assert positive == ["0:0", "-1:1", "-2:1,1", "-3:1,1,1"]
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--xi", "2,1", "--depth", "5"),
+                "bcfd055950ffef6e1d037eb653a4f415575769f123e0f8cd30e75d1a9c7a0fa1",
+            ),
+            (
+                ("--xi", "2,1", "--depth", "5", "--format", "json"),
+                "60bbda7a78c3e273a934e44f5db43bb3faf18d76068b73e37177fa5fe0861abc",
+            ),
+            (
+                ("--xi", "0", "--depth", "4"),
+                "d162f15aaee22729911664d65826c556eebfdf95574c5314b958cca173faabaf",
+            ),
+            (
+                ("--xi", "0", "--depth", "4", "--format", "json"),
+                "95242ab6501f6d7a66183758e2366ba0382142f517de8f67315bbe6bfb91de31",
+            ),
+        ],
+        ids=["2,1-text", "2,1-json", "0-text", "0-json"],
+    )
+    def test_betti_output_is_unchanged(self, capsys, argv, digest):
+        # sha256 of the whole output: every row, zero rows included, and their order
+        code, out, err = run_cli(capsys, "table", "betti", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_dualdims_vertical_strip_indicator(self, capsys):
         code, out, _ = run_cli(capsys, "table", "dualdims", "--max-size", "3")
         assert code == 0
@@ -319,6 +359,116 @@ class TestTableCommand:
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "table", "pieri", "--mu", "2")
         assert code == 2
+
+
+# a valid value for each option a target can read; None for a switch
+SAMPLE_VALUES = {
+    "--max-size": "2",
+    "--xi": "1",
+    "--depth": "2",
+    "--n": "2",
+    "--direct-n": "1",
+    "--dump-matrices": None,
+    "--mu": "1",
+    "--m": "1",
+}
+
+TARGETS = {"verify": cli.SWEEPS, "table": cli.TABLES}
+
+
+def option_argv(flags):
+    return [arg for flag in flags for arg in (flag, SAMPLE_VALUES[flag]) if arg is not None]
+
+
+class TestTargetOptions:
+    @pytest.mark.parametrize(
+        "command, target, flag",
+        [
+            (command, target, flag)
+            for command, targets in TARGETS.items()
+            for target, entry in targets.items()
+            for flag in cli.OPTIONS
+            if flag not in entry.flags
+        ],
+    )
+    def test_an_option_the_target_does_not_read_exits_2(
+        self, capsys, monkeypatch, command, target, flag
+    ):
+        def no_run(**_):
+            raise AssertionError("the driver ran")
+
+        targets = TARGETS[command]
+        monkeypatch.setitem(targets, target, targets[target]._replace(driver=no_run))
+        argv = [command, target, *option_argv(targets[target].flags)]
+        with pytest.raises(AssertionError, match="the driver ran"):
+            main(argv)  # the target's own options reach its driver
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, *option_argv([flag])])
+        assert exited.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_each_target_accepts_exactly_its_flags(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {}
+        for command, targets in TARGETS.items():
+            (target_parsers,) = [
+                a
+                for a in commands.choices[command]._actions
+                if isinstance(a, argparse._SubParsersAction)
+            ]
+            assert list(target_parsers.choices) == list(targets)
+            for target, target_parser in target_parsers.choices.items():
+                accepted[command, target] = {
+                    option for a in target_parser._actions for option in a.option_strings
+                } - {"-h", "--help"}
+        assert accepted == {
+            (command, target): {*entry.flags, "--format", "--out"}
+            for command, targets in TARGETS.items()
+            for target, entry in targets.items()
+        }
+        assert sum(map(len, accepted.values())) == 29
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--max-size", "3", "qdual"),
+            ("table", "--max-size", "3", "dualdims"),
+            ("verify", "signs", "--max", "3"),  # no abbreviations
+        ],
+    )
+    def test_options_follow_the_full_target_name(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def readme_cli_examples():
+    """The ``youngquiver ...`` lines of the ``sh`` block under README "## CLI"."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("youngquiver ")
+    ]
+
+
+def test_readme_shows_every_target():
+    examples = readme_cli_examples()
+    shown = {tuple(argv[:2]) for argv in examples}
+    assert {(command, target) for command in TARGETS for target in TARGETS[command]} <= shown
+    assert any(argv[0] == "quiver" for argv in examples)
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids="-".join)
+def test_readme_cli_example_runs(capsys, argv):
+    assert main(argv) == 0
 
 
 class TestOutputFile:

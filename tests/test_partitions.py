@@ -124,6 +124,11 @@ class TestConstruction:
             parse_partition("1,2")
         with pytest.raises(ValueError):
             parse_partition("a,b")
+        # ASCII decimal digits only: no underscores, signs or non-ASCII digits
+        for text in ("1_0", "2,1_1", "+3", "\uff13", "\u0663", "3,,1", "-1"):
+            with pytest.raises(ValueError, match="cannot parse partition"):
+                parse_partition(text)
+        assert parse_partition(" 3, 1") == Partition((3, 1))
 
     @given(partitions())
     def test_parse_inverts_str(self, lam):
