@@ -20,50 +20,26 @@ class Certificate:
 
     def __init__(
         self,
-        command: str,
-        parameters: dict,
-        verdict: str,
-        counts: dict,
-        first_failure: dict | None = None,
-        details: dict | None = None,
-        elapsed_ms: int = 0,
-    ) -> None:
-        if verdict not in ("pass", "fail"):
-            raise ValueError(f"verdict must be pass or fail, got {verdict!r}")
-        if verdict == "fail" and first_failure is None:
-            raise ValueError("failing certificate must carry a first_failure locator")
-        if verdict == "pass" and not any(counts.values()):
-            raise ValueError("passing certificate must report a nonzero count")
-        self.command = command
-        self.parameters = parameters
-        self.verdict = verdict
-        self.counts = counts
-        self.first_failure = first_failure
-        self.details = details
-        self.elapsed_ms = elapsed_ms
-
-    @classmethod
-    def timed(
-        cls,
         started: float,
         command: str,
         parameters: dict,
         counts: dict,
         first_failure: dict | None = None,
         details: dict | None = None,
-    ) -> "Certificate":
+    ) -> None:
         """Certificate of a sweep that began at ``started``, a
         ``time.perf_counter()`` reading.  The verdict is ``pass`` exactly
-        when there is no ``first_failure``."""
-        return cls(
-            command=command,
-            parameters=parameters,
-            verdict="pass" if first_failure is None else "fail",
-            counts=counts,
-            first_failure=first_failure,
-            details=details,
-            elapsed_ms=int((time.perf_counter() - started) * 1000),
-        )
+        when there is no ``first_failure``, and a pass must have counted
+        something."""
+        self.elapsed_ms = int((time.perf_counter() - started) * 1000)
+        if first_failure is None and not any(counts.values()):
+            raise ValueError("passing certificate must report a nonzero count")
+        self.command = command
+        self.parameters = parameters
+        self.verdict = "pass" if first_failure is None else "fail"
+        self.counts = counts
+        self.first_failure = first_failure
+        self.details = details
 
     @property
     def passed(self) -> bool:

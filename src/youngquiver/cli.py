@@ -1,12 +1,13 @@
 """Command-line entry point for verification sweeps and table exports.
 
 Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = usage or bounds
-error (a bad option, including one the target does not read, a bad partition
-or config value, a configured bound exceeded, or a file that cannot be read
-or written), 3 = internal error (an ``ArithmeticError`` or any other
-``ValueError`` raised inside the toolkit, never a verdict).  Certificates go
-to stdout as JSON (or to --out); every sweep is deterministic, so
-certificates are byte-stable across runs apart from the elapsed_ms field.
+error (a bad option, including one the target does not read, a bad partition,
+integer or config value, a configured bound exceeded, or a file that cannot
+be read or written; each prints one ``error:`` line), 3 = internal error (an
+``ArithmeticError`` or any other ``ValueError`` raised inside the toolkit,
+never a verdict).  Certificates go to stdout as JSON (or to --out); every
+sweep is deterministic, so certificates are byte-stable across runs apart
+from the elapsed_ms field.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import qdual, quiver, resolution
 from ._version import __version__
-from .config import BoundExceededError, Bounds, load_bounds
+from .config import BoundExceededError, load_bounds
 from .partitions import (
     contains,
     format_partition,
@@ -40,27 +41,56 @@ class UsageError(ValueError):
     """An option, partition or config value the command cannot run with."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each grammar error as a ``UsageError``, which ``main`` reports
+    on one line like any other bad input."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _non_negative(text: str) -> int:
+    """A size, degree, depth or count, in ASCII digits: int() would also
+    take "1_0", "+3" and non-ASCII digits."""
+    digits = text.strip()
+    if digits.isascii() and digits.isdigit():
+        return int(digits)
+    if digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit():
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {digits}")
+    raise argparse.ArgumentTypeError(f"cannot parse non-negative integer {text!r}")
+
+
+def _partition(text: str):
+    try:
+        return parse_partition(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from exc
+
+
 class Sweep(NamedTuple):
     """One ``verify`` or ``table`` target.  ``flags`` maps each option the
-    target reads to the driver parameter it fills; the target accepts no
-    other option, and one without a default in ``OPTIONS`` is required.
-    ``battery`` holds the driver arguments of each run in the default
-    battery; a table has none."""
+    target reads to the driver parameter it fills, which is also the
+    option's dest; the target accepts no other option.  ``battery`` holds
+    the driver arguments of each run in the default battery; a table has
+    none."""
 
     driver: Callable
     flags: dict[str, str]
     battery: tuple[tuple, ...] = ()
 
 
+# every option a target can read, converted and checked by argparse
 OPTIONS = {
-    "--max-size": dict(type=int, help="largest diagram size swept"),
-    "--xi": dict(help="base partition, e.g. 2,1"),
-    "--depth": dict(type=int, help="resolution truncation depth"),
-    "--n": dict(type=int, help="symmetric group degree bound"),
-    "--direct-n": dict(type=int, default=3, help="degree cap for direct idempotent ranks"),
+    "--max-size": dict(type=_non_negative, required=True, help="largest diagram size swept"),
+    "--xi": dict(type=_partition, required=True, help="base partition, e.g. 2,1"),
+    "--depth": dict(type=_non_negative, required=True, help="resolution truncation depth"),
+    "--n": dict(type=_non_negative, required=True, help="symmetric group degree bound"),
+    "--direct-n": dict(
+        type=_non_negative, default=3, help="degree cap for direct idempotent ranks"
+    ),
     "--dump-matrices": dict(action="store_true", help="add every nonzero differential"),
-    "--mu": dict(help="source partition, e.g. 2"),
-    "--m": dict(type=int, help="number of added nodes"),
+    "--mu": dict(type=_partition, required=True, help="source partition, e.g. 2"),
+    "--m": dict(type=_non_negative, required=True, help="number of added nodes"),
 }
 
 SWEEPS = {
@@ -111,7 +141,7 @@ TABLES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="youngquiver",
         description="Exact verification of the Young-lattice quiver with relations, "
         "its sign assignment, linear resolutions, and quadratic self-duality.",
@@ -120,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     quiver_p = sub.add_parser("quiver", help="render the lattice slice")
-    quiver_p.add_argument("--max-size", type=int, required=True)
+    quiver_p.add_argument("--max-size", **OPTIONS["--max-size"])
     quiver_p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     quiver_p.add_argument("--signs", action="store_true", help="label arrows with signs")
     quiver_p.add_argument("--out")
@@ -134,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         for target, entry in targets.items():
             # no abbreviations: --m would otherwise stand for --max-size
             target_p = target_sub.add_parser(target, allow_abbrev=False)
-            for flag in entry.flags:
-                target_p.add_argument(flag, **OPTIONS[flag])
+            for flag, param in entry.flags.items():
+                target_p.add_argument(flag, dest=param, **OPTIONS[flag])
             target_p.add_argument("--format", choices=("text", "json"), default=default_format)
             target_p.add_argument("--out")
 
@@ -150,33 +180,6 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
-
-
-def _check_options(args) -> None:
-    """Reject bad option values before any work.  Every integer option is a
-    size, degree, depth or count, so none may be negative; partitions are
-    parsed here."""
-    for dest, value in list(vars(args).items()):
-        if type(value) is int:
-            flag = "--" + dest.replace("_", "-")
-            _require(value >= 0, f"{flag} must be non-negative, got {value}")
-        elif dest in ("xi", "mu") and value is not None:
-            setattr(args, dest, parse_partition(value))
-
-
-def _checked_input(args) -> Bounds:
-    """Check the options and load the bounds.  A ``ValueError`` here comes
-    from bad input, so it is re-raised as a ``UsageError``."""
-    try:
-        _check_options(args)
-        return load_bounds()
-    except ValueError as exc:
-        raise UsageError(exc) from exc
-
-
 def _cmd_quiver(args, bounds) -> int:
     slice_ = quiver.quiver_slice(args.max_size, bounds)
     _emit(quiver.render(slice_, args.format, args.signs), args.out)
@@ -184,18 +187,14 @@ def _cmd_quiver(args, bounds) -> int:
 
 
 def _run(args, targets: dict[str, Sweep], bounds):
-    """Check that the target's required options are given, then call its driver."""
     entry = targets[args.target]
-    values = {param: getattr(args, flag[2:].replace("-", "_"))
-              for flag, param in entry.flags.items()}
-    missing = [flag for flag, param in entry.flags.items() if values[param] is None]
-    _require(not missing, f"{args.command} {args.target} requires {' and '.join(missing)}")
-    return entry.driver(**values, bounds=bounds)
+    return entry.driver(**{param: getattr(args, param) for param in entry.flags.values()},
+                        bounds=bounds)
 
 
 def _cmd_verify(args, bounds) -> int:
-    _require(args.target != "resolution" or args.depth != 0,
-             "verify resolution requires --depth of at least 1, got 0")
+    if args.target == "resolution" and args.depth == 0:
+        raise UsageError("verify resolution requires --depth of at least 1, got 0")
     certificate = _run(args, SWEEPS, bounds)
     if args.format == "json":
         _emit(certificate.to_json(), args.out)
@@ -219,10 +218,12 @@ def _cmd_table(args, bounds) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        bounds = _checked_input(args)
+        args = build_parser().parse_args(argv)
+        try:
+            bounds = load_bounds()
+        except ValueError as exc:  # a bad config file is bad input
+            raise UsageError(exc) from exc
         if args.command == "quiver":
             return _cmd_quiver(args, bounds)
         if args.command == "verify":

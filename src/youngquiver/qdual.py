@@ -360,7 +360,7 @@ def verify_quadratic_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> 
     start = time.perf_counter()
     self_counts, self_failure = verify_self_duality(max_size, bounds)
     lattice_counts, lattice_failure = verify_lattice_dual(max_size, bounds)
-    return Certificate.timed(
+    return Certificate(
         start,
         command="verify qdual",
         parameters={"max_size": max_size},

@@ -424,7 +424,7 @@ def verify_resolution(
         details["matrices"] = {
             f"{i}@{format_partition(mu)}": matrix.to_text() for i, mu, matrix in stored
         }
-    return Certificate.timed(
+    return Certificate(
         start,
         command="verify resolution",
         parameters={"xi": str(xi), "depth": depth},

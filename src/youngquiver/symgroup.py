@@ -525,7 +525,7 @@ def verify_branching(
                 break
         if first_failure:
             break
-    return Certificate.timed(
+    return Certificate(
         start,
         command="verify morita",
         parameters={"n": n_max, "direct_n": direct_n_max},
@@ -602,7 +602,7 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
             first_failure = {"check": "sum_to_identity", "degree": n}
         if first_failure:
             break
-    return Certificate.timed(
+    return Certificate(
         start,
         command="verify idempotents",
         parameters={"n": n_max},

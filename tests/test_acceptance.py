@@ -76,6 +76,12 @@ def test_criterion_3_sign_assignment(capsys):
         comb(len(set(b.rows)) + 1, 2) for b in partitions_up_to(max_size - 2)
     )
     assert certificate.counts["partitions_checked"] == len(partitions_up_to(min(max_size, 8)))
+    # every addition order up to size 8, one per standard tableau: the
+    # involution numbers I(n) = I(n-1) + (n-1) I(n-2) summed over n <= 8
+    involutions = [1, 1]
+    for n in range(2, min(max_size, 8) + 1):
+        involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+    assert certificate.counts["orders_checked"] == sum(involutions) == 1116
     elapsed = _report(capsys, 3, "diamond anticommutativity + growth agreement", started, budget)
     assert elapsed < budget
 

@@ -21,6 +21,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Run ``argv``, check that ``main`` returns 2 with nothing on stdout and
+    one ``error:`` line on stderr, and return that line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def pieri_by_skew_columns(mu, m):
     """``table pieri`` rows from ``Partition``s: every lam of size |mu| + m
     that contains mu, flagged 1 when no column holds two of its skew nodes
@@ -128,23 +137,22 @@ class TestVerifyCommand:
         assert json.loads(out)["verdict"] == "pass"
 
     def test_missing_flag_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "resolution", "--depth", "3")
-        assert code == 2
-        assert "requires" in err
+        err = usage_error(capsys, "verify", "resolution", "--depth", "3")
+        assert err == "error: the following arguments are required: --xi\n"
 
     def test_bad_partition_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "verify", "resolution", "--xi", "1,2", "--depth", "3"
-        )
-        assert code == 2
+        err = usage_error(capsys, "verify", "resolution", "--xi", "1,2", "--depth", "3")
+        assert err.startswith("error: argument --xi: row lengths must be weakly decreasing")
 
     def test_unparsable_partition_is_one_line_usage_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "resolution", "--xi", "2,1_1", "--depth", "3"
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: cannot parse partition '2,1_1'\n"
+        err = usage_error(capsys, "verify", "resolution", "--xi", "2,1_1", "--depth", "3")
+        assert err == "error: argument --xi: cannot parse partition '2,1_1'\n"
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", "\uff13", "\u0663", "3.0", "", "0x3"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, value):
+        # int() takes the first four: 10, 3, full-width 3, Arabic-Indic 3
+        err = usage_error(capsys, "verify", "signs", "--max-size", value)
+        assert err == f"error: argument --max-size: cannot parse non-negative integer {value!r}\n"
 
     def test_certificates_byte_stable(self, capsys):
         outputs = []
@@ -168,11 +176,7 @@ class TestVerifyCommand:
         ],
     )
     def test_negative_size_is_usage_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "must be non-negative" in err
+        assert "must be non-negative" in usage_error(capsys, *argv)
 
     def test_internal_fault_has_its_own_exit_code(self, capsys, monkeypatch):
         def inexact(**_):
@@ -217,9 +221,7 @@ class TestVerifyCommand:
         }
 
     def test_zero_resolution_depth_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "resolution", "--xi", "1", "--depth", "0")
-        assert code == 2
-        assert out == ""
+        err = usage_error(capsys, "verify", "resolution", "--xi", "1", "--depth", "0")
         assert err == "error: verify resolution requires --depth of at least 1, got 0\n"
 
     @pytest.mark.parametrize(
@@ -357,8 +359,8 @@ class TestTableCommand:
         assert table["1->2,1"] == "1"
 
     def test_missing_flags(self, capsys):
-        code, _, err = run_cli(capsys, "table", "pieri", "--mu", "2")
-        assert code == 2
+        err = usage_error(capsys, "table", "pieri", "--mu", "2")
+        assert err == "error: the following arguments are required: --m\n"
 
 
 # a valid value for each option a target can read; None for a switch
@@ -403,12 +405,8 @@ class TestTargetOptions:
         with pytest.raises(AssertionError, match="the driver ran"):
             main(argv)  # the target's own options reach its driver
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exited:
-            main([*argv, *option_argv([flag])])
-        assert exited.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "unrecognized arguments" in err
+        err = usage_error(capsys, *argv, *option_argv([flag]))
+        assert err.startswith("error: unrecognized arguments: " + flag)
 
     def test_each_target_accepts_exactly_its_flags(self):
         parser = cli.build_parser()
@@ -441,10 +439,14 @@ class TestTargetOptions:
         ],
     )
     def test_options_follow_the_full_target_name(self, capsys, argv):
+        usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("verify", "signs", "--help")])
+    def test_help_and_version_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:
             main(list(argv))
-        assert exited.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert exited.value.code == 0
+        assert capsys.readouterr().out
 
 
 def readme_cli_examples():
@@ -491,3 +493,13 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "nodes: 2"
+
+    def test_bad_option_is_one_line(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "youngquiver", "verify", "signs", "--max-size", "1", "--xi", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: unrecognized arguments: --xi 3\n"

@@ -235,9 +235,8 @@ def flip_one_growth_sign(monkeypatch, call):
 
 class TestGrowthLocator:
     """A flipped growth sign fails the sweep at the order that carries it.
-    The sweep reaches (3,1,1) after 28 exhaustive orders, and (4,2,1) after
-    44 exhaustive orders of sizes 0-5 and 3 seeded orders for each of the
-    16 diagrams of sizes 6 and 7 before it."""
+    The sweep tries every addition order, so it reaches (3,1,1) after 28
+    orders and (4,3,1), of size 8, after 542."""
 
     def test_exhaustive_order(self, monkeypatch):
         # the fourth of the six orders of (3,1,1)
@@ -256,21 +255,21 @@ class TestGrowthLocator:
             "closed_form_rows": [1, -1, 1, -1, -1, -1],
         }
 
-    def test_seeded_order(self, monkeypatch):
-        # the third seeded order of (4,2,1): the drawn order is pinned too
-        flip_one_growth_sign(monkeypatch, 44 + 3 * 16 + 2)
+    def test_order_of_a_size_8_diagram(self, monkeypatch):
+        # the tenth of the 70 orders of (4,3,1)
+        flip_one_growth_sign(monkeypatch, 542 + 9)
         cert = verify_signs_sweep(8)
         assert cert.verdict == "fail"
         assert cert.counts == {
             "diamonds_checked": 62,
-            "partitions_checked": 36,
-            "orders_checked": 95,
+            "partitions_checked": 54,
+            "orders_checked": 552,
         }
         assert cert.first_failure == {
-            "partition": "4,2,1",
-            "order": [[1, 1], [2, 1], [1, 2], [3, 1], [2, 2], [1, 3], [1, 4]],
-            "grown_rows": [1, -1, 1, -1, -1, -1, -1, -1],
-            "closed_form_rows": [1, 1, 1, -1, -1, -1, -1, -1],
+            "partition": "4,3,1",
+            "order": [[1, 1], [1, 2], [2, 1], [1, 3], [3, 1], [2, 2], [2, 3], [1, 4]],
+            "grown_rows": [1, -1, -1, 1, 1, 1, 1, 1, 1],
+            "closed_form_rows": [1, 1, -1, 1, 1, 1, 1, 1, 1],
         }
 
 
