@@ -29,9 +29,8 @@ holds at every evaluation object, the whole verification reduces to exact
 integer linear algebra on one small matrix chain per object.  The chain at
 an object depends only on the members present there, so objects with the
 same members share one chain, built once: over the bases of size at most 5
-at depth 8, the 2,505 objects with a member hold 768 distinct chains.  Each
-verifier checks a distinct chain once and reads its result at every object
-that has it, with the locator of the first failing object.  The complex
+at depth 8, the 2,505 objects with a member hold 768 distinct chains, and
+each verifier checks each of them once (``_per_chain``).  The complex
 property is a product of consecutive matrices being zero, and exactness is
 the rank identity rank(out) + rank(in) = dim at every position.  Each
 product is formed in one pass over its terms, which yields both its
@@ -45,6 +44,7 @@ have two nonzero factors.
 """
 
 import time
+from collections.abc import Callable, Iterator
 from itertools import product
 from typing import NamedTuple
 
@@ -209,15 +209,26 @@ def _arrows_into(upper: list[Rows], lower: list[Rows]) -> list[list[tuple[int, i
     return arrows
 
 
+def _per_chain(
+    complex_: GradedComplex, check: Callable[[ObjectChain], tuple]
+) -> Iterator[tuple[Rows, tuple]]:
+    """Each object's row tuple with ``check`` of its chain, in object order.
+    Objects with the same members share one chain (``build_resolution``), so
+    ``check`` runs once per distinct chain, told apart by identity, and every
+    later object with that chain reads the same result."""
+    seen: dict[int, tuple] = {}
+    for mu, chain in zip(complex_.objects, complex_.chains):
+        result = seen.get(id(chain))
+        if result is None:
+            result = seen[id(chain)] = check(chain)
+        yield mu, result
+
+
 def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None]:
     """Check that consecutive differentials compose to zero at every object.
 
     Each zero entry of a product that received two nonzero summands is one
-    diamond cancellation; the count of those is reported.  Objects share
-    chains (see ``build_resolution``), so each distinct chain, told apart
-    by identity, is multiplied once: its cancellation count is added for
-    every object that has it, and the first object whose chain has a
-    nonzero product is the failure locator.
+    diamond cancellation; the count of those is reported.
 
     Returns the counts, which cover every object even after a failure, and
     the first failure, or None.  Every object counts depth - 1 products,
@@ -226,13 +237,7 @@ def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None
     depth = complex_.depth
     cancellations = 0
     first_failure = None
-    # id(chain) -> (two-term zeros, first nonzero product as (offset, entries))
-    seen: dict[int, tuple[int, tuple[int, dict] | None]] = {}
-    for mu, chain in zip(complex_.objects, complex_.chains):
-        result = seen.get(id(chain))
-        if result is None:
-            result = seen[id(chain)] = _products_of(chain)
-        two_term_zeros, nonzero = result
+    for mu, (two_term_zeros, nonzero) in _per_chain(complex_, _products_of):
         cancellations += two_term_zeros
         if nonzero is not None and first_failure is None:
             offset, entries = nonzero
@@ -301,81 +306,60 @@ def verify_exactness(complex_: GradedComplex) -> tuple[dict[str, int], dict | No
     every object within the size window, so no boundary artifacts occur.
     All three numbers are recorded for the first failing object and position.
 
-    The ranks, cohomology and Euler number of each distinct chain, told
-    apart by identity, are computed once.  An object other than the base
-    whose chain is acyclic passes without a further look; every other
-    object is compared position by position with its own expected values.
+    An object other than the base whose chain is acyclic passes without a
+    further look; at every other object the whole cohomology vector is
+    compared with [0] * depth + [object == base].
 
     Returns the counts, which cover every object and position even after a
-    failure, and the first failure, or None.
+    failure, and the first failure, or None.  Every object counts depth + 1
+    positions.
     """
     depth = complex_.depth
     first_failure = None
-    positions_checked = 0
-    seen: dict[int, _Homology] = {}
-    for mu, chain in zip(complex_.objects, complex_.chains):
-        positions_checked += len(chain.components)
-        if first_failure is not None:
-            continue
-        homology = seen.get(id(chain))
-        if homology is None:
-            homology = seen[id(chain)] = _homology_of(chain, depth)
+    for mu, (dims, ranks_out, cohomology, acyclic) in _per_chain(complex_, _homology_of):
         at_base = mu == complex_.xi.rows
-        if homology.acyclic and not at_base:
+        if acyclic and not at_base:
             continue
-        for offset, dim in enumerate(homology.dims):
-            position = offset - depth
-            expected_cohomology = 1 if position == 0 and at_base else 0
-            if homology.cohomology[offset] != expected_cohomology:
-                first_failure = {
-                    "object": format_partition(mu),
-                    "position": position,
-                    "dim": dim,
-                    "rank_out": homology.ranks_out[offset],
-                    "rank_in": homology.ranks_out[offset - 1] if offset else 0,
-                    "cohomology": homology.cohomology[offset],
-                    "expected": expected_cohomology,
-                }
-                break
-        # independent arithmetic cross-check of the same data
-        expected_euler = 1 if at_base else 0
-        if first_failure is None and homology.euler != expected_euler:
+        expected = [0] * depth + [int(at_base)]
+        if cohomology != expected:
+            offset = next(k for k, value in enumerate(cohomology) if value != expected[k])
             first_failure = {
                 "object": format_partition(mu),
-                "check": "euler",
-                "value": homology.euler,
-                "expected": expected_euler,
+                "position": offset - depth,
+                "dim": dims[offset],
+                "rank_out": ranks_out[offset],
+                "rank_in": ranks_out[offset - 1] if offset else 0,
+                "cohomology": cohomology[offset],
+                "expected": expected[offset],
             }
-    counts = {"objects_checked": len(complex_.objects), "positions_checked": positions_checked}
+            break
+    objects = len(complex_.objects)
+    counts = {"objects_checked": objects, "positions_checked": objects * (depth + 1)}
     return counts, first_failure
 
 
 class _Homology(NamedTuple):
-    """One chain's dimensions, ranks out of each position, cohomology at
-    each position and Euler number; acyclic when the last two are all 0."""
+    """One chain's dimensions, ranks out of each position and cohomology at
+    each position; acyclic when the cohomology is all 0."""
 
     dims: list[int]
     ranks_out: list[int]
     cohomology: list[int]
-    euler: int
     acyclic: bool
 
 
-def _homology_of(chain: ObjectChain, depth: int) -> _Homology:
+def _homology_of(chain: ObjectChain) -> _Homology:
     dims = [len(cell) for cell in chain.components]
     # rank of the map out of each position; an absent map and the map out
     # of position 0 have rank 0
-    ranks_out = [0] * (depth + 1)
+    ranks_out = [0] * len(dims)
     for offset, matrix in chain.maps.items():
         ranks_out[offset] = rank(matrix)
     cohomology = [
         dim - ranks_out[offset] - (ranks_out[offset - 1] if offset else 0)
         for offset, dim in enumerate(dims)
     ]
-    euler = sum(dims[::2]) - sum(dims[1::2])
-    if depth % 2:
-        euler = -euler
-    return _Homology(dims, ranks_out, cohomology, euler, not any(cohomology) and euler == 0)
+    return _Homology(dims, ranks_out, cohomology, not any(cohomology))
 
 
 def betti_table(

@@ -7,9 +7,10 @@ row r carries the sign of that row.  It is written once, on row tuples
 the differentials of ``resolution`` and the arrow labels of
 ``quiver.render`` all read it.  The incremental growth procedure (all rows
 of the empty diagram start at +1; adding a node in row r flips every row
-strictly below r) is kept alongside as an independent oracle: the
-verification sweep checks that the two agree along every addition order of
-every diagram of at most 8 nodes, one order per standard tableau (1,116).
+strictly below r) is kept alongside as an independent oracle, checked
+along every addition order (one per standard tableau) of every diagram of
+at most ``GROWTH_MAX_SIZE`` = 8 nodes, 1,116 orders; it refuses a larger
+size, since the number of orders grows like the involution numbers.
 """
 
 import time
@@ -27,6 +28,9 @@ from .partitions import (
     removable_rows,
     shrink_row,
 )
+
+GROWTH_MAX_SIZE = 8
+
 
 def added_node_sign(lower: tuple[int, ...], r: int) -> int:
     """The closed form on row tuples: the sign of the arrow that adds a node
@@ -91,31 +95,30 @@ def verify_growth_agreement(
 ) -> tuple[dict[str, int], dict | None]:
     """Check that the growth procedure reproduces the closed-form signs.
 
-    Every addition order of every diagram is tried.  Returns the counts and
-    the first failure, or None.  The failing order is listed as the 1-based
-    (row, column) of each added node.
+    Every addition order of every diagram of at most ``max_size`` nodes is
+    tried; a size above ``GROWTH_MAX_SIZE`` raises before any diagram is
+    listed.  Returns the counts and the first failure, or None.  The
+    failing order is listed as the 1-based (row, column) of each added node.
     """
-    check_bound(max_size, bounds.max_partition_size, "sign verification size")
+    check_bound(max_size, min(GROWTH_MAX_SIZE, bounds.max_partition_size), "growth oracle size")
     partitions_checked = 0
     orders_checked = 0
     first_failure = None
     for rows in partition_rows_up_to(max_size, bounds):
         partitions_checked += 1
+        expected_rows = [added_node_sign(rows, r) for r in range(sum(rows) + 1)]
         for order in addition_orders(rows):
             grown_rows, grown_path = growth_signs(order)
-            expected_rows = [added_node_sign(rows, r) for r in range(len(order) + 1)]
             shape = ()
             expected_path = []
-            nodes = []
             for r in order:
                 expected_path.append(added_node_sign(shape, r))
                 shape = grow_row(shape, r)
-                nodes.append([r + 1, shape[r]])
             orders_checked += 1
             if grown_rows != expected_rows or grown_path != expected_path:
                 first_failure = {
                     "partition": format_partition(rows),
-                    "order": nodes,
+                    "order": [[r + 1, order[: k + 1].count(r)] for k, r in enumerate(order)],
                     "grown_rows": grown_rows,
                     "closed_form_rows": expected_rows,
                 }
@@ -128,7 +131,7 @@ def verify_growth_agreement(
 
 def verify_signs_sweep(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
     """The diamond sign identity on every diamond whose top has at most
-    ``max_size`` nodes, plus growth agreement up to size 8, as one
+    ``max_size`` nodes, plus growth agreement up to ``GROWTH_MAX_SIZE``, as one
     certificate.  Failure is a verdict, not an exception."""
     start = time.perf_counter()
     check_bound(max_size, bounds.max_partition_size, "sign verification size")
@@ -143,7 +146,7 @@ def verify_signs_sweep(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certif
                 "products": [left, right],
             }
             break
-    growth_counts, growth_failure = verify_growth_agreement(min(max_size, 8), bounds=bounds)
+    growth_counts, growth_failure = verify_growth_agreement(min(max_size, GROWTH_MAX_SIZE), bounds)
     return Certificate(
         start,
         command="verify signs",

@@ -463,6 +463,28 @@ class TestVerifyComplex:
         assert counts == {"products_checked": 60, "diamond_cancellations": 14}
 
 
+def test_each_verifier_checks_each_distinct_chain_once(monkeypatch):
+    complex_ = build_resolution(P(2, 1), 6)
+    distinct = len({id(chain) for chain in complex_.chains})
+    assert distinct < len(complex_.chains)
+    calls = {"_products_of": 0, "_homology_of": 0}
+
+    def counted(name):
+        check = getattr(resolution, name)
+
+        def wrapped(chain):
+            calls[name] += 1
+            return check(chain)
+
+        monkeypatch.setattr(resolution, name, wrapped)
+
+    counted("_products_of")
+    counted("_homology_of")
+    assert verify_complex(complex_)[1] is None
+    assert verify_exactness(complex_)[1] is None
+    assert calls == {"_products_of": distinct, "_homology_of": distinct}
+
+
 class TestVerifyExactness:
     def test_cohomology_at_base_object(self):
         complex_ = build_resolution(EMPTY, 3)
@@ -537,6 +559,25 @@ class TestVerifyExactness:
                 for i in range(-complex_.depth, 1)
             )
             assert euler == (1 if mu == complex_.xi else 0)
+
+    @pytest.mark.parametrize(
+        "bases, depth",
+        [(partitions_up_to(5), 8), ([P(5, 4, 3, 2, 1, 1, 1)], 13)],
+        ids=["size-5-bases-depth-8", "5432111-depth-13"],
+    )
+    def test_cohomology_fixes_the_alternating_sum(self, bases, depth):
+        def alternating(values):
+            return sum((-1) ** offset * value for offset, value in enumerate(values))
+
+        # the map out of position 0 is never stored, so the alternating sum
+        # of cohomology telescopes to that of the dimensions: matching
+        # cohomology leaves no independent Euler check
+        for xi in bases:
+            chains = {id(chain): chain for chain in build_resolution(xi, depth).chains}
+            for chain in chains.values():
+                assert max(chain.maps, default=-1) < depth
+                homology = resolution._homology_of(chain)
+                assert alternating(homology.cohomology) == alternating(homology.dims)
 
     def test_rank_identity_audit_trail(self):
         complex_ = build_resolution(P(2), 3)

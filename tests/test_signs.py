@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from youngquiver import signs
+from youngquiver.config import BoundExceededError
 from youngquiver.partitions import (
     Partition,
     addable_rows,
@@ -142,6 +143,17 @@ class TestGrowthProcedure:
         counts, first_failure = verify_growth_agreement(8)
         assert first_failure is None
         assert counts["partitions_checked"] == len(partition_rows_up_to(8))
+
+    def test_oracle_refuses_past_its_cap_before_any_diagram(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("diagrams were listed before the size was checked")
+
+        monkeypatch.setattr(signs, "addition_orders", no_work)
+        monkeypatch.setattr(signs, "partition_rows_up_to", no_work)
+        cap = signs.GROWTH_MAX_SIZE
+        with pytest.raises(BoundExceededError) as caught:
+            verify_growth_agreement(cap + 1)
+        assert str(caught.value) == f"growth oracle size {cap + 1} exceeds configured bound {cap}"
 
 
 class TestAnticommutativity:
