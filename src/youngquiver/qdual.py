@@ -276,39 +276,31 @@ def verify_self_duality(
     every diamond in range.  Returns the counts and the first failure, or
     None; each check runs only if the ones before it passed."""
     presentation = build_quadratic_dual(max_size, bounds)
-    relation_pairs_checked = 0
-    diamonds_checked = 0
-    pairs_checked, first_failure = _first_dimension_failure(
+    counts = {"pairs_checked": 0, "relation_pairs_checked": 0, "diamonds_checked": 0}
+    counts["pairs_checked"], failure = _first_dimension_failure(
         presentation, False, "dimension", "transposed_hom_dim"
     )
-
-    if first_failure is None:
-        for (mu, lam), rel in sorted(
-            presentation.relations.items(), key=lambda kv: (kv[0][1].rows, kv[0][0].rows)
-        ):
-            relation_pairs_checked += 1
-            if rel.dimension != _expected_relation_dimension(mu, lam):
-                first_failure = {
-                    "check": "relation_cases",
-                    "pair": [str(mu), str(lam)],
-                    "relation_dim": rel.dimension,
-                    "expected": _expected_relation_dimension(mu, lam),
-                }
-                break
-
-    if first_failure is None:
-        transposed = _transposes(presentation)
-        for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
-            diamonds_checked += 1
-            first_failure = _twisted_image_failure(bottom, r1, r2, presentation, transposed)
-            if first_failure:
-                break
-
-    return {
-        "pairs_checked": pairs_checked,
-        "relation_pairs_checked": relation_pairs_checked,
-        "diamonds_checked": diamonds_checked,
-    }, first_failure
+    if failure:
+        return counts, failure
+    for (mu, lam), rel in sorted(
+        presentation.relations.items(), key=lambda kv: (kv[0][1].rows, kv[0][0].rows)
+    ):
+        counts["relation_pairs_checked"] += 1
+        expected = _expected_relation_dimension(mu, lam)
+        if rel.dimension != expected:
+            return counts, {
+                "check": "relation_cases",
+                "pair": [str(mu), str(lam)],
+                "relation_dim": rel.dimension,
+                "expected": expected,
+            }
+    transposed = _transposes(presentation)
+    for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
+        counts["diamonds_checked"] += 1
+        failure = _twisted_image_failure(bottom, r1, r2, presentation, transposed)
+        if failure:
+            return counts, failure
+    return counts, None
 
 
 def _twisted_image_failure(

@@ -315,7 +315,8 @@ def verify_exactness(complex_: GradedComplex) -> tuple[dict[str, int], dict | No
     positions.
     """
     depth = complex_.depth
-    first_failure = None
+    objects = len(complex_.objects)
+    counts = {"objects_checked": objects, "positions_checked": objects * (depth + 1)}
     for mu, (dims, ranks_out, cohomology, acyclic) in _per_chain(complex_, _homology_of):
         at_base = mu == complex_.xi.rows
         if acyclic and not at_base:
@@ -323,7 +324,7 @@ def verify_exactness(complex_: GradedComplex) -> tuple[dict[str, int], dict | No
         expected = [0] * depth + [int(at_base)]
         if cohomology != expected:
             offset = next(k for k, value in enumerate(cohomology) if value != expected[k])
-            first_failure = {
+            return counts, {
                 "object": format_partition(mu),
                 "position": offset - depth,
                 "dim": dims[offset],
@@ -332,10 +333,7 @@ def verify_exactness(complex_: GradedComplex) -> tuple[dict[str, int], dict | No
                 "cohomology": cohomology[offset],
                 "expected": expected[offset],
             }
-            break
-    objects = len(complex_.objects)
-    counts = {"objects_checked": objects, "positions_checked": objects * (depth + 1)}
-    return counts, first_failure
+    return counts, None
 
 
 class _Homology(NamedTuple):

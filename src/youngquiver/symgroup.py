@@ -33,13 +33,13 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations as iter_permutations
 from itertools import product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import itemgetter
 
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import IntMatrix, rank
-from .partitions import format_partition, grown_rows, partition_rows
+from .partitions import contains, format_partition, partition_rows
 
 Rows = tuple[int, ...]
 
@@ -481,10 +481,10 @@ def verify_branching(
     n_max: int, direct_n_max: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Certificate:
     """Quiver arrows from representation theory: the character-pairing
-    multiplicity into degree n+1 is 1 exactly on one-node additions, and the
-    rank computed from actual idempotents and the injection bimodule agrees
-    where that computation is feasible (degrees up to ``direct_n_max``,
-    which is capped at ``n_max``)."""
+    multiplicity into degree n+1 is 1 exactly on one-node additions, the lam
+    that contain mu, and the rank computed from actual idempotents and the
+    injection bimodule agrees where that computation is feasible (degrees up
+    to ``direct_n_max``, which is capped at ``n_max``)."""
     start = time.perf_counter()
     direct_n_max = min(direct_n_max, n_max)
     # every bound the sweep reaches at its top degree, checked before any
@@ -492,44 +492,42 @@ def verify_branching(
     check_bound(n_max + 1, bounds.max_induction_degree, "induction degree")
     check_bound(direct_n_max, bounds.max_direct_hom_degree, "direct hom degree")
     check_bound(direct_n_max + 1, bounds.max_group_degree, "group degree")
+    counts = {"character_pairs": 0, "direct_pairs": 0}
     first_failure = None
-    character_pairs = 0
-    direct_pairs = 0
-    for n in range(n_max + 1):
-        for mu in partition_rows(n, bounds):
-            additions = set(grown_rows(mu))
-            for lam in partition_rows(n + 1, bounds):
-                expected = 1 if lam in additions else 0
-                by_characters = induction_multiplicity(mu, 1, lam, bounds)
-                character_pairs += 1
-                if by_characters != expected:
-                    first_failure = {
-                        "check": "character_branching",
-                        "pair": [format_partition(mu), format_partition(lam)],
-                        "multiplicity": by_characters,
-                        "expected": expected,
-                    }
-                    break
-                if n <= direct_n_max:
-                    by_idempotents = direct_hom_dimension(mu, lam, bounds)
-                    direct_pairs += 1
-                    if by_idempotents != expected:
-                        first_failure = {
-                            "check": "direct_idempotent_rank",
-                            "pair": [format_partition(mu), format_partition(lam)],
-                            "rank": by_idempotents,
-                            "expected": expected,
-                        }
-                        break
-            if first_failure:
-                break
-        if first_failure:
+    pairs = (
+        (n, mu, lam)
+        for n in range(n_max + 1)
+        for mu in partition_rows(n, bounds)
+        for lam in partition_rows(n + 1, bounds)
+    )
+    for n, mu, lam in pairs:
+        expected = 1 if contains(lam, mu) else 0
+        by_characters = induction_multiplicity(mu, 1, lam, bounds)
+        counts["character_pairs"] += 1
+        if by_characters != expected:
+            first_failure = {
+                "check": "character_branching",
+                "pair": [format_partition(mu), format_partition(lam)],
+                "multiplicity": by_characters,
+                "expected": expected,
+            }
             break
+        if n <= direct_n_max:
+            by_idempotents = direct_hom_dimension(mu, lam, bounds)
+            counts["direct_pairs"] += 1
+            if by_idempotents != expected:
+                first_failure = {
+                    "check": "direct_idempotent_rank",
+                    "pair": [format_partition(mu), format_partition(lam)],
+                    "rank": by_idempotents,
+                    "expected": expected,
+                }
+                break
     return Certificate(
         start,
         command="verify morita",
         parameters={"n": n_max, "direct_n": direct_n_max},
-        counts={"character_pairs": character_pairs, "direct_pairs": direct_pairs},
+        counts=counts,
         first_failure=first_failure,
         details={
             "transversal": "injection bimodule basis is S_{n+1}; "
@@ -547,68 +545,55 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
     products of central elements are taken on their class coefficients.  A
     non-central element is multiplied in the group algebra instead, so it is
     still reported as not idempotent before not central, and as a
-    non-orthogonal later factor."""
+    non-orthogonal later factor.  Each degree is checked by
+    ``_degree_failure``, and the sweep stops at the first that fails."""
     start = time.perf_counter()
     check_bound(n_max, bounds.max_group_degree, "group degree")
-    first_failure = None
-    idempotents_checked = 0
-    symmetrizers_checked = 0
-    for n in range(n_max + 1):
-        centre = ClassSums(n, bounds)
-        blocks = [(mu, central_idempotent(mu, bounds)) for mu in partition_rows(n, bounds)]
-        vectors = [centre.coefficients(e_mu) for _, e_mu in blocks]
-        # the sum of the e_mu on the class sums, over one denominator
-        total, total_denominator = [0] * len(centre.sizes), 1
-        for index, (mu, e_mu) in enumerate(blocks):
-            idempotents_checked += 1
-            v = vectors[index]
-            if v is None:
-                check = "idempotent" if multiply(e_mu, e_mu) != e_mu else "central"
-                first_failure = {"check": check, "partition": format_partition(mu)}
-                break
-            # (v/d)^2 = v/d with d the denominator of e_mu
-            if centre.product(v, v) != [c * e_mu.denominator for c in v]:
-                first_failure = {"check": "idempotent", "partition": format_partition(mu)}
-                break
-            denominator = lcm(total_denominator, e_mu.denominator)
-            mine, theirs = denominator // total_denominator, denominator // e_mu.denominator
-            total = [t * mine + c * theirs for t, c in zip(total, v)]
-            total_denominator = denominator
-            # for nu before mu, e_nu is central and e_nu * e_mu was found to
-            # be zero, so e_mu * e_nu is the same zero product
-            for (nu, e_nu), w in zip(blocks[index + 1 :], vectors[index + 1 :]):
-                if w is None:
-                    orthogonal = multiply(e_mu, e_nu).is_zero()
-                else:
-                    orthogonal = not any(centre.product(v, w))
-                if not orthogonal:
-                    first_failure = {
-                        "check": "orthogonal",
-                        "pair": [format_partition(mu), format_partition(nu)],
-                    }
-                    break
-            if first_failure:
-                break
-            f_mu = young_symmetrizer(mu, bounds)
-            symmetrizers_checked += 1
-            if multiply(f_mu, f_mu) != f_mu:
-                first_failure = {
-                    "check": "symmetrizer_idempotent",
-                    "partition": format_partition(mu),
-                }
-                break
-        identity = [total_denominator if k == centre.identity else 0 for k in range(len(total))]
-        if first_failure is None and total != identity:
-            first_failure = {"check": "sum_to_identity", "degree": n}
-        if first_failure:
-            break
+    counts = {"idempotents_checked": 0, "symmetrizers_checked": 0}
+    failures = (_degree_failure(n, counts, bounds) for n in range(n_max + 1))
+    first_failure = next(filter(None, failures), None)
     return Certificate(
         start,
         command="verify idempotents",
         parameters={"n": n_max},
-        counts={
-            "idempotents_checked": idempotents_checked,
-            "symmetrizers_checked": symmetrizers_checked,
-        },
+        counts=counts,
         first_failure=first_failure,
     )
+
+
+def _degree_failure(n: int, counts: dict[str, int], bounds: Bounds) -> dict | None:
+    """The first failure of the degree-n checks of ``verify_idempotent_system``
+    in its order, or None; ``counts`` grows by the elements checked."""
+    centre = ClassSums(n, bounds)
+    blocks = [(mu, central_idempotent(mu, bounds)) for mu in partition_rows(n, bounds)]
+    vectors = [centre.coefficients(e_mu) for _, e_mu in blocks]
+    # the sum of the e_mu on the class sums
+    total = [0] * len(centre.sizes)
+    for index, ((mu, e_mu), v) in enumerate(zip(blocks, vectors)):
+        counts["idempotents_checked"] += 1
+        if v is None:
+            check = "idempotent" if multiply(e_mu, e_mu) != e_mu else "central"
+            return {"check": check, "partition": format_partition(mu)}
+        # (v/d)^2 = v/d with d the denominator of e_mu
+        if centre.product(v, v) != [c * e_mu.denominator for c in v]:
+            return {"check": "idempotent", "partition": format_partition(mu)}
+        total = [t + Fraction(c, e_mu.denominator) for t, c in zip(total, v)]
+        # for nu before mu, e_nu is central and e_nu * e_mu was found to
+        # be zero, so e_mu * e_nu is the same zero product
+        for (nu, e_nu), w in zip(blocks[index + 1 :], vectors[index + 1 :]):
+            if w is None:
+                orthogonal = multiply(e_mu, e_nu).is_zero()
+            else:
+                orthogonal = not any(centre.product(v, w))
+            if not orthogonal:
+                return {
+                    "check": "orthogonal",
+                    "pair": [format_partition(mu), format_partition(nu)],
+                }
+        f_mu = young_symmetrizer(mu, bounds)
+        counts["symmetrizers_checked"] += 1
+        if multiply(f_mu, f_mu) != f_mu:
+            return {"check": "symmetrizer_idempotent", "partition": format_partition(mu)}
+    if total != [int(k == centre.identity) for k in range(len(total))]:
+        return {"check": "sum_to_identity", "degree": n}
+    return None

@@ -880,6 +880,16 @@ class TestMutants:
             "failing_check": "exactness",
         }
 
+    def test_reversed_strata_fail_linearity(self, monkeypatch):
+        # position -depth then holds the base itself, generated in the
+        # wrong internal degree; linearity is reported before the other checks
+        original = resolution._strata_rows
+        monkeypatch.setattr(resolution, "_strata_rows", lambda *args: original(*args)[::-1])
+        cert = verify_resolution(P(1), 3)
+        assert cert.verdict == "fail"
+        assert cert.first_failure == {"check": "linearity"}
+        assert cert.details == {"linear": False}
+
 
 def mutated_members(kind):
     """``_members_at`` with, at every object with two or more members, the

@@ -133,6 +133,18 @@ class TestGrowthProcedure:
                     shape = grow_row(shape, r)
                 assert shape == lam
 
+    def test_arrow_signs_are_row_signs_of_the_prefix(self):
+        # why the growth sweep compares row signs only: the arrow sign at
+        # step k is a row sign after the first k additions
+        for lam in partition_rows_up_to(signs.GROWTH_MAX_SIZE):
+            for order in addition_orders(lam):
+                _, path = growth_signs(order)
+                shape = ()
+                for k, r in enumerate(order):
+                    prefix_rows, _ = growth_signs(order[:k])
+                    assert path[k] == prefix_rows[r] == added_node_sign(shape, r)
+                    shape = grow_row(shape, r)
+
     def test_order_counts_are_standard_tableau_counts(self):
         from youngquiver.symgroup import specht_dimension
 

@@ -906,6 +906,25 @@ class TestCentralityByGenerators:
             assert certificate.first_failure == first_failure
             assert (certificate.counts, certificate.first_failure) == slow_idempotent_sweep(n)
 
+    def test_sweep_stops_at_the_failing_degree(self, monkeypatch):
+        original = symgroup.central_idempotent
+        degrees = []
+
+        class RecordingClassSums(ClassSums):
+            def __init__(self, n, bounds):
+                degrees.append(n)
+                super().__init__(n, bounds)
+
+        def mutant(mu, bounds):
+            e = original(mu, bounds)
+            return e.scale(2) if mu == P(2, 1) else e
+
+        monkeypatch.setattr(symgroup, "ClassSums", RecordingClassSums)
+        monkeypatch.setattr(symgroup, "central_idempotent", mutant)
+        certificate = verify_idempotent_system(5)
+        assert certificate.first_failure == {"check": "idempotent", "partition": "2,1"}
+        assert degrees == [0, 1, 2, 3]
+
     @pytest.mark.parametrize(
         "mutant,first_failure,checked",
         [
