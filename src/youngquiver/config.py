@@ -23,30 +23,31 @@ class BoundExceededError(ValueError):
 
 
 class Bounds(NamedTuple):
-    # Wall times are 3 fresh CLI runs each on 2 shared vCPUs (Python 3.11),
-    # as in the ROADMAP table "Where time goes now".
+    # Wall times are 3 fresh CLI runs each (1 for the opt-in --n 7) on 2
+    # shared vCPUs (Python 3.11), as in the ROADMAP table "Where time goes now".
     # partitions_of, quiver slices, the signs sweep; verify signs --max-size 30
-    # takes 0.7-0.9 s and quiver --max-size 30 --signs --format json 0.6-0.7 s.
+    # takes 0.42-0.48 s and quiver --max-size 30 --signs --format json
+    # 0.53-0.54 s.
     # It is also the one bound on a resolution: |xi| + depth at most this.
     # verify resolution --xi 5,4,3,2,1,1,1 --depth 13, the slowest input it
     # admits (timed over all 1,212 bases of size <= 17 at depth 30 - |xi|),
-    # takes 0.4-0.6 s, as does (5,4,3,2,1,1,1,1) at depth 12; table betti
-    # on it takes 0.2-0.3 s
+    # takes 0.34-0.48 s, as does (5,4,3,2,1,1,1,1) at depth 12; table betti
+    # on it takes 0.24-0.28 s
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
-    # verify idempotents --n 6 takes 0.8-0.9 s and --n 7 38-41 s, almost all
+    # verify idempotents --n 6 takes 0.74-0.88 s and --n 7 27.6 s, almost all
     # of it Young symmetrizer products
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}], one product per
     # double coset of the symmetrizers' full Young stabilizers; verify morita
     # --n 11 --direct-n 5, the slowest input this bound admits, takes
-    # 3.7-4.8 s, of which the 77 degree-5 ranks are 2.4-2.7 s in process
+    # 3.1-4.0 s, of which the 77 degree-5 ranks are 2.4-2.7 s in process
     max_direct_hom_degree: int = 5
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
-    # --direct-n 4 takes 0.7-0.8 s, about 0.5 s of it the 9,215 pairings
+    # --direct-n 4 takes 0.79-0.89 s, about 0.5 s of it the 9,215 pairings
     max_induction_degree: int = 12
-    # verify qdual --max-size 18 takes 6.8-7.9 s and table dualdims
-    # --max-size 18 4.4-6.0 s
+    # verify qdual --max-size 18 takes 5.7-6.2 s and table dualdims
+    # --max-size 18 4.1-4.6 s
     max_qdual_size: int = 18
 
 

@@ -17,6 +17,8 @@ reduces to ranks computed here.  No floating point anywhere.
 
 from fractions import Fraction
 
+from .records import Record
+
 Scalar = int | Fraction
 
 
@@ -26,7 +28,7 @@ def normalize(value: Scalar) -> Scalar:
     return value
 
 
-class IntMatrix:
+class IntMatrix(Record):
     __slots__ = ("n_rows", "n_cols", "entries")
 
     def __init__(
@@ -43,18 +45,6 @@ class IntMatrix:
         object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"field {name!r} of an immutable IntMatrix")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not IntMatrix:
-            return NotImplemented
-        return (self.n_rows, self.n_cols, self.entries) == (
-            other.n_rows, other.n_cols, other.entries
-        )
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], n_cols: int | None = None) -> "IntMatrix":

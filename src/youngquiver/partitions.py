@@ -11,16 +11,21 @@ the empty diagram ("" is also accepted on input).
 
 from collections.abc import Iterator
 from functools import cache
+from operator import index
 from typing import NamedTuple
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
+from .records import Record
+
+Rows = tuple[int, ...]
 
 
-class Partition:
+class Partition(Record):
     __slots__ = ("rows", "size")
 
-    def __init__(self, rows: tuple[int, ...] = ()) -> None:
-        rows = tuple(int(r) for r in rows)
+    def __init__(self, rows: Rows = ()) -> None:
+        # index(), not int(): a float, a string or a Fraction row is a TypeError
+        rows = tuple(index(r) for r in rows)
         for i, r in enumerate(rows):
             if r <= 0:
                 raise ValueError(f"row lengths must be positive: {rows}")
@@ -28,16 +33,6 @@ class Partition:
                 raise ValueError(f"row lengths must be weakly decreasing: {rows}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "size", sum(rows))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"field {name!r} of an immutable Partition")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash((self.rows,))
@@ -56,13 +51,13 @@ class Partition:
 EMPTY = Partition(())
 
 
-def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+def contains(outer: Rows, inner: Rows) -> bool:
     """Whether the diagram with rows ``outer`` contains the one with rows
     ``inner``."""
     return len(inner) <= len(outer) and all(a >= b for a, b in zip(outer, inner))
 
 
-def format_partition(rows: tuple[int, ...]) -> str:
+def format_partition(rows: Rows) -> str:
     """The text form of a row tuple: "3,1,1", or "0" for the empty diagram."""
     return ",".join(map(str, rows)) if rows else "0"
 
@@ -87,12 +82,11 @@ class SkewClass(NamedTuple):
     """
 
     contained: bool
-    size: int | None = None
     has_column_pair: bool | None = None
     has_row_pair: bool | None = None
 
 
-def transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+def transpose(rows: Rows) -> Rows:
     """The row tuple of the transposed diagram: its column lengths."""
     columns = rows[0] if rows else 0
     return tuple(sum(1 for length in rows if length > c) for c in range(columns))
@@ -105,39 +99,37 @@ def add_node(lam: Partition, r: int) -> Partition:
     return Partition(grow_row(lam.rows, r))
 
 
-def addable_rows(rows: tuple[int, ...]) -> list[int]:
+def addable_rows(rows: Rows) -> list[int]:
     """The 0-based rows of ``rows`` that take an addable node, top row first;
     ``len(rows)`` starts a new row."""
     padded = rows + (0,)
     return [r for r, length in enumerate(padded) if r == 0 or padded[r - 1] > length]
 
 
-def grow_row(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
+def grow_row(rows: Rows, r: int) -> Rows:
     """``rows`` with one node added in the addable 0-based row ``r``."""
     return rows[:r] + ((rows[r] if r < len(rows) else 0) + 1,) + rows[r + 1 :]
 
 
-def grown_rows(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+def grown_rows(rows: Rows) -> list[Rows]:
     """Row tuples of the one-node extensions of ``rows``, top row first."""
     return [grow_row(rows, r) for r in addable_rows(rows)]
 
 
-def removable_rows(rows: tuple[int, ...]) -> list[int]:
+def removable_rows(rows: Rows) -> list[int]:
     """The 0-based rows of ``rows`` that end in a removable corner, top row
     first."""
     padded = rows + (0,)
     return [r for r, length in enumerate(rows) if length > padded[r + 1]]
 
 
-def shrink_row(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
+def shrink_row(rows: Rows, r: int) -> Rows:
     """``rows`` with the corner of the removable 0-based row ``r`` taken
     away."""
     return rows[:r] + (rows[r] - 1,) + rows[r + 1 :] if rows[r] > 1 else rows[:r]
 
 
-def strip_tops(
-    bottom: tuple[int, ...], max_size: int, rook: bool = False
-) -> list[tuple[int, ...]]:
+def strip_tops(bottom: Rows, max_size: int, rook: bool = False) -> list[Rows]:
     """Row tuples of every lam containing ``bottom`` with |lam| <= max_size
     and lam/bottom a vertical strip (no two skew nodes in one row), or with
     ``rook`` a rook strip (nor two in one column).
@@ -169,13 +161,13 @@ def strip_tops(
     ]
 
 
-def subdiagram_rows(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+def subdiagram_rows(lam: Rows) -> list[Rows]:
     """Row tuples of every diagram contained in ``lam``, in the order of
     ``partitions_up_to``: smaller sizes first, reverse lexicographic within
     a size."""
 
     @cache
-    def below(r: int, cap: int) -> tuple[tuple[int, ...], ...]:
+    def below(r: int, cap: int) -> tuple[Rows, ...]:
         if r == len(lam):
             return ((),)
         out = [
@@ -189,7 +181,7 @@ def subdiagram_rows(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(below(0, lam[0] if lam else 0), key=sum)
 
 
-def skew_classify(mu: tuple[int, ...], lam: tuple[int, ...]) -> SkewClass:
+def skew_classify(mu: Rows, lam: Rows) -> SkewClass:
     """Read off the row tuples: row r holds two skew nodes iff
     lam_r - mu_r >= 2, and rows r, r+1 share a skew column iff
     lam_{r+1} > mu_r (a column pair anywhere implies one in adjacent rows)."""
@@ -198,7 +190,6 @@ def skew_classify(mu: tuple[int, ...], lam: tuple[int, ...]) -> SkewClass:
     inner = mu + (0,) * (len(lam) - len(mu))
     return SkewClass(
         contained=True,
-        size=sum(lam) - sum(mu),
         has_column_pair=any(a > b for a, b in zip(lam[1:], inner)),
         has_row_pair=any(a - b >= 2 for a, b in zip(lam, inner)),
     )
@@ -206,7 +197,7 @@ def skew_classify(mu: tuple[int, ...], lam: tuple[int, ...]) -> SkewClass:
 
 def diamonds_up_to(
     max_size: int, bounds: Bounds = DEFAULT_BOUNDS
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+) -> Iterator[tuple[Rows, int, int]]:
     """Every diamond whose top has at most ``max_size`` nodes, as its
     bottom's row tuple and two 0-based addable rows r1 < r2: bottoms in the
     order of ``partition_rows_up_to``, then (r1, r2) lexicographically.
@@ -220,7 +211,7 @@ def diamonds_up_to(
                 yield bottom, r1, r2
 
 
-def diamond_vertices(bottom: tuple[int, ...], r1: int, r2: int) -> tuple[tuple[int, ...], ...]:
+def diamond_vertices(bottom: Rows, r1: int, r2: int) -> tuple[Rows, ...]:
     """Row tuples of the diamond's (bottom, mid_left, mid_right, top): the
     left mid adds the node in row r2, the right mid the one in row r1, so
     the left mid is the smaller row tuple."""
@@ -229,7 +220,7 @@ def diamond_vertices(bottom: tuple[int, ...], r1: int, r2: int) -> tuple[tuple[i
 
 
 @cache
-def _partition_tuples(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _partition_tuples(n: int, cap: int) -> tuple[Rows, ...]:
     if n == 0:
         return ((),)
     out = []
@@ -239,7 +230,7 @@ def _partition_tuples(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partition_rows(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[tuple[int, ...], ...]:
+def partition_rows(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[Rows, ...]:
     """Row tuples of the partitions of ``n`` in reverse lexicographic order."""
     if n < 0:
         raise ValueError("partition size must be non-negative")
@@ -252,11 +243,11 @@ def partitions_of(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
     return [Partition(rows) for rows in partition_rows(n, bounds)]
 
 
-def partition_rows_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, ...]]:
+def partition_rows_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Rows]:
     """Row tuples of the partitions of every size up to ``max_size``, smaller
     sizes first, each size in the order of ``partitions_of`` and under its
     bound."""
-    out: list[tuple[int, ...]] = []
+    out: list[Rows] = []
     for k in range(max_size + 1):
         check_bound(k, bounds.max_partition_size, "partition size")
         out.extend(_partition_tuples(k, k))

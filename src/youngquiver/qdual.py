@@ -75,12 +75,10 @@ class QuadraticPresentation:
         max_size: int,
         objects: tuple[Partition, ...],
         relations: dict[tuple[Partition, Partition], RelationSpace],
-        of_lattice: bool,  # True: relations of the plain incidence category dual
     ) -> None:
         self.max_size = max_size
         self.objects = objects
         self.relations = relations
-        self.of_lattice = of_lattice
         # bottom -> its quotient walk, filled in by ``walk``
         self._walks: dict[tuple, dict[tuple, int]] = {}
 
@@ -113,6 +111,7 @@ def _middle_vertices(mu: Partition, lam: Partition) -> list[Partition]:
 def build_quadratic_dual(
     max_size: int, bounds: Bounds = DEFAULT_BOUNDS, of_lattice: bool = False
 ) -> QuadraticPresentation:
+    """The dual of C, or with ``of_lattice`` of the plain incidence category."""
     check_bound(max_size, bounds.max_qdual_size, "quadratic dual size")
     objects = tuple(partitions_up_to(max_size, bounds))
     relations: dict[tuple[Partition, Partition], RelationSpace] = {}
@@ -132,7 +131,7 @@ def build_quadratic_dual(
             else:
                 vectors = ()
             relations[(mu, lam)] = RelationSpace(mids, vectors)
-    return QuadraticPresentation(max_size, objects, relations, of_lattice)
+    return QuadraticPresentation(max_size, objects, relations)
 
 
 def _quotient_images(n_cols: int, rows: list[list]) -> list[list]:

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .partitions import (
+    Rows,
     addable_rows,
     format_partition,
     grow_row,
@@ -16,8 +17,6 @@ from .partitions import (
     skew_classify,
 )
 from .signs import added_node_sign
-
-Rows = tuple[int, ...]
 
 
 class QuiverSlice(NamedTuple):

@@ -53,6 +53,7 @@ from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import IntMatrix, rank
 from .partitions import (
     Partition,
+    Rows,
     format_partition,
     partition_rows,
     partition_rows_up_to,
@@ -61,8 +62,6 @@ from .partitions import (
     strip_tops,
 )
 from .signs import added_node_sign
-
-Rows = tuple[int, ...]
 
 
 def _strata_rows(base: Rows, depth: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[list[Rows]]:

@@ -39,9 +39,8 @@ from operator import itemgetter
 from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import IntMatrix, rank
-from .partitions import contains, format_partition, partition_rows
-
-Rows = tuple[int, ...]
+from .partitions import Rows, contains, format_partition, partition_rows
+from .records import Record
 
 
 def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -74,7 +73,7 @@ def _sign(images: tuple[int, ...]) -> int:
     return -1 if (len(images) - len(_cycle_lengths(images))) % 2 else 1
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(Record):
     """Sparse rational combination of permutations of fixed degree.
 
     The coefficient of the permutation with one-line images ``t`` is
@@ -100,18 +99,6 @@ class GroupAlgebraElement:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator // common)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"field {name!r} of an immutable GroupAlgebraElement")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GroupAlgebraElement:
-            return NotImplemented
-        return (self.degree, self.numerators, self.denominator) == (
-            other.degree, other.numerators, other.denominator
-        )
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:

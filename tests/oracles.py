@@ -138,9 +138,7 @@ def chain_dim_bareiss(mu, lam, presentation):
 
 def with_relation_spaces(presentation, relations):
     """The presentation with all its relation spaces replaced."""
-    return QuadraticPresentation(
-        presentation.max_size, presentation.objects, relations, presentation.of_lattice
-    )
+    return QuadraticPresentation(presentation.max_size, presentation.objects, relations)
 
 
 def widened(presentation, vectors=((3, 5, -1),)):

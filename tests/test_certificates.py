@@ -1,9 +1,12 @@
 import hashlib
 import json
+import pathlib
+import re
 import time
 
 import pytest
 
+import youngquiver
 from youngquiver.certificates import Certificate
 from youngquiver.cli import SWEEPS
 from youngquiver.signs import verify_signs_sweep
@@ -11,6 +14,14 @@ from youngquiver.signs import verify_signs_sweep
 
 def make(counts, first_failure=None):
     return Certificate(time.perf_counter(), "verify test", {}, counts, first_failure)
+
+
+def test_package_version_is_the_project_version():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    versions = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert versions == [youngquiver.__version__]
+    assert make({"pairs_checked": 1}).to_dict()["tool_version"] == youngquiver.__version__
 
 
 class TestHonestVerdicts:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +108,13 @@ class TestConstruction:
     def test_rejects_nonpositive_rows(self):
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    # rows are taken as integers, never converted: int() would turn 2.5
+    # into 2 and "1_0" into 10
+    @pytest.mark.parametrize("rows", [(2.5, 1), ("1_0",), (Fraction(2), 1)])
+    def test_rejects_non_integer_rows(self, rows):
+        with pytest.raises(TypeError):
+            Partition(rows)
 
     def test_size_and_row_access(self):
         lam = P(3, 1)
@@ -291,27 +300,17 @@ class TestAddNode:
 class TestSkewClassify:
     def test_column_pair(self):
         sk = skew_classify((1,), (1, 1, 1))
-        assert (sk.contained, sk.size, sk.has_column_pair, sk.has_row_pair) == (
-            True,
-            2,
-            True,
-            False,
-        )
+        assert (sk.contained, sk.has_column_pair, sk.has_row_pair) == (True, True, False)
 
     def test_spread_nodes(self):
         # skew nodes at (1,2) and (2,1): no shared row or column
         sk = skew_classify((1,), (2, 1))
-        assert (sk.contained, sk.size, sk.has_column_pair, sk.has_row_pair) == (
-            True,
-            2,
-            False,
-            False,
-        )
+        assert (sk.contained, sk.has_column_pair, sk.has_row_pair) == (True, False, False)
 
     def test_not_contained(self):
         sk = skew_classify((2,), (1, 1))
         assert sk.contained is False
-        assert sk.size is None
+        assert sk.has_column_pair is sk.has_row_pair is None
 
     @given(partitions(max_size=8), partitions(max_size=8))
     def test_transpose_swaps_pair_flags(self, mu, lam):
@@ -339,7 +338,6 @@ class TestSkewClassify:
             lam_t, mu_t = Partition(transpose(lam.rows)), Partition(transpose(mu.rows))
             return SkewClass(
                 contained=True,
-                size=lam.size - mu.size,
                 has_column_pair=any(
                     lam_t.row(c) - mu_t.row(c) >= 2 for c in range(1, len(lam_t.rows) + 1)
                 ),
@@ -358,11 +356,13 @@ class TestSkewClassify:
     @given(partitions(max_size=8))
     def test_skew_nodes_count_matches(self, lam):
         for mu in subdiagrams(lam):
-            assert (
-                len(skew_nodes(mu, lam))
-                == skew_classify(mu.rows, lam.rows).size
-                == lam.size - mu.size
-            )
+            nodes = skew_nodes(mu, lam)
+            assert len(nodes) == lam.size - mu.size
+            # a pair flag is set iff two skew nodes share a row, or a column
+            sk = skew_classify(mu.rows, lam.rows)
+            rows, columns = [r for r, _ in nodes], [c for _, c in nodes]
+            assert sk.has_row_pair == (len(set(rows)) < len(rows))
+            assert sk.has_column_pair == (len(set(columns)) < len(columns))
 
 
 class TestDiamonds:

@@ -286,7 +286,7 @@ def pieri_coefficient(mu, m, lam):
     """1 iff lam\\mu is a horizontal strip of size m (no column holds two
     skew nodes), else 0."""
     sk = skew_classify(mu, lam)
-    if not sk.contained or sk.size != m:
+    if not sk.contained or sum(lam) - sum(mu) != m:
         return 0
     return 0 if sk.has_column_pair else 1
 
