@@ -39,9 +39,10 @@ class Bounds(NamedTuple):
     # of it Young symmetrizer products
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}], one product per
-    # double coset of the symmetrizers' full Young stabilizers; verify morita
-    # --n 11 --direct-n 5, the slowest input this bound admits, takes
-    # 3.1-4.0 s, of which the 77 degree-5 ranks are 2.4-2.7 s in process
+    # double coset of the symmetrizers' full Young stabilizers, none for a
+    # coset whose signs prove its row zero; verify morita --n 11 --direct-n 5,
+    # the slowest input this bound admits, takes 2.4-2.8 s, of which the 77
+    # degree-5 ranks are 1.0-1.1 s in process
     max_direct_hom_degree: int = 5
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
     # --direct-n 4 takes 0.79-0.89 s, about 0.5 s of it the 9,215 pairings

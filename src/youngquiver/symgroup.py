@@ -13,12 +13,13 @@ filled row by row.  A direct rank uses the full Young stabilizers of the
 symmetrizers, r·e_mu = ψ(r)·e_mu and e_lam·c = χ(c)·e_lam with ψ, χ
 trivial or sign on each block: it computes e_lam·g·e_mu once per double
 coset, after checking both symmetries on generators, and ranks those
-products alone, since every other row is ± one of them; ``multiply``
-stays the one general product and the tests' oracle.  An element is
-central exactly when its coefficients are constant on each conjugacy
-class, which one scan over its terms decides; central elements are then
-multiplied in the basis of class sums by the class multiplication
-constants, not in the group algebra.  Induction
+products alone, since every other row is ± one of them.  A coset whose
+walk meets a permutation again with the opposite sign has a zero row and
+gets no product; ``multiply`` stays the one general product and the
+tests' oracle.  An element is central exactly when its coefficients are
+constant on each conjugacy class, which one scan over its terms decides;
+central elements are then multiplied in the basis of class sums by the
+class multiplication constants, not in the group algebra.  Induction
 multiplicities are integer character pairings over cycle-type pairs
 weighted by class sizes, divided exactly by the group order once at the
 end, which keeps them feasible well past the point where summing over group
@@ -380,8 +381,10 @@ def direct_hom_dimension(mu: Rows, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -
     e_mu (``_stabilizer_blocks``), e_lam·c = χ(c)·e_lam and r·e_mu =
     ψ(r)·e_mu, so the row of c·g·r is χ(c)·ψ(r) times the row of g.  One
     product per double coset therefore spans the same rows, and only those
-    products are ranked.  Both symmetries are checked on generators first,
-    and a side that fails its check shares no rows."""
+    products are ranked; a coset holding some c·g·r = g with χ(c)·ψ(r) = -1
+    has a row equal to its own negative, which is zero without a product.
+    Both symmetries are checked on generators first, and a side that fails
+    its check shares no rows."""
     n = sum(mu)
     if sum(lam) != n + 1:
         raise ValueError("target must have exactly one more node than source")
@@ -393,8 +396,9 @@ def direct_hom_dimension(mu: Rows, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -
 def _coset_rows(mu: Rows, lam: Rows, bounds: Bounds):
     """(the permutations g of S_{n+1} in order, one row e_lam·g·e_mu per
     double coset, g -> (index of its coset's row, sign)): the row of g is
-    sign times that row.  The cosets are the orbits of the checked
-    generators, walked from their first permutation."""
+    sign times that row.  The cosets come from ``_double_cosets`` over the
+    checked blocks, and a coset whose walk proves its row zero gets a zero
+    row without a product."""
     n = sum(mu)
     e_lam = young_symmetrizer(lam, bounds)
     e_mu = young_symmetrizer(mu, bounds).embed(n + 1)
@@ -404,31 +408,55 @@ def _coset_rows(mu: Rows, lam: Rows, bounds: Bounds):
     mu_blocks = _stabilizer_blocks(mu, left=True)
     if not _acts_by_characters(e_mu, mu_blocks, left=True):
         mu_blocks = ()
-    # row(t·g) = χ(t)·row(g) and row(g·t) = ψ(t)·row(g)
-    moves = [
-        *_transpositions(lam_blocks, n + 1, left=True),
-        *_transpositions(mu_blocks, n + 1, left=False),
-    ]
-    group_order = list(iter_permutations(range(1, n + 2)))
+    group_order, cover, starts = _double_cosets(lam_blocks, mu_blocks, n + 1)
     rows: list[list[int]] = []
-    cover: dict[tuple[int, ...], tuple[int, int]] = {}
-    for g in group_order:
-        if g in cover:
+    for g in starts:
+        if g is None:
+            rows.append([0] * len(group_order))
             continue
-        index = len(rows)
         # numerators only: scaling a row by its denominator keeps the rank
         numerators = multiply(multiply(e_lam, GroupAlgebraElement(n + 1, {g: 1})), e_mu).numerators
         rows.append([numerators.get(images, 0) for images in group_order])
+    return group_order, rows, cover
+
+
+def _double_cosets(lam_blocks, mu_blocks, degree: int):
+    """(the permutations g of S_degree in order, g -> (index of its coset,
+    sign), each coset's first permutation or None): the cosets are the
+    orbits of g -> c·g for the generators c of ``lam_blocks`` and g -> g·r
+    for those of ``mu_blocks``, each walked from its first permutation, and
+    the sign is the product of the generators' characters along the walk.
+
+    A walk that reaches a permutation again with the opposite sign has found
+    c·g·r = g with χ(c)·ψ(r) = -1, so the coset's row equals its own
+    negative and is zero; such a coset's entry is None."""
+    # row(t·g) = χ(t)·row(g) and row(g·t) = ψ(t)·row(g)
+    moves = [
+        *_transpositions(lam_blocks, degree, left=True),
+        *_transpositions(mu_blocks, degree, left=False),
+    ]
+    group_order = list(iter_permutations(range(1, degree + 1)))
+    cover: dict[tuple[int, ...], tuple[int, int]] = {}
+    starts: list[tuple[int, ...] | None] = []
+    for g in group_order:
+        if g in cover:
+            continue
+        index = len(starts)
         cover[g] = (index, 1)
+        zero = False
         orbit = [g]
         for h in orbit:
             sign = cover[h][1]
             for move, character in moves:
                 k = move(h)
-                if k not in cover:
+                seen = cover.get(k)
+                if seen is None:
                     cover[k] = (index, sign * character)
                     orbit.append(k)
-    return group_order, rows, cover
+                elif seen[1] != sign * character:
+                    zero = True
+        starts.append(None if zero else g)
+    return group_order, cover, starts
 
 
 def induction_multiplicity(mu: Rows, m: int, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> int:

@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from youngquiver.exactlinalg import IntMatrix, Scalar, rank, rref
-from youngquiver.qdual import QuadraticPresentation, RelationSpace
+from youngquiver.partitions import skew_classify
+from youngquiver.qdual import QuadraticPresentation, RelationSpace, _middle_vertices
 
 
 def kernel_basis(rows, n_cols):
@@ -91,6 +92,18 @@ def two_term_corank(n_cols: int, rows: Iterable[Sequence[tuple[int, Scalar]]]) -
         size[root_i] += size[root_j]
         dead[root_i] = dead[root_i] or dead[root_j]
     return sum(1 for col in range(n_cols) if parent[col] == col and not dead[col])
+
+
+def path_count_relation_dimension(mu, lam):
+    """The three-case relation table by counting the paths from mu to lam:
+    0 for a column pair, every path (the single one) for a row pair, and
+    one less than the paths across a diamond, whose anticommutativity line
+    is left.  The oracle for ``qdual._expected_relation_dimension``."""
+    sk = skew_classify(mu.rows, lam.rows)
+    if sk.has_column_pair:
+        return 0
+    n_paths = len(_middle_vertices(mu, lam))
+    return n_paths if sk.has_row_pair else n_paths - 1
 
 
 def saturated_chains(mu, lam):

@@ -27,6 +27,7 @@ from oracles import (
     chain_rows,
     kernel_basis,
     load_bench_workloads,
+    path_count_relation_dimension,
     two_term_corank,
     widened,
     with_relation_spaces,
@@ -139,6 +140,16 @@ class TestRelationSpaces:
                 assert rel.dimension == len(rel.mids) == 1
             else:
                 assert (len(rel.mids), rel.dimension) == (2, 1)
+
+    @pytest.mark.parametrize("of_lattice", [False, True])
+    def test_expected_dimension_matches_path_count_through_size_ten(self, of_lattice):
+        # every contained pair two nodes apart is a relation pair
+        relations = build_quadratic_dual(10, of_lattice=of_lattice).relations
+        assert len(relations) == 410
+        for mu, lam in relations:
+            assert qdual._expected_relation_dimension(
+                mu, lam
+            ) == path_count_relation_dimension(mu, lam)
 
     def test_lattice_relations_always_full_image(self, lattice_presentation):
         for rel in lattice_presentation.relations.values():
@@ -317,6 +328,36 @@ class TestSelfDuality:
             "signs": [-1, 1],
         }
 
+    @pytest.mark.parametrize(
+        "pair,vectors,relation_pairs,relation_dim,expected",
+        [
+            # a column pair given a zero vector: the walk drops it, so only
+            # the relation table sees the extra dimension
+            ((P(1), P(1, 1, 1)), ((0,),), 2, 1, 0),
+            # a diamond given a second, zero vector
+            ((P(1), P(2, 1)), ((1, 1), (0, 0)), 8, 2, 1),
+        ],
+    )
+    def test_relation_cases_locator(
+        self, monkeypatch, presentation, pair, vectors, relation_pairs, relation_dim, expected
+    ):
+        mutant = with_relations(
+            presentation, {pair: RelationSpace(presentation.relations[pair].mids, vectors)}
+        )
+        monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
+        counts, first_failure = verify_self_duality(7)
+        assert counts == {
+            "pairs_checked": 1230,
+            "relation_pairs_checked": relation_pairs,
+            "diamonds_checked": 0,
+        }
+        assert first_failure == {
+            "check": "relation_cases",
+            "pair": [str(pair[0]), str(pair[1])],
+            "relation_dim": relation_dim,
+            "expected": expected,
+        }
+
     def test_three_term_relations_get_a_verdict(self, monkeypatch, presentation):
         # a three-term line over (left, right, left) keeps every dimension
         # and the relation table, and the twist's rref span test judges it
@@ -326,6 +367,17 @@ class TestSelfDuality:
         assert counts["diamonds_checked"] == 1
         assert first_failure["check"] == "sign_twist"
         assert first_failure["diamond"] == ["1", "1,1", "2", "2,1"]
+
+    def test_repeated_mid_is_one_column(self, monkeypatch, presentation):
+        # over (left, right, left) the vector (0, 1, 1) is left + right, the
+        # anticommutativity line itself: the twist reads its mids from the
+        # relation rows, so the repeated left mid is one column and passes
+        mutant = widened(presentation, ((0, 1, 1),))
+        monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
+        assert verify_self_duality(7) == (
+            {"pairs_checked": 1230, "relation_pairs_checked": 90, "diamonds_checked": 34},
+            None,
+        )
 
     def test_dimension_match_exhaustive(self, presentation):
         for lam in partitions_up_to(7):

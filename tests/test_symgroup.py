@@ -1015,6 +1015,39 @@ class TestDirectHomDimension:
                 assert coset_expansion(group_order, rows, cover) == expected
                 assert direct_hom_dimension(mu, lam) == rank(expected)
                 assert captured.pop() == IntMatrix.from_rows(rows, len(group_order))
+                # a coset the walk marks zero has a zero row by the multiply
+                # route at every one of its permutations
+                walked_order, walked_cover, starts = symgroup._double_cosets(
+                    symgroup._stabilizer_blocks(lam, left=False),
+                    symgroup._stabilizer_blocks(mu, left=True),
+                    n + 1,
+                )
+                assert (walked_order, walked_cover) == (group_order, cover)
+                for g, route_row in zip(group_order, expected.to_dense()):
+                    if starts[cover[g][0]] is None:
+                        assert not any(route_row)
+
+    @pytest.mark.parametrize(
+        "n,zero,cosets", [(0, 0, 1), (1, 0, 2), (2, 3, 8), (3, 14, 29), (4, 68, 113), (5, 308, 459)]
+    )
+    def test_zero_coset_counts(self, monkeypatch, n, zero, cosets):
+        # cosets whose walk meets a sign conflict, over every pair of degree
+        # n, by the orbit walk alone: no product is formed
+        def no_product(*args):
+            raise AssertionError("the orbit walk formed a product")
+
+        monkeypatch.setattr(symgroup, "multiply", no_product)
+        starts = [
+            start
+            for mu in partition_rows(n)
+            for lam in partition_rows(n + 1)
+            for start in symgroup._double_cosets(
+                symgroup._stabilizer_blocks(lam, left=False),
+                symgroup._stabilizer_blocks(mu, left=True),
+                n + 1,
+            )[2]
+        ]
+        assert (starts.count(None), len(starts)) == (zero, cosets)
 
     @pytest.mark.parametrize("n", range(4))
     def test_matches_the_bimodule_oracle(self, n):
