@@ -47,8 +47,8 @@ class Bounds(NamedTuple):
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
     # --direct-n 4 takes 0.79-0.89 s, about 0.5 s of it the 9,215 pairings
     max_induction_degree: int = 12
-    # verify qdual --max-size 18 takes 5.7-6.2 s and table dualdims
-    # --max-size 18 4.1-4.6 s
+    # verify qdual --max-size 18 takes 5.0-6.6 s and table dualdims
+    # --max-size 18 4.0-4.3 s
     max_qdual_size: int = 18
 
 

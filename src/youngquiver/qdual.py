@@ -22,14 +22,14 @@ same quotient over whole paths: every prefix x relation x suffix row over
 the saturated chains from mu to lam, ranked by a signed union-find and by
 Bareiss rank.
 
-The checks read the same structure off row tuples.  The relation table
-expects dimension 0 on a column pair and 1 on every other pair, from
-``skew_classify`` alone: a row pair has one path and a diamond two.  The
-sign-twisted duality functor is checked diamond by diamond
-(``partitions.diamonds_up_to``), with the arrow signs of
-``signs.path_signs``: the transposed pair's vectors are read from
-``relation_rows``, the table the walk reads, and whether the twisted
-difference lies in their span is again decided by ``rref``.
+The presentation is one relation table, keyed by the row tuples of each
+pair, with row-tuple mids; the walk, the checks and the test oracles all
+read it.  The relation-case check expects dimension 0 on a column pair and
+1 on every other pair, from ``skew_classify`` alone: a row pair has one
+path and a diamond two.  The sign-twisted duality functor is checked
+diamond by diamond (``partitions.diamonds_up_to``), with the arrow signs
+of ``signs.path_signs``: whether the twisted difference lies in the span
+of the transposed pair's relation vectors is again decided by ``rref``.
 
 Convention: a dual generator is stored as a morphism mu -> nu along the
 lattice arrow and composition mirrors path concatenation; the dimension
@@ -37,7 +37,6 @@ statements checked here are independent of that choice.
 """
 
 import time
-from functools import cached_property
 from typing import NamedTuple
 
 from .certificates import Certificate
@@ -45,6 +44,7 @@ from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import Scalar, normalize, rref
 from .partitions import (
     Partition,
+    Rows,
     add_node,
     addable_rows,
     diamond_vertices,
@@ -63,9 +63,9 @@ from .signs import path_signs
 
 class RelationSpace(NamedTuple):
     """Degree-2 relation span for one pair, in coordinates over the length-2
-    path basis (paths are keyed by their middle vertex)."""
+    path basis (paths are keyed by their middle vertex's row tuple)."""
 
-    mids: tuple[Partition, ...]
+    mids: tuple[Rows, ...]
     vectors: tuple[tuple[Scalar, ...], ...]
 
     @property
@@ -77,27 +77,14 @@ class QuadraticPresentation:
     def __init__(
         self,
         max_size: int,
-        objects: tuple[Partition, ...],
-        relations: dict[tuple[Partition, Partition], RelationSpace],
+        objects: tuple[Rows, ...],
+        relations: dict[tuple[Rows, Rows], RelationSpace],
     ) -> None:
         self.max_size = max_size
         self.objects = objects
         self.relations = relations
         # bottom -> its quotient walk, filled in by ``walk``
         self._walks: dict[tuple, dict[tuple, int]] = {}
-
-    @cached_property
-    def relation_rows(self) -> dict[tuple, tuple]:
-        """The relations in the form the quotient walk reads: keyed by the row
-        tuples of each pair, every vector as its nonzero ``(mid rows,
-        coefficient)`` pairs, integral coefficients as ``int``."""
-        return {
-            (mu.rows, lam.rows): tuple(
-                tuple((mid.rows, normalize(c)) for mid, c in zip(rel.mids, v) if c)
-                for v in rel.vectors
-            )
-            for (mu, lam), rel in self.relations.items()
-        }
 
     def walk(self, bottom: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """The nonzero dual hom dimensions above ``bottom``, keyed by row
@@ -115,17 +102,18 @@ def _middle_vertices(mu: Partition, lam: Partition) -> list[Partition]:
 def build_quadratic_dual(
     max_size: int, bounds: Bounds = DEFAULT_BOUNDS, of_lattice: bool = False
 ) -> QuadraticPresentation:
-    """The dual of C, or with ``of_lattice`` of the plain incidence category."""
+    """The dual of C, or with ``of_lattice`` of the plain incidence category.
+    Objects, relation keys and mids are row tuples."""
     check_bound(max_size, bounds.max_qdual_size, "quadratic dual size")
-    objects = tuple(partitions_up_to(max_size, bounds))
-    relations: dict[tuple[Partition, Partition], RelationSpace] = {}
+    objects = partitions_up_to(max_size, bounds)
+    relations: dict[tuple[Rows, Rows], RelationSpace] = {}
     for lam in objects:
         if lam.size < 2:
             continue
         for mu in partitions_of(lam.size - 2, bounds):
             if not lam.contains(mu):
                 continue
-            mids = tuple(_middle_vertices(mu, lam))
+            mids = tuple(nu.rows for nu in _middle_vertices(mu, lam))
             # row space of the multiplication map from length-2 paths onto
             # the degree-2 hom space: with canonical generators every
             # surviving composite is the canonical generator itself, so it
@@ -134,8 +122,8 @@ def build_quadratic_dual(
                 vectors = ((1,) * len(mids),)
             else:
                 vectors = ()
-            relations[(mu, lam)] = RelationSpace(mids, vectors)
-    return QuadraticPresentation(max_size, objects, relations)
+            relations[(mu.rows, lam.rows)] = RelationSpace(mids, vectors)
+    return QuadraticPresentation(max_size, tuple(p.rows for p in objects), relations)
 
 
 def _quotient_images(n_cols: int, rows: list[list]) -> list[list]:
@@ -168,7 +156,7 @@ def _quotient_walk(bottom: tuple[int, ...], presentation: QuadraticPresentation)
     projections F(mid) -> A(bottom, mid) of the level below give
     b . (kappa' -> mid); only one level of them is kept.  Diagrams are row
     tuples, and nu with A(bottom, nu) = 0 is neither stored nor grown."""
-    relations = presentation.relation_rows
+    relations = presentation.relations
     dims = {bottom: 1}
     # nu -> {kappa: images in A(bottom, nu) of the basis of A(bottom, kappa)}
     level: dict[tuple, dict] = {bottom: {}}
@@ -186,11 +174,12 @@ def _quotient_walk(bottom: tuple[int, ...], presentation: QuadraticPresentation)
                 n_cols += dims[kappa]
             quotient_rows = []
             for low in dict.fromkeys(low for kappa in kappas for low in level[kappa]):
-                for vector in relations[(low, nu)]:
+                rel = relations[(low, nu)]
+                for vector in rel.vectors:
                     for b in range(dims[low]):
                         row = [0] * n_cols
-                        for mid, coeff in vector:
-                            if mid in offset:
+                        for mid, coeff in zip(rel.mids, vector):
+                            if coeff and mid in offset:
                                 for j, x in enumerate(level[mid][low][b], offset[mid]):
                                     row[j] += coeff * x
                         if any(row):
@@ -205,26 +194,26 @@ def _quotient_walk(bottom: tuple[int, ...], presentation: QuadraticPresentation)
     return dims
 
 
-def dual_hom_dim(mu: Partition, lam: Partition, presentation: QuadraticPresentation) -> int:
+def dual_hom_dim(mu: Rows, lam: Rows, presentation: QuadraticPresentation) -> int:
     """Dimension of the dual hom space in degree |lam| - |mu|: free paths
     modulo the ideal generated by the degree-2 relations.  A lookup in the
     quotient walk above ``mu`` (``QuadraticPresentation.walk``); the tests
     check it against saturated-chain rows ranked by a signed union-find and
     by Bareiss rank."""
-    check_bound(lam.size, presentation.max_size, "quadratic dual size")
-    return presentation.walk(mu.rows).get(lam.rows, 0)
+    check_bound(sum(lam), presentation.max_size, "quadratic dual size")
+    return presentation.walk(mu).get(lam, 0)
 
 
-def _expected_relation_dimension(mu: Partition, lam: Partition) -> int:
+def _expected_relation_dimension(mu: Rows, lam: Rows) -> int:
     """The three-case table: 0 for a column pair, and 1 otherwise, since a
     row pair has a single path, killed entirely, and a diamond two, cut to
     the anticommutativity line.  The tests keep the path count as oracle."""
-    return 0 if skew_classify(mu.rows, lam.rows).has_column_pair else 1
+    return 0 if skew_classify(mu, lam).has_column_pair else 1
 
 
-def _transposes(presentation: QuadraticPresentation) -> dict[tuple, tuple]:
+def _transposes(presentation: QuadraticPresentation) -> dict[Rows, Rows]:
     """Every object's transposed row tuple, keyed by the object's row tuple."""
-    return {p.rows: transpose(p.rows) for p in presentation.objects}
+    return {p: transpose(p) for p in presentation.objects}
 
 
 def _first_dimension_failure(
@@ -240,13 +229,14 @@ def _first_dimension_failure(
     object order; the result is the count up to the first mismatch in that
     order (all pairs on a pass) and the mismatch."""
     objects = presentation.objects
+    sizes = [sum(p) for p in objects]
     # objects of at most a given size; the objects come smaller sizes first
-    up_to_size = {p.size: n for n, p in enumerate(objects, 1)}
-    index = {p.rows: n for n, p in enumerate(objects)}
+    up_to_size = {size: n for n, size in enumerate(sizes, 1)}
+    index = {p: n for n, p in enumerate(objects)}
     first = None  # (lam index, mu index, computed, expected)
     for m, mu in enumerate(objects):
-        dims = presentation.walk(mu.rows)
-        expected = dict.fromkeys(strip_tops(mu.rows, presentation.max_size, rook), 1)
+        dims = presentation.walk(mu)
+        expected = dict.fromkeys(strip_tops(mu, presentation.max_size, rook), 1)
         if dims == expected:
             continue
         for lam in dims.keys() | expected.keys():
@@ -254,13 +244,12 @@ def _first_dimension_failure(
             if computed != expected.get(lam, 0) and (first is None or index[lam] < first[0]):
                 first = (index[lam], m, computed, expected.get(lam, 0))
     if first is None:
-        return sum(up_to_size[p.size] for p in objects), None
+        return sum(up_to_size[size] for size in sizes), None
     n, m, computed, expected_dim = first
-    lam, mu = objects[n], objects[m]
-    pairs_checked = sum(up_to_size[p.size] for p in objects[:n]) + m + 1
+    pairs_checked = sum(up_to_size[size] for size in sizes[:n]) + m + 1
     return pairs_checked, {
         "check": check,
-        "pair": [str(mu), str(lam)],
+        "pair": [format_partition(objects[m]), format_partition(objects[n])],
         "dual_dim": computed,
         expected_key: expected_dim,
     }
@@ -281,14 +270,14 @@ def verify_self_duality(
     if failure:
         return counts, failure
     for (mu, lam), rel in sorted(
-        presentation.relations.items(), key=lambda kv: (kv[0][1].rows, kv[0][0].rows)
+        presentation.relations.items(), key=lambda kv: (kv[0][1], kv[0][0])
     ):
         counts["relation_pairs_checked"] += 1
         expected = _expected_relation_dimension(mu, lam)
         if rel.dimension != expected:
             return counts, {
                 "check": "relation_cases",
-                "pair": [str(mu), str(lam)],
+                "pair": [format_partition(mu), format_partition(lam)],
                 "relation_dim": rel.dimension,
                 "expected": expected,
             }
@@ -312,14 +301,17 @@ def _twisted_image_failure(
     sign-twisted dual paths through the transposed diamond; it respects
     composition iff their difference lies in the relation span.  Verified by
     an exact rank test, not by re-deriving the sign identity: the relation
-    vectors of the transposed pair, read from ``relation_rows`` over the two
-    diamond mids and any other mid they name, must keep their ``rref`` pivot
-    count when the difference is added."""
+    vectors of the transposed pair, over the two diamond mids and any other
+    mid of its relation space (a repeated mid is one column), must keep
+    their ``rref`` pivot count when the difference is added."""
     vertices = diamond_vertices(bottom, r1, r2)
     mu_t, left_t, right_t, lam_t = (transposed[rows] for rows in vertices)
-    vectors = presentation.relation_rows[(mu_t, lam_t)]
-    mids = dict.fromkeys([left_t, right_t, *(mid for vector in vectors for mid, _ in vector)])
-    base = [[sum(c for m, c in vector if m == mid) for mid in mids] for vector in vectors]
+    rel = presentation.relations[(mu_t, lam_t)]
+    mids = dict.fromkeys([left_t, right_t, *rel.mids])
+    base = [
+        [sum(c for m, c in zip(rel.mids, vector) if m == mid) for mid in mids]
+        for vector in rel.vectors
+    ]
     sign_left, sign_right = path_signs(bottom, r1, r2)
     twisted = [sign_left, -sign_right] + [0] * (len(mids) - 2)
     if len(rref(base + [twisted])[1]) != len(rref(base)[1]):

@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from youngquiver.exactlinalg import IntMatrix, Scalar, rank, rref
-from youngquiver.partitions import skew_classify
-from youngquiver.qdual import QuadraticPresentation, RelationSpace, _middle_vertices
+from youngquiver.partitions import contains, skew_classify
+from youngquiver.qdual import QuadraticPresentation, RelationSpace
 
 
 def kernel_basis(rows, n_cols):
@@ -95,24 +95,26 @@ def two_term_corank(n_cols: int, rows: Iterable[Sequence[tuple[int, Scalar]]]) -
 
 
 def path_count_relation_dimension(mu, lam):
-    """The three-case relation table by counting the paths from mu to lam:
-    0 for a column pair, every path (the single one) for a row pair, and
-    one less than the paths across a diamond, whose anticommutativity line
-    is left.  The oracle for ``qdual._expected_relation_dimension``."""
-    sk = skew_classify(mu.rows, lam.rows)
+    """The three-case relation table by counting the paths from mu to lam
+    (row tuples two nodes apart): 0 for a column pair, every path (the
+    single one) for a row pair, and one less than the paths across a
+    diamond, whose anticommutativity line is left.  The oracle for
+    ``qdual._expected_relation_dimension``."""
+    sk = skew_classify(mu, lam)
     if sk.has_column_pair:
         return 0
-    n_paths = len(_middle_vertices(mu, lam))
+    n_paths = len(saturated_chains(mu, lam))
     return n_paths if sk.has_row_pair else n_paths - 1
 
 
 def saturated_chains(mu, lam):
-    """Every maximal chain from mu up to lam, each diagram as its row tuple."""
-    if not lam.contains(mu):
+    """Every maximal chain from the row tuple mu up to lam, each diagram as
+    its row tuple; at each step the node in the topmost row comes first."""
+    if not contains(lam, mu):
         return []
-    top = lam.rows + (0,)
-    chains = [(mu.rows,)]
-    for _ in range(lam.size - mu.size):
+    top = lam + (0,)
+    chains = [(mu,)]
+    for _ in range(sum(lam) - sum(mu)):
         grown = []
         for chain in chains:
             rows = chain[-1]
@@ -129,13 +131,17 @@ def chain_rows(mu, lam, presentation):
     entry per term, so a consumer must add them up)."""
     paths = saturated_chains(mu, lam)
     path_index = {path: idx for idx, path in enumerate(paths)}
-    relations = presentation.relation_rows
-    rows = [
-        [(path_index[path[: j + 1] + (mid,) + path[j + 2 :]], coeff) for mid, coeff in row]
-        for path in paths
-        for j in range(len(path) - 2)
-        for row in relations[(path[j], path[j + 2])]
-    ]
+    rows = []
+    for path in paths:
+        for j in range(len(path) - 2):
+            rel = presentation.relations[(path[j], path[j + 2])]
+            for vector in rel.vectors:
+                rows.append(
+                    [
+                        (path_index[path[: j + 1] + (mid,) + path[j + 2 :]], coeff)
+                        for mid, coeff in zip(rel.mids, vector)
+                    ]
+                )
     return len(paths), rows
 
 

@@ -200,7 +200,7 @@ class TestVerifyCommand:
 
     def test_broken_self_duality_is_a_verdict(self, capsys, monkeypatch):
         build = cli.qdual.build_quadratic_dual
-        pair = (parse_partition("1"), parse_partition("2,1"))
+        pair = ((1,), (2, 1))
 
         def without_anticommutativity(max_size, bounds, of_lattice=False):
             presentation = build(max_size, bounds, of_lattice=of_lattice)
@@ -269,7 +269,7 @@ class TestTableCommand:
         table = {}
         for line in out.splitlines():
             key, value = line.split(": ")
-            mu, lam = map(parse_partition, key.split("->"))
+            mu, lam = (parse_partition(text).rows for text in key.split("->"))
             table[key] = int(value)
             assert table[key] == chain_dim_bareiss(mu, lam, presentation), key
         assert len(table) == 22  # every contained pair up to size 3
@@ -280,7 +280,7 @@ class TestTableCommand:
         # containment would print it, byte for byte
         presentation = cli.qdual.build_quadratic_dual(8)
         rows = [
-            (f"{mu}->{lam}", cli.qdual.dual_hom_dim(mu, lam, presentation))
+            (f"{mu}->{lam}", cli.qdual.dual_hom_dim(mu.rows, lam.rows, presentation))
             for lam in partitions_up_to(8)
             for mu in partitions_up_to(lam.size)
             if lam.contains(mu)

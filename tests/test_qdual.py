@@ -5,8 +5,10 @@ import pytest
 from youngquiver import qdual
 from youngquiver.config import DEFAULT_BOUNDS, BoundExceededError
 from youngquiver.partitions import (
-    Partition,
-    partitions_up_to,
+    contains,
+    format_partition,
+    partition_rows,
+    partition_rows_up_to,
     skew_classify,
     strip_tops,
     transpose,
@@ -28,16 +30,14 @@ from oracles import (
     kernel_basis,
     load_bench_workloads,
     path_count_relation_dimension,
+    saturated_chains,
     two_term_corank,
     widened,
     with_relation_spaces,
 )
 
-P = lambda *rows: Partition(tuple(rows))
-
-
 def subdiagrams(lam):
-    return [mu for mu in partitions_up_to(lam.size) if lam.contains(mu)]
+    return [mu for mu in partition_rows_up_to(sum(lam)) if contains(lam, mu)]
 
 
 def annihilator_presentation(presentation):
@@ -66,19 +66,19 @@ def dense_first_failure(presentation, expected_dim, check, expected_key):
     """The dense expected side: every pair |mu| <= |lam|, scanned lam, then
     mu, in object order, with ``expected_dim`` of the transposed pair from
     ``skew_classify``; returns the pairs checked and the first mismatch."""
-    transposed = {p.rows: transpose(p.rows) for p in presentation.objects}
+    transposed = {p: transpose(p) for p in presentation.objects}
     pairs_checked = 0
     for lam in presentation.objects:
         for mu in presentation.objects:
-            if mu.size > lam.size:
+            if sum(mu) > sum(lam):
                 break
-            computed = presentation.walk(mu.rows).get(lam.rows, 0)
-            expected = expected_dim(transposed[mu.rows], transposed[lam.rows])
+            computed = presentation.walk(mu).get(lam, 0)
+            expected = expected_dim(transposed[mu], transposed[lam])
             pairs_checked += 1
             if computed != expected:
                 return pairs_checked, {
                     "check": check,
-                    "pair": [str(mu), str(lam)],
+                    "pair": [format_partition(mu), format_partition(lam)],
                     "dual_dim": computed,
                     expected_key: expected,
                 }
@@ -118,22 +118,22 @@ def presentation8():
 
 class TestRelationSpaces:
     def test_column_pair_no_relation(self, presentation):
-        rel = presentation.relations[(P(1), P(1, 1, 1))]
+        rel = presentation.relations[((1,), (1, 1, 1))]
         assert len(rel.mids) == 1 and rel.dimension == 0
 
     def test_row_pair_full_relation(self, presentation):
-        rel = presentation.relations[(P(1), P(3))]
+        rel = presentation.relations[((1,), (3,))]
         assert len(rel.mids) == 1 and rel.dimension == 1
 
     def test_diamond_anticommutativity_line(self, presentation):
-        rel = presentation.relations[(P(1), P(2, 1))]
+        rel = presentation.relations[((1,), (2, 1))]
         assert len(rel.mids) == 2 and rel.dimension == 1
         (vector,) = rel.vectors
         assert vector[0] == vector[1] != 0  # the sum of the two dual paths
 
     def test_three_case_table_everywhere(self, presentation):
         for (mu, lam), rel in presentation.relations.items():
-            sk = skew_classify(mu.rows, lam.rows)
+            sk = skew_classify(mu, lam)
             if sk.has_column_pair:
                 assert rel.dimension == 0
             elif sk.has_row_pair:
@@ -150,6 +150,24 @@ class TestRelationSpaces:
             assert qdual._expected_relation_dimension(
                 mu, lam
             ) == path_count_relation_dimension(mu, lam)
+
+    def test_one_table_through_size_ten(self):
+        # both presentations: the keys of an independent row-tuple scan, lam
+        # then mu, and as mids the middle diagrams of the chains across each
+        # pair, top row first
+        keys = [
+            (mu, lam)
+            for lam in partition_rows_up_to(10)
+            if sum(lam) >= 2
+            for mu in partition_rows(sum(lam) - 2)
+            if contains(lam, mu)
+        ]
+        assert len(keys) == 410
+        tables = [build_quadratic_dual(10, of_lattice=flag).relations for flag in (False, True)]
+        assert [list(table) for table in tables] == [keys, keys]
+        for pair in keys:
+            mids = tuple(chain[1] for chain in saturated_chains(*pair))
+            assert [table[pair].mids for table in tables] == [mids, mids], pair
 
     def test_lattice_relations_always_full_image(self, lattice_presentation):
         for rel in lattice_presentation.relations.values():
@@ -169,38 +187,38 @@ class TestRelationSpaces:
 
 class TestDualHomDimensions:
     def test_identity(self, presentation):
-        assert dual_hom_dim(P(2, 1), P(2, 1), presentation) == 1
+        assert dual_hom_dim((2, 1), (2, 1), presentation) == 1
 
     def test_degree_two_cases(self, presentation):
-        assert dual_hom_dim(P(1), P(1, 1, 1), presentation) == 1
-        assert dual_hom_dim(P(1), P(3), presentation) == 0
-        assert dual_hom_dim(P(1), P(2, 1), presentation) == 1
+        assert dual_hom_dim((1,), (1, 1, 1), presentation) == 1
+        assert dual_hom_dim((1,), (3,), presentation) == 0
+        assert dual_hom_dim((1,), (2, 1), presentation) == 1
 
     def test_degree_three_with_row_pair(self, presentation):
         # (2,2)\(1) holds a same-row pair in row 2, so the dual hom dies;
         # the transposed-category side computes the same answer independently
-        computed = dual_hom_dim(P(1), P(2, 2), presentation)
+        computed = dual_hom_dim((1,), (2, 2), presentation)
         assert computed == hom_dim_C(transpose((1,)), transpose((2, 2)))
         assert computed == 0
 
     def test_row_strip_target(self, presentation):
-        assert dual_hom_dim(P(2), P(4), presentation) == 0
-        assert dual_hom_dim(P(1), P(1, 1, 1, 1), presentation) == 1
+        assert dual_hom_dim((2,), (4,), presentation) == 0
+        assert dual_hom_dim((1,), (1, 1, 1, 1), presentation) == 1
 
     def test_not_contained(self, presentation):
-        assert dual_hom_dim(P(2), P(1, 1), presentation) == 0
+        assert dual_hom_dim((2,), (1, 1), presentation) == 0
 
     def test_bound(self, presentation):
         with pytest.raises(BoundExceededError):
-            dual_hom_dim(P(1), P(8), presentation)
+            dual_hom_dim((1,), (8,), presentation)
         with pytest.raises(BoundExceededError):
             build_quadratic_dual(DEFAULT_BOUNDS.max_qdual_size + 1)
 
     def test_closed_form_vertical_strips(self, presentation):
         # computed from paths-modulo-relations; compared against the strip rule
-        for lam in partitions_up_to(6):
+        for lam in partition_rows_up_to(6):
             for mu in subdiagrams(lam):
-                sk = skew_classify(mu.rows, lam.rows)
+                sk = skew_classify(mu, lam)
                 expected = 0 if sk.has_row_pair else 1
                 assert dual_hom_dim(mu, lam, presentation) == expected
 
@@ -210,8 +228,8 @@ class TestChainOracle:
     def test_walk_matches_chains_through_size_nine(self, of_lattice):
         presentation = build_quadratic_dual(9, of_lattice=of_lattice)
         pairs = 0
-        for lam in partitions_up_to(9):
-            for mu in partitions_up_to(lam.size):
+        for lam in partition_rows_up_to(9):
+            for mu in partition_rows_up_to(sum(lam)):
                 pairs += 1
                 assert dual_hom_dim(mu, lam, presentation) == chain_dim_union_find(
                     mu, lam, presentation
@@ -225,37 +243,38 @@ class TestChainOracle:
             (((3, 5, -1),), 1),  # one rescaled three-term line
             (((3, 5, -1), (1, 2, -1)), 1),  # kills both paths of every diamond
             ((), 6),  # no diamond relation: dimensions above 1
+            (((1, 0, 0),), 1),  # a zero coefficient: only the left path dies
         ],
     )
     def test_widened_relations_match_bareiss(self, of_lattice, vectors, largest):
         presentation = widened(build_quadratic_dual(6, of_lattice=of_lattice), vectors)
         dims = [
             (dual_hom_dim(mu, lam, presentation), chain_dim_bareiss(mu, lam, presentation))
-            for lam in partitions_up_to(6)
+            for lam in partition_rows_up_to(6)
             for mu in subdiagrams(lam)
         ]
         assert all(walked == oracle for walked, oracle in dims)
         assert max(walked for walked, _ in dims) >= largest
 
     def test_walk_is_memoized_per_bottom(self, presentation):
-        first = presentation.walk(P(1).rows)
-        assert presentation.walk(P(1).rows) is first
+        first = presentation.walk((1,))
+        assert presentation.walk((1,)) is first
         assert set(first) == {
-            lam.rows for lam in partitions_up_to(7) if dual_hom_dim(P(1), lam, presentation)
+            lam for lam in partition_rows_up_to(7) if dual_hom_dim((1,), lam, presentation)
         }
 
 
 class TestStripExpectedSide:
     @pytest.mark.parametrize("rook", [False, True])
     def test_strip_tops_match_skew_classify_through_size_ten(self, rook):
-        objects = partitions_up_to(10)
+        objects = partition_rows_up_to(10)
         for mu in objects:
             expected = set()
             for lam in objects:
-                sk = skew_classify(mu.rows, lam.rows)
+                sk = skew_classify(mu, lam)
                 if sk.contained and not sk.has_row_pair and not (rook and sk.has_column_pair):
-                    expected.add(lam.rows)
-            tops = strip_tops(mu.rows, 10, rook)
+                    expected.add(lam)
+            tops = strip_tops(mu, 10, rook)
             assert len(tops) == len(expected) and set(tops) == expected, mu
 
     @pytest.mark.parametrize("of_lattice", [False, True])
@@ -311,7 +330,7 @@ class TestSelfDuality:
     def test_sign_twist_locator(self, monkeypatch, presentation):
         # the diamond relation of (1) -> (2,1) made the difference of the two
         # paths: every dimension survives, the twisted image does not
-        pair = (P(1), P(2, 1))
+        pair = ((1,), (2, 1))
         mutant = with_relations(
             presentation, {pair: RelationSpace(presentation.relations[pair].mids, ((1, -1),))}
         )
@@ -333,9 +352,9 @@ class TestSelfDuality:
         [
             # a column pair given a zero vector: the walk drops it, so only
             # the relation table sees the extra dimension
-            ((P(1), P(1, 1, 1)), ((0,),), 2, 1, 0),
+            (((1,), (1, 1, 1)), ((0,),), 2, 1, 0),
             # a diamond given a second, zero vector
-            ((P(1), P(2, 1)), ((1, 1), (0, 0)), 8, 2, 1),
+            (((1,), (2, 1)), ((1, 1), (0, 0)), 8, 2, 1),
         ],
     )
     def test_relation_cases_locator(
@@ -353,7 +372,7 @@ class TestSelfDuality:
         }
         assert first_failure == {
             "check": "relation_cases",
-            "pair": [str(pair[0]), str(pair[1])],
+            "pair": [format_partition(pair[0]), format_partition(pair[1])],
             "relation_dim": relation_dim,
             "expected": expected,
         }
@@ -371,7 +390,7 @@ class TestSelfDuality:
     def test_repeated_mid_is_one_column(self, monkeypatch, presentation):
         # over (left, right, left) the vector (0, 1, 1) is left + right, the
         # anticommutativity line itself: the twist reads its mids from the
-        # relation rows, so the repeated left mid is one column and passes
+        # relation space, so the repeated left mid is one column and passes
         mutant = widened(presentation, ((0, 1, 1),))
         monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
         assert verify_self_duality(7) == (
@@ -380,10 +399,10 @@ class TestSelfDuality:
         )
 
     def test_dimension_match_exhaustive(self, presentation):
-        for lam in partitions_up_to(7):
-            for mu in partitions_up_to(lam.size):
+        for lam in partition_rows_up_to(7):
+            for mu in partition_rows_up_to(sum(lam)):
                 assert dual_hom_dim(mu, lam, presentation) == hom_dim_C(
-                    transpose(mu.rows), transpose(lam.rows)
+                    transpose(mu), transpose(lam)
                 )
 
 
@@ -394,25 +413,25 @@ class TestLatticeDual:
         assert counts["lattice_pairs_checked"] > 0
 
     def test_examples(self, lattice_presentation):
-        assert dual_hom_dim(P(1), P(2, 1), lattice_presentation) == 1
-        assert dual_hom_dim(P(1), P(3), lattice_presentation) == 0
-        assert dual_hom_dim(P(1), P(1, 1, 1), lattice_presentation) == 0
+        assert dual_hom_dim((1,), (2, 1), lattice_presentation) == 1
+        assert dual_hom_dim((1,), (3,), lattice_presentation) == 0
+        assert dual_hom_dim((1,), (1, 1, 1), lattice_presentation) == 0
 
     def test_rook_strip_rule(self, lattice_presentation):
-        for lam in partitions_up_to(6):
+        for lam in partition_rows_up_to(6):
             for mu in subdiagrams(lam):
                 assert dual_hom_dim(mu, lam, lattice_presentation) == (
-                    hom_dim_Cprime_mod_J(transpose(mu.rows), transpose(lam.rows))
+                    hom_dim_Cprime_mod_J(transpose(mu), transpose(lam))
                 )
 
 
 class TestBeyondDefaultRange:
     def test_full_sweep_at_size_eight(self, presentation8):
         # one size past the default sweep
-        for lam in partitions_up_to(8):
+        for lam in partition_rows_up_to(8):
             for mu in subdiagrams(lam):
                 assert dual_hom_dim(mu, lam, presentation8) == hom_dim_C(
-                    transpose(mu.rows), transpose(lam.rows)
+                    transpose(mu), transpose(lam)
                 )
 
 
@@ -422,7 +441,7 @@ class TestKoszulNumericalCriterion:
         # every interval mu <= nu <= lam, the alternating sum of hom_dim_C(mu, nu)
         # times the dual dimension of (nu, lam) is 1 if mu == lam, else 0.
         # Neither transpose nor Bareiss rank enters.
-        intervals = {lam: subdiagrams(lam) for lam in partitions_up_to(8)}
+        intervals = {lam: subdiagrams(lam) for lam in partition_rows_up_to(8)}
         dual = {
             (nu, lam): dual_hom_dim(nu, lam, presentation8)
             for lam, below in intervals.items()
@@ -431,9 +450,9 @@ class TestKoszulNumericalCriterion:
         for lam, below in intervals.items():
             for mu in below:
                 total = sum(
-                    (-1) ** (nu.size - mu.size) * hom_dim_C(mu.rows, nu.rows) * dual[(nu, lam)]
+                    (-1) ** (sum(nu) - sum(mu)) * hom_dim_C(mu, nu) * dual[(nu, lam)]
                     for nu in below
-                    if nu.contains(mu)
+                    if contains(nu, mu)
                 )
                 assert total == (1 if mu == lam else 0), (mu, lam)
 
@@ -442,9 +461,9 @@ class TestInvolution:
     def test_double_dual_returns_original_dimensions(self):
         presentation = build_quadratic_dual(6)
         double = annihilator_presentation(presentation)
-        for lam in partitions_up_to(6):
-            for mu in partitions_up_to(lam.size):
-                assert dual_hom_dim(mu, lam, double) == hom_dim_C(mu.rows, lam.rows)
+        for lam in partition_rows_up_to(6):
+            for mu in partition_rows_up_to(sum(lam)):
+                assert dual_hom_dim(mu, lam, double) == hom_dim_C(mu, lam)
 
     def test_annihilator_dimensions_complementary(self):
         presentation = build_quadratic_dual(5)
