@@ -23,7 +23,6 @@ from .partitions import (
     format_partition,
     parse_partition,
     partition_rows,
-    partition_rows_up_to,
     partitions_up_to,
     subdiagram_rows,
 )
@@ -128,7 +127,7 @@ def _dualdims_rows(max_size, bounds) -> list[tuple[str, int]]:
     presentation = qdual.build_quadratic_dual(max_size, bounds)
     return [
         (f"{format_partition(mu)}->{format_partition(lam)}", presentation.walk(mu).get(lam, 0))
-        for lam in partition_rows_up_to(max_size, bounds)
+        for lam in presentation.objects
         for mu in subdiagram_rows(lam)
     ]
 

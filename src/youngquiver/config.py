@@ -35,20 +35,20 @@ class Bounds(NamedTuple):
     # on it takes 0.24-0.28 s
     max_partition_size: int = 30
     # group algebra elements of S_n; 7 is opt-in via config override.
-    # verify idempotents --n 6 takes 0.74-0.88 s and --n 7 27.6 s, almost all
+    # verify idempotents --n 6 takes 0.50-0.74 s and --n 7 27.6 s, almost all
     # of it Young symmetrizer products
     max_group_degree: int = 6
     # idempotent-rank computations happen inside C[S_{n+1}], one product per
     # double coset of the symmetrizers' full Young stabilizers, none for a
     # coset whose signs prove its row zero; verify morita --n 11 --direct-n 5,
-    # the slowest input this bound admits, takes 2.4-2.8 s, of which the 77
-    # degree-5 ranks are 1.0-1.1 s in process
+    # the slowest input this bound admits, takes 1.3-1.8 s, of which the 77
+    # degree-5 ranks are 0.9-1.1 s in process
     max_direct_hom_degree: int = 5
     # character-pairing multiplicities, bound on n+m; verify morita --n 11
     # --direct-n 4 takes 0.79-0.89 s, about 0.5 s of it the 9,215 pairings
     max_induction_degree: int = 12
     # verify qdual --max-size 18 takes 5.0-6.6 s and table dualdims
-    # --max-size 18 4.0-4.3 s
+    # --max-size 18 3.0-4.2 s
     max_qdual_size: int = 18
 
 

@@ -122,28 +122,34 @@ def verify_growth_agreement(
     return counts, None
 
 
+def _first_diamond_failure(max_size: int, bounds: Bounds) -> tuple[int, dict | None]:
+    """The number of diamonds checked, in the order of ``diamonds_up_to``, up
+    to the first whose two paths' sign products do not anticommute (all of
+    them on a pass), and that diamond's failure, or None."""
+    checked = 0
+    for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
+        left, right = path_signs(bottom, r1, r2)
+        checked += 1
+        if left != -right:
+            return checked, {
+                "diamond": [format_partition(rows) for rows in diamond_vertices(bottom, r1, r2)],
+                "products": [left, right],
+            }
+    return checked, None
+
+
 def verify_signs_sweep(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
     """The diamond sign identity on every diamond whose top has at most
     ``max_size`` nodes, plus growth agreement up to ``GROWTH_MAX_SIZE``, as one
     certificate.  Failure is a verdict, not an exception."""
     start = time.perf_counter()
     check_bound(max_size, bounds.max_partition_size, "sign verification size")
-    diamonds_checked = 0
-    first_failure = None
-    for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
-        left, right = path_signs(bottom, r1, r2)
-        diamonds_checked += 1
-        if left != -right:
-            first_failure = {
-                "diamond": [format_partition(rows) for rows in diamond_vertices(bottom, r1, r2)],
-                "products": [left, right],
-            }
-            break
+    diamonds_checked, diamond_failure = _first_diamond_failure(max_size, bounds)
     growth_counts, growth_failure = verify_growth_agreement(min(max_size, GROWTH_MAX_SIZE), bounds)
     return Certificate(
         start,
         command="verify signs",
         parameters={"max_size": max_size},
         counts={"diamonds_checked": diamonds_checked, **growth_counts},
-        first_failure=first_failure or growth_failure,
+        first_failure=diamond_failure or growth_failure,
     )

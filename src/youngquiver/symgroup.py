@@ -6,10 +6,12 @@ row tuples, as in every other sweep.
 Group algebra elements are sparse rational combinations of permutations,
 stored as integer numerators keyed by image tuples over one common
 denominator; a product composes the tuples directly and sums integers.
-Characters come from the Murnaghan-Nakayama recursion on border strips,
-centrally primitive idempotents from the character formula, and Young
-symmetrizers e = k·R·C from the row group R and column group C of a shape
-filled row by row.  A direct rank uses the full Young stabilizers of the
+Characters, and dimensions as the character at the identity class, come
+from the Murnaghan-Nakayama recursion on border strips; class sizes are
+n!/z from the centralizer orders z, and S_n is enumerated once per degree
+(``_cycle_types``).  Centrally primitive idempotents come from the
+character formula, and Young symmetrizers e = k·R·C from the row group R
+and column group C of a shape filled row by row.  A direct rank uses the full Young stabilizers of the
 symmetrizers, r·e_mu = ψ(r)·e_mu and e_lam·c = χ(c)·e_lam with ψ, χ
 trivial or sign on each block: it computes e_lam·g·e_mu once per double
 coset, after checking both symmetries on generators, and ranks those
@@ -64,7 +66,8 @@ def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
 @cache
 def _cycle_types(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(images, cycle type) of every permutation of 1..n, in the order of
-    ``itertools.permutations``; computed once per degree and shared."""
+    ``itertools.permutations``: the one enumeration of S_n, computed once
+    per degree and shared, the group order of ``_double_cosets`` included."""
     return tuple(
         (images, _cycle_lengths(images)) for images in iter_permutations(range(1, n + 1))
     )
@@ -173,16 +176,6 @@ def _mn_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     )
 
 
-def specht_dimension(lam: Rows) -> int:
-    """Hook length formula."""
-    cols = [sum(1 for length in lam if length > j) for j in range(lam[0] if lam else 0)]
-    denominator = 1
-    for i, row_len in enumerate(lam):
-        for j in range(row_len):
-            denominator *= (row_len - j) + (cols[j] - 1 - i)
-    return factorial(sum(lam)) // denominator
-
-
 @cache
 def centralizer_order(cycle_type: Rows) -> int:
     counts: dict[int, int] = {}
@@ -198,7 +191,7 @@ def central_idempotent(mu: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlgebr
     """(dim/n!) * sum over the group of character values times permutations."""
     n = sum(mu)
     check_bound(n, bounds.max_group_degree, "group degree")
-    dim = specht_dimension(mu)
+    dim = _mn_character(mu, (1,) * n)
     types = _cycle_types(n)
     # one character value per cycle type
     value = {cycles: dim * _mn_character(mu, cycles) for _, cycles in types}
@@ -215,7 +208,8 @@ class ClassSums:
     multiplication constants: C_i C_j = sum_k c_ijk C_k, where c_ijk counts
     the x in C_i with x^-1 z_k in C_j for a fixed z_k in C_k (Isaacs,
     *Character Theory of Finite Groups*, ch. 2).  The constants are counted
-    on first use, one pass over the group per class.
+    on first use, one pass over the group per class; the class sizes are
+    n!/z from the centralizer orders z, as in ``induction_multiplicity``.
     """
 
     def __init__(self, n: int, bounds: Bounds = DEFAULT_BOUNDS) -> None:
@@ -223,9 +217,7 @@ class ClassSums:
         self.degree = n
         number = {rows: k for k, rows in enumerate(partition_rows(n, bounds))}
         self.class_of = {images: number[cycles] for images, cycles in _cycle_types(n)}
-        self.sizes = [0] * len(number)
-        for k in self.class_of.values():
-            self.sizes[k] += 1
+        self.sizes = [factorial(n) // centralizer_order(cycles) for cycles in number]
         self.identity = self.class_of[tuple(range(1, n + 1))]
 
     def coefficients(self, x: GroupAlgebraElement) -> list[int] | None:
@@ -367,7 +359,8 @@ def young_symmetrizer(shape: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> GroupAlge
     col_sum = GroupAlgebraElement(
         n, {images: _sign(images) for images in _block_stabilizer(cols, n)}
     )
-    return multiply(row_sum, col_sum).scale(Fraction(specht_dimension(shape), factorial(n)))
+    dim = _mn_character(shape, (1,) * n)
+    return multiply(row_sum, col_sum).scale(Fraction(dim, factorial(n)))
 
 
 def direct_hom_dimension(mu: Rows, lam: Rows, bounds: Bounds = DEFAULT_BOUNDS) -> int:
@@ -435,7 +428,7 @@ def _double_cosets(lam_blocks, mu_blocks, degree: int):
         *_transpositions(lam_blocks, degree, left=True),
         *_transpositions(mu_blocks, degree, left=False),
     ]
-    group_order = list(iter_permutations(range(1, degree + 1)))
+    group_order = [images for images, _ in _cycle_types(degree)]
     cover: dict[tuple[int, ...], tuple[int, int]] = {}
     starts: list[tuple[int, ...] | None] = []
     for g in group_order:
@@ -499,7 +492,8 @@ def verify_branching(
     multiplicity into degree n+1 is 1 exactly on one-node additions, the lam
     that contain mu, and the rank computed from actual idempotents and the
     injection bimodule agrees where that computation is feasible (degrees up
-    to ``direct_n_max``, which is capped at ``n_max``)."""
+    to ``direct_n_max``, which is capped at ``n_max``).  The sweep stops at
+    the first pair that ``_pair_failure`` fails."""
     start = time.perf_counter()
     direct_n_max = min(direct_n_max, n_max)
     # every bound the sweep reaches at its top degree, checked before any
@@ -507,37 +501,15 @@ def verify_branching(
     check_bound(n_max + 1, bounds.max_induction_degree, "induction degree")
     check_bound(direct_n_max, bounds.max_direct_hom_degree, "direct hom degree")
     check_bound(direct_n_max + 1, bounds.max_group_degree, "group degree")
+    check_bound(n_max + 1, bounds.max_partition_size, "partition size")
     counts = {"character_pairs": 0, "direct_pairs": 0}
-    first_failure = None
-    pairs = (
-        (n, mu, lam)
+    failures = (
+        _pair_failure(mu, lam, n <= direct_n_max, counts, bounds)
         for n in range(n_max + 1)
         for mu in partition_rows(n, bounds)
         for lam in partition_rows(n + 1, bounds)
     )
-    for n, mu, lam in pairs:
-        expected = 1 if contains(lam, mu) else 0
-        by_characters = induction_multiplicity(mu, 1, lam, bounds)
-        counts["character_pairs"] += 1
-        if by_characters != expected:
-            first_failure = {
-                "check": "character_branching",
-                "pair": [format_partition(mu), format_partition(lam)],
-                "multiplicity": by_characters,
-                "expected": expected,
-            }
-            break
-        if n <= direct_n_max:
-            by_idempotents = direct_hom_dimension(mu, lam, bounds)
-            counts["direct_pairs"] += 1
-            if by_idempotents != expected:
-                first_failure = {
-                    "check": "direct_idempotent_rank",
-                    "pair": [format_partition(mu), format_partition(lam)],
-                    "rank": by_idempotents,
-                    "expected": expected,
-                }
-                break
+    first_failure = next(filter(None, failures), None)
     return Certificate(
         start,
         command="verify morita",
@@ -549,6 +521,26 @@ def verify_branching(
             "one product per double coset of the stabilizers of e_lam, e_mu"
         },
     )
+
+
+def _pair_failure(
+    mu: Rows, lam: Rows, direct: bool, counts: dict[str, int], bounds: Bounds
+) -> dict | None:
+    """The first failure of the checks of ``verify_branching`` on the pair
+    mu -> lam, the character pairing and then, if ``direct``, the rank on
+    idempotents, or None; ``counts`` grows by the checks run."""
+    expected = 1 if contains(lam, mu) else 0
+    found = induction_multiplicity(mu, 1, lam, bounds)
+    counts["character_pairs"] += 1
+    check, key = "character_branching", "multiplicity"
+    if found == expected and direct:
+        found = direct_hom_dimension(mu, lam, bounds)
+        counts["direct_pairs"] += 1
+        check, key = "direct_idempotent_rank", "rank"
+    if found == expected:
+        return None
+    pair = [format_partition(mu), format_partition(lam)]
+    return {"check": check, "pair": pair, key: found, "expected": expected}
 
 
 def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
@@ -564,6 +556,7 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
     ``_degree_failure``, and the sweep stops at the first that fails."""
     start = time.perf_counter()
     check_bound(n_max, bounds.max_group_degree, "group degree")
+    check_bound(n_max, bounds.max_partition_size, "partition size")
     counts = {"idempotents_checked": 0, "symmetrizers_checked": 0}
     failures = (_degree_failure(n, counts, bounds) for n in range(n_max + 1))
     first_failure = next(filter(None, failures), None)

@@ -7,6 +7,7 @@ test modules import them from here, never from each other.
 import importlib.util
 import pathlib
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Sequence
 
 from youngquiver.exactlinalg import IntMatrix, Scalar, rank, rref
@@ -92,6 +93,18 @@ def two_term_corank(n_cols: int, rows: Iterable[Sequence[tuple[int, Scalar]]]) -
         size[root_i] += size[root_j]
         dead[root_i] = dead[root_i] or dead[root_j]
     return sum(1 for col in range(n_cols) if parent[col] == col and not dead[col])
+
+
+def hook_length_dimension(lam):
+    """The dimension of the Specht module of the row tuple ``lam`` by the
+    hook length formula, n! over the product of the hook lengths: the
+    oracle for the character at the identity class."""
+    cols = [sum(1 for length in lam if length > j) for j in range(lam[0] if lam else 0)]
+    denominator = 1
+    for i, row_len in enumerate(lam):
+        for j in range(row_len):
+            denominator *= (row_len - j) + (cols[j] - 1 - i)
+    return factorial(sum(lam)) // denominator
 
 
 def path_count_relation_dimension(mu, lam):

@@ -225,24 +225,43 @@ class TestVerifyCommand:
         assert err == "error: verify resolution requires --depth of at least 1, got 0\n"
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, message, config",
         [
-            (("idempotents", "--n", "7"), "group degree 7 exceeds configured bound 6"),
+            (("idempotents", "--n", "7"), "group degree 7 exceeds configured bound 6", None),
             (
                 ("morita", "--n", "12", "--direct-n", "0"),
                 "induction degree 13 exceeds configured bound 12",
+                None,
             ),
             (
                 ("morita", "--n", "6", "--direct-n", "6"),
                 "direct hom degree 6 exceeds configured bound 5",
+                None,
+            ),
+            (
+                ("idempotents", "--n", "6"),
+                "partition size 6 exceeds configured bound 5",
+                {"max_partition_size": 5},
+            ),
+            (
+                ("morita", "--n", "6", "--direct-n", "0"),
+                "partition size 7 exceeds configured bound 5",
+                {"max_partition_size": 5},
             ),
         ],
     )
-    def test_symgroup_bounds_fail_before_any_work(self, capsys, monkeypatch, argv, message):
+    def test_symgroup_bounds_fail_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, message, config
+    ):
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep started before checking its bounds")
 
-        monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
+        if config is None:
+            monkeypatch.delenv("YOUNGQUIVER_CONFIG", raising=False)
+        else:
+            path = tmp_path / "bounds.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            monkeypatch.setenv("YOUNGQUIVER_CONFIG", str(path))
         monkeypatch.setattr(symgroup, "central_idempotent", no_work)
         monkeypatch.setattr(symgroup, "induction_multiplicity", no_work)
         code, out, err = run_cli(capsys, "verify", *argv)

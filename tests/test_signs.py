@@ -23,6 +23,8 @@ from youngquiver.signs import (
 )
 from youngquiver.quiver import quiver_slice
 
+from oracles import hook_length_dimension
+
 P = lambda *rows: Partition(tuple(rows))
 
 # arrow labels on the whole lattice up to size four, frozen from the closed
@@ -146,10 +148,8 @@ class TestGrowthProcedure:
                     shape = grow_row(shape, r)
 
     def test_order_counts_are_standard_tableau_counts(self):
-        from youngquiver.symgroup import specht_dimension
-
         for lam in partition_rows_up_to(5):
-            assert len(addition_orders(lam)) == specht_dimension(lam)
+            assert len(addition_orders(lam)) == hook_length_dimension(lam)
 
     def test_sweep_certificate(self):
         counts, first_failure = verify_growth_agreement(8)

@@ -31,12 +31,11 @@ from youngquiver.symgroup import (
     direct_hom_dimension,
     induction_multiplicity,
     multiply,
-    specht_dimension,
     verify_idempotent_system,
     young_symmetrizer,
 )
 
-from oracles import load_bench_workloads
+from oracles import hook_length_dimension, load_bench_workloads
 
 P = lambda *rows: tuple(rows)
 EMPTY = ()
@@ -166,7 +165,7 @@ def tableau_symmetrizer(tableau):
         n, {g: _sign(g) for g in symgroup._block_stabilizer(cols, n)}
     )
     return multiply(row_sum, col_sum).scale(
-        Fraction(specht_dimension(tableau.shape), factorial(n))
+        Fraction(hook_length_dimension(tableau.shape), factorial(n))
     )
 
 
@@ -364,7 +363,7 @@ class TestTableaux:
     )
     def test_counts_against_brute_force(self, shape, count):
         fillings = fillings_by_addition_orders(shape)
-        assert len(fillings) == count == specht_dimension(shape)
+        assert len(fillings) == count == hook_length_dimension(shape)
         assert fillings == brute_force_standard_fillings(shape)
 
     def test_canonical_tableau(self):
@@ -411,7 +410,7 @@ class TestCharacters:
         identity_type = P(*([1] * n))
         for lam in partition_rows(n):
             by_character = character_value(lam, identity_type)
-            by_hooks = specht_dimension(lam)
+            by_hooks = hook_length_dimension(lam)
             assert by_character == by_hooks
             assert by_hooks == len(addition_orders(lam))
 
@@ -467,7 +466,7 @@ class TestCentralIdempotents:
     def test_numerators_match_the_per_permutation_formula(self, n):
         # dim * chi(cycle type), recomputed for every permutation
         for mu in partition_rows(n):
-            dim = symgroup.specht_dimension(mu)
+            dim = hook_length_dimension(mu)
             numerators = {}
             for images in iter_permutations(range(1, n + 1)):
                 chi = symgroup._mn_character(mu, _cycle_lengths(images))
@@ -753,7 +752,11 @@ class TestClassSums:
         # c_ijk = |C_i| |C_j| / n! * sum over chi of chi(C_i) chi(C_j) chi(C_k) / chi(1)
         types = partition_rows(n)
         centre = ClassSums(n, Bounds(max_group_degree=7))
-        assert centre.sizes == [class_size(c) for c in types]
+        # an independent count of each class, not the n!/z of ClassSums
+        counted = [0] * len(types)
+        for images in iter_permutations(range(1, n + 1)):
+            counted[types.index(_cycle_lengths(images))] += 1
+        assert centre.sizes == counted
         found = {(i, j, k): c for (i, j), terms in centre.constants.items() for k, c in terms}
         for i, ci in enumerate(types):
             for j, cj in enumerate(types):
@@ -763,7 +766,7 @@ class TestClassSums:
                             character_value(lam, ci)
                             * character_value(lam, cj)
                             * character_value(lam, ck),
-                            specht_dimension(lam),
+                            hook_length_dimension(lam),
                         )
                         for lam in types
                     )
