@@ -71,7 +71,7 @@ class Sweep(NamedTuple):
     target reads to the driver parameter it fills, which is also the
     option's dest; the target accepts no other option.  ``battery`` holds
     the driver arguments of each run in the default battery; a table has
-    none."""
+    none.  A new target also adds its slowest admitted input to ``FRONTIER``."""
 
     driver: Callable
     flags: dict[str, str]
@@ -137,6 +137,23 @@ TABLES = {
     "betti": Sweep(_betti_rows, {"--xi": "xi", "--depth": "depth"}),
     "dualdims": Sweep(_dualdims_rows, {"--max-size": "max_size"}),
 }
+
+# The slowest input each bound admits, as (argv, config) rungs that
+# scripts/run_frontier.py times; a rung runs under its config, None for defaults.
+FRONTIER = tuple((tuple(command.split()), config) for command, config in (
+    ("verify morita --n 11 --direct-n 5", None),
+    ("verify idempotents --n 6", None),
+    ("verify idempotents --n 7", {"max_group_degree": 7}),
+    ("verify resolution --xi 0 --depth 30", None),
+    ("verify resolution --xi 5,4,3,2,1,1,1 --depth 13", None),
+    ("verify resolution --xi 5,4,3,2,1,1,1,1 --depth 12", None),
+    ("table betti --xi 5,4,3,2,1,1,1 --depth 13", None),
+    ("table pieri --mu 0 --m 30", None),
+    ("quiver --max-size 30 --signs --format json", None),
+    ("verify signs --max-size 30", None),
+    ("verify qdual --max-size 18", None),
+    ("table dualdims --max-size 18", None),
+))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -245,13 +245,10 @@ def partitions_of(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:
 
 def partition_rows_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Rows]:
     """Row tuples of the partitions of every size up to ``max_size``, smaller
-    sizes first, each size in the order of ``partitions_of`` and under its
-    bound."""
-    out: list[Rows] = []
-    for k in range(max_size + 1):
-        check_bound(k, bounds.max_partition_size, "partition size")
-        out.extend(_partition_tuples(k, k))
-    return out
+    sizes first, each size in the order of ``partitions_of``.  ``max_size``
+    is checked against its bound before any size is enumerated."""
+    check_bound(max_size, bounds.max_partition_size, "partition size")
+    return [rows for k in range(max_size + 1) for rows in _partition_tuples(k, k)]
 
 
 def partitions_up_to(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> list[Partition]:

@@ -2,13 +2,14 @@ import argparse
 import hashlib
 import json
 import pathlib
+import runpy
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from youngquiver import cli, symgroup
+from youngquiver import cli, partitions, symgroup
 from youngquiver.cli import main
 from youngquiver.partitions import parse_partition, partitions_of, partitions_up_to
 
@@ -86,6 +87,16 @@ class TestQuiverCommand:
         code, _, err = run_cli(capsys, "quiver", "--max-size", "99")
         assert code == 2
         assert "exceeds" in err
+
+
+def raised_rungs():
+    """Each ``FRONTIER`` rung with one of its sizes, degrees or depths raised
+    by one, under the rung's config: one step past a bound."""
+    for argv, config in cli.FRONTIER:
+        for i, flag in enumerate(argv[:-1]):
+            if cli.OPTIONS.get(flag, {}).get("type") is cli._non_negative:
+                raised = (*argv[: i + 1], str(int(argv[i + 1]) + 1), *argv[i + 2 :])
+                yield pytest.param(raised, None, config, id=" ".join(raised))
 
 
 class TestVerifyCommand:
@@ -227,32 +238,50 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv, message, config",
         [
-            (("idempotents", "--n", "7"), "group degree 7 exceeds configured bound 6", None),
             (
-                ("morita", "--n", "12", "--direct-n", "0"),
+                ("verify", "idempotents", "--n", "7"),
+                "group degree 7 exceeds configured bound 6",
+                None,
+            ),
+            (
+                ("verify", "morita", "--n", "12", "--direct-n", "0"),
                 "induction degree 13 exceeds configured bound 12",
                 None,
             ),
             (
-                ("morita", "--n", "6", "--direct-n", "6"),
+                ("verify", "morita", "--n", "6", "--direct-n", "6"),
                 "direct hom degree 6 exceeds configured bound 5",
                 None,
             ),
             (
-                ("idempotents", "--n", "6"),
+                ("verify", "idempotents", "--n", "6"),
                 "partition size 6 exceeds configured bound 5",
                 {"max_partition_size": 5},
             ),
             (
-                ("morita", "--n", "6", "--direct-n", "0"),
+                ("verify", "morita", "--n", "6", "--direct-n", "0"),
                 "partition size 7 exceeds configured bound 5",
                 {"max_partition_size": 5},
             ),
+            # the largest size is checked before the smallest is enumerated
+            (
+                ("verify", "qdual", "--max-size", "8"),
+                "partition size 8 exceeds configured bound 5",
+                {"max_partition_size": 5},
+            ),
+            (
+                ("table", "dualdims", "--max-size", "8"),
+                "partition size 8 exceeds configured bound 5",
+                {"max_partition_size": 5},
+            ),
+            *raised_rungs(),
         ],
     )
     def test_symgroup_bounds_fail_before_any_work(
         self, capsys, monkeypatch, tmp_path, argv, message, config
     ):
+        # covers every target: the first cases pin the messages, and the
+        # raised FRONTIER rungs show that each rung sits at its bounds
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep started before checking its bounds")
 
@@ -262,12 +291,19 @@ class TestVerifyCommand:
             path = tmp_path / "bounds.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             monkeypatch.setenv("YOUNGQUIVER_CONFIG", str(path))
-        monkeypatch.setattr(symgroup, "central_idempotent", no_work)
-        monkeypatch.setattr(symgroup, "induction_multiplicity", no_work)
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
+        for module, name in (
+            (symgroup, "central_idempotent"),
+            (symgroup, "induction_multiplicity"),
+            (symgroup, "_cycle_types"),
+            (symgroup, "_mn_character"),
+            (partitions, "_partition_tuples"),
+        ):
+            monkeypatch.setattr(module, name, no_work)
+        err = usage_error(capsys, *argv)
+        if message is None:
+            assert " exceeds configured bound " in err, err
+        else:
+            assert err == f"error: {message}\n"
 
 
 class TestTableCommand:
@@ -466,6 +502,40 @@ class TestTargetOptions:
             main(list(argv))
         assert exited.value.code == 0
         assert capsys.readouterr().out
+
+
+class TestFrontier:
+    def test_every_target_has_a_rung_that_parses(self):
+        parser = cli.build_parser()
+        reached = set()
+        for argv, _ in cli.FRONTIER:
+            args = parser.parse_args(argv)
+            reached.add((args.command, getattr(args, "target", None)))
+        assert reached == {("quiver", None)} | {
+            (command, target) for command, targets in TARGETS.items() for target in targets
+        }
+
+    def test_the_runner_fails_on_a_refused_rung(self, capsys, monkeypatch, tmp_path):
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_frontier.py"
+        runner = runpy.run_path(str(script))
+        # an inherited config is dropped: this one would refuse the passing rung
+        inherited = tmp_path / "bounds.json"
+        inherited.write_text(json.dumps({"max_partition_size": 2}), encoding="utf-8")
+        monkeypatch.setenv("YOUNGQUIVER_CONFIG", str(inherited))
+        monkeypatch.setattr(
+            cli,
+            "FRONTIER",
+            (
+                (("verify", "signs", "--max-size", "3"), None),
+                (("verify", "qdual", "--max-size", "19"), None),
+            ),
+        )
+        assert runner["main"]() == 1
+        captured = capsys.readouterr()
+        passed, failed = [line for line in captured.out.splitlines() if line[:4] in ("PASS", "FAIL")]
+        assert passed.startswith("PASS ") and passed.endswith(" s  verify signs --max-size 3")
+        assert failed.startswith("FAIL ") and failed.endswith(" s  verify qdual --max-size 19")
+        assert captured.err == "error: quadratic dual size 19 exceeds configured bound 18\n"
 
 
 def readme_cli_examples():
