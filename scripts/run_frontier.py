@@ -3,7 +3,8 @@
 bound admits, as a fresh ``python -m youngquiver`` process with ``src`` on
 ``PYTHONPATH`` and the rung's config, never an inherited one, as
 ``YOUNGQUIVER_CONFIG``.  A rung passes when it exits 0 with nothing on
-stderr within 120 s.  Takes no options; exits 1 if any rung fails."""
+stderr within 120 s; a failing rung's line ends with ``exit N`` or
+``timeout``.  Takes no options; exits 1 if any rung fails."""
 
 import json
 import os
@@ -34,11 +35,12 @@ def main() -> int:
                                         stderr=subprocess.PIPE, text=True, timeout=120)
                 sys.stderr.write(result.stderr)
                 passed = result.returncode == 0 and not result.stderr
+                outcome = f"exit {result.returncode}"
             except subprocess.TimeoutExpired:
-                passed = False
+                passed, outcome = False, "timeout"
             failures += not passed
-            wall = time.perf_counter() - rung_started
-            print(f"{'PASS' if passed else 'FAIL'}  {wall:5.1f} s  {' '.join(argv)}", flush=True)
+            line = f"{time.perf_counter() - rung_started:5.1f} s  {' '.join(argv)}"
+            print(f"PASS  {line}" if passed else f"FAIL  {line}  {outcome}", flush=True)
     total = time.perf_counter() - started
     print(f"\n{len(cli.FRONTIER)} rungs, {failures} failures, {total:.1f} s total")
     return 1 if failures else 0

@@ -3,11 +3,12 @@
 Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = usage or bounds
 error (a bad option, including one the target does not read, a bad partition,
 integer or config value, a configured bound exceeded, or a file that cannot
-be read or written; each prints one ``error:`` line), 3 = internal error (an
-``ArithmeticError`` or any other ``ValueError`` raised inside the toolkit,
-never a verdict).  Certificates go to stdout as JSON (or to --out); every
-sweep is deterministic, so certificates are byte-stable across runs apart
-from the elapsed_ms field.
+be read or written; each prints one ``error:`` line), 3 = internal error (any
+other exception raised inside the toolkit, never a verdict; it prints one
+``internal error: <Type>: <message>`` line).  ``main`` alone writes output
+and picks the exit code.  Certificates go to stdout as JSON (or to --out);
+every sweep is deterministic, so certificates are byte-stable across runs
+apart from the elapsed_ms field.
 """
 
 import argparse
@@ -67,14 +68,15 @@ def _partition(text: str):
 
 
 class Sweep(NamedTuple):
-    """One ``verify`` or ``table`` target.  ``flags`` maps each option the
-    target reads to the driver parameter it fills, which is also the
-    option's dest; the target accepts no other option.  ``battery`` holds
-    the driver arguments of each run in the default battery; a table has
-    none.  A new target also adds its slowest admitted input to ``FRONTIER``."""
+    """One ``verify`` or ``table`` target.  ``flags`` lists the options the
+    target reads, and it accepts no other; each flag's argparse dest
+    (``--direct-n`` gives ``direct_n``) is the driver parameter it fills.
+    ``battery`` holds the driver arguments of each run in the default
+    battery; a table has none.  A new target also adds its slowest admitted
+    input to ``FRONTIER``."""
 
     driver: Callable
-    flags: dict[str, str]
+    flags: tuple[str, ...]
     battery: tuple[tuple, ...] = ()
 
 
@@ -93,17 +95,15 @@ OPTIONS = {
 }
 
 SWEEPS = {
-    "signs": Sweep(verify_signs_sweep, {"--max-size": "max_size"}, ((10,),)),
+    "signs": Sweep(verify_signs_sweep, ("--max-size",), ((10,),)),
     "resolution": Sweep(
         verify_resolution,
-        {"--xi": "xi", "--depth": "depth", "--dump-matrices": "dump_matrices"},
+        ("--xi", "--depth", "--dump-matrices"),
         tuple((xi, 6) for xi in partitions_up_to(4)),
     ),
-    "qdual": Sweep(verify_quadratic_duality, {"--max-size": "max_size"}, ((7,),)),
-    "morita": Sweep(
-        verify_branching, {"--n": "n_max", "--direct-n": "direct_n_max"}, ((5, 3),)
-    ),
-    "idempotents": Sweep(verify_idempotent_system, {"--n": "n_max"}, ((5,),)),
+    "qdual": Sweep(verify_quadratic_duality, ("--max-size",), ((7,),)),
+    "morita": Sweep(verify_branching, ("--n", "--direct-n"), ((5, 3),)),
+    "idempotents": Sweep(verify_idempotent_system, ("--n",), ((5,),)),
 }
 
 
@@ -133,9 +133,9 @@ def _dualdims_rows(max_size, bounds) -> list[tuple[str, int]]:
 
 
 TABLES = {
-    "pieri": Sweep(_pieri_rows, {"--mu": "mu", "--m": "m"}),
-    "betti": Sweep(_betti_rows, {"--xi": "xi", "--depth": "depth"}),
-    "dualdims": Sweep(_dualdims_rows, {"--max-size": "max_size"}),
+    "pieri": Sweep(_pieri_rows, ("--mu", "--m")),
+    "betti": Sweep(_betti_rows, ("--xi", "--depth")),
+    "dualdims": Sweep(_dualdims_rows, ("--max-size",)),
 }
 
 # The slowest input each bound admits, as (argv, config) rungs that
@@ -180,76 +180,71 @@ def build_parser() -> argparse.ArgumentParser:
         for target, entry in targets.items():
             # no abbreviations: --m would otherwise stand for --max-size
             target_p = target_sub.add_parser(target, allow_abbrev=False)
-            for flag, param in entry.flags.items():
-                target_p.add_argument(flag, dest=param, **OPTIONS[flag])
+            for flag in entry.flags:
+                target_p.add_argument(flag, **OPTIONS[flag])
             target_p.add_argument("--format", choices=("text", "json"), default=default_format)
             target_p.add_argument("--out")
 
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _cmd_quiver(args, bounds) -> int:
+def _cmd_quiver(args, bounds) -> tuple[str, int]:
     slice_ = quiver.quiver_slice(args.max_size, bounds)
-    _emit(quiver.render(slice_, args.format, args.signs), args.out)
-    return 0
+    return quiver.render(slice_, args.format, args.signs), 0
 
 
 def _run(args, targets: dict[str, Sweep], bounds):
-    entry = targets[args.target]
-    return entry.driver(**{param: getattr(args, param) for param in entry.flags.values()},
-                        bounds=bounds)
+    # besides these four, the namespace holds just the dests of the target's flags
+    params = {dest: value for dest, value in vars(args).items()
+              if dest not in ("command", "target", "format", "out")}
+    return targets[args.target].driver(**params, bounds=bounds)
 
 
-def _cmd_verify(args, bounds) -> int:
+def _cmd_verify(args, bounds) -> tuple[str, int]:
     if args.target == "resolution" and args.depth == 0:
         raise UsageError("verify resolution requires --depth of at least 1, got 0")
     certificate = _run(args, SWEEPS, bounds)
+    code = 0 if certificate.passed else MATH_FAILURE
     if args.format == "json":
-        _emit(certificate.to_json(), args.out)
-    else:
-        lines = [f"{certificate.command}: {certificate.verdict}"]
-        for key, value in certificate.counts.items():
-            lines.append(f"  {key}: {value}")
-        if certificate.first_failure:
-            lines.append(f"  first failure: {certificate.first_failure}")
-        _emit("\n".join(lines), args.out)
-    return 0 if certificate.passed else MATH_FAILURE
+        return certificate.to_json(), code
+    lines = [f"{certificate.command}: {certificate.verdict}"]
+    for key, value in certificate.counts.items():
+        lines.append(f"  {key}: {value}")
+    if certificate.first_failure:
+        lines.append(f"  first failure: {certificate.first_failure}")
+    return "\n".join(lines), code
 
 
-def _cmd_table(args, bounds) -> int:
+def _cmd_table(args, bounds) -> tuple[str, int]:
     rows = _run(args, TABLES, bounds)
     if args.format == "json":
-        _emit(json.dumps({"target": args.target, "rows": rows}, indent=2), args.out)
-    else:
-        _emit("\n".join(f"{key}: {value}" for key, value in rows), args.out)
-    return 0
+        return json.dumps({"target": args.target, "rows": rows}, indent=2), 0
+    return "\n".join(f"{key}: {value}" for key, value in rows), 0
+
+
+def _load_bounds():
+    try:
+        return load_bounds()
+    except ValueError as exc:  # a bad config file is bad input
+        raise UsageError(exc) from exc
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        try:
-            bounds = load_bounds()
-        except ValueError as exc:  # a bad config file is bad input
-            raise UsageError(exc) from exc
-        if args.command == "quiver":
-            return _cmd_quiver(args, bounds)
-        if args.command == "verify":
-            return _cmd_verify(args, bounds)
-        return _cmd_table(args, bounds)
+        command = {"quiver": _cmd_quiver, "verify": _cmd_verify, "table": _cmd_table}
+        text, code = command[args.command](args, _load_bounds())
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
+        return code
     except (BoundExceededError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ArithmeticError, ValueError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any fault in the toolkit, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 
 

@@ -486,34 +486,34 @@ def induction_multiplicity(mu: Rows, m: int, lam: Rows, bounds: Bounds = DEFAULT
 
 
 def verify_branching(
-    n_max: int, direct_n_max: int, bounds: Bounds = DEFAULT_BOUNDS
+    n: int, direct_n: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Certificate:
     """Quiver arrows from representation theory: the character-pairing
-    multiplicity into degree n+1 is 1 exactly on one-node additions, the lam
-    that contain mu, and the rank computed from actual idempotents and the
-    injection bimodule agrees where that computation is feasible (degrees up
-    to ``direct_n_max``, which is capped at ``n_max``).  The sweep stops at
-    the first pair that ``_pair_failure`` fails."""
+    multiplicity from each degree up to ``n`` into the next is 1 exactly on
+    one-node additions, the lam that contain mu, and the rank computed from
+    actual idempotents and the injection bimodule agrees where that
+    computation is feasible (degrees up to ``direct_n``, which is capped at
+    ``n``).  The sweep stops at the first pair that ``_pair_failure`` fails."""
     start = time.perf_counter()
-    direct_n_max = min(direct_n_max, n_max)
+    direct_n = min(direct_n, n)
     # every bound the sweep reaches at its top degree, checked before any
     # work; the direct ranks at degree n work inside C[S_{n+1}]
-    check_bound(n_max + 1, bounds.max_induction_degree, "induction degree")
-    check_bound(direct_n_max, bounds.max_direct_hom_degree, "direct hom degree")
-    check_bound(direct_n_max + 1, bounds.max_group_degree, "group degree")
-    check_bound(n_max + 1, bounds.max_partition_size, "partition size")
+    check_bound(n + 1, bounds.max_induction_degree, "induction degree")
+    check_bound(direct_n, bounds.max_direct_hom_degree, "direct hom degree")
+    check_bound(direct_n + 1, bounds.max_group_degree, "group degree")
+    check_bound(n + 1, bounds.max_partition_size, "partition size")
     counts = {"character_pairs": 0, "direct_pairs": 0}
     failures = (
-        _pair_failure(mu, lam, n <= direct_n_max, counts, bounds)
-        for n in range(n_max + 1)
-        for mu in partition_rows(n, bounds)
-        for lam in partition_rows(n + 1, bounds)
+        _pair_failure(mu, lam, degree <= direct_n, counts, bounds)
+        for degree in range(n + 1)
+        for mu in partition_rows(degree, bounds)
+        for lam in partition_rows(degree + 1, bounds)
     )
     first_failure = next(filter(None, failures), None)
     return Certificate(
         start,
         command="verify morita",
-        parameters={"n": n_max, "direct_n": direct_n_max},
+        parameters={"n": n, "direct_n": direct_n},
         counts=counts,
         first_failure=first_failure,
         details={
@@ -543,7 +543,7 @@ def _pair_failure(
     return {"check": check, "pair": pair, key: found, "expected": expected}
 
 
-def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
+def verify_idempotent_system(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> Certificate:
     """Central idempotents: idempotent, central, pairwise orthogonal (each
     unordered pair once, as the earlier factor is already central), summing
     to the identity; normalized Young symmetrizers idempotent.
@@ -555,15 +555,15 @@ def verify_idempotent_system(n_max: int, bounds: Bounds = DEFAULT_BOUNDS) -> Cer
     non-orthogonal later factor.  Each degree is checked by
     ``_degree_failure``, and the sweep stops at the first that fails."""
     start = time.perf_counter()
-    check_bound(n_max, bounds.max_group_degree, "group degree")
-    check_bound(n_max, bounds.max_partition_size, "partition size")
+    check_bound(n, bounds.max_group_degree, "group degree")
+    check_bound(n, bounds.max_partition_size, "partition size")
     counts = {"idempotents_checked": 0, "symmetrizers_checked": 0}
-    failures = (_degree_failure(n, counts, bounds) for n in range(n_max + 1))
+    failures = (_degree_failure(degree, counts, bounds) for degree in range(n + 1))
     first_failure = next(filter(None, failures), None)
     return Certificate(
         start,
         command="verify idempotents",
-        parameters={"n": n_max},
+        parameters={"n": n},
         counts=counts,
         first_failure=first_failure,
     )

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import pathlib
 import runpy
@@ -189,25 +190,33 @@ class TestVerifyCommand:
     def test_negative_size_is_usage_error(self, capsys, argv):
         assert "must be non-negative" in usage_error(capsys, *argv)
 
-    def test_internal_fault_has_its_own_exit_code(self, capsys, monkeypatch):
-        def inexact(**_):
-            raise ArithmeticError("inexact division during elimination")
+    @pytest.mark.parametrize(
+        "fault, line",
+        [
+            pytest.param(fault, line, id=type(fault).__name__)
+            for fault, line in [
+                (ArithmeticError("inexact division during elimination"),
+                 "internal error: ArithmeticError: inexact division during elimination"),
+                # a ValueError raised inside the toolkit is not a usage error
+                (ValueError("degree mismatch: 2 vs 3"),
+                 "internal error: ValueError: degree mismatch: 2 vs 3"),
+                (KeyError("boom"), "internal error: KeyError: 'boom'"),
+                (TypeError("unhashable type: 'list'"),
+                 "internal error: TypeError: unhashable type: 'list'"),
+                (RecursionError("maximum recursion depth exceeded"),
+                 "internal error: RecursionError: maximum recursion depth exceeded"),
+            ]
+        ],
+    )
+    def test_internal_fault_has_its_own_exit_code(self, capsys, monkeypatch, fault, line):
+        def faulty(**_):
+            raise fault
 
-        monkeypatch.setitem(cli.SWEEPS, "signs", cli.SWEEPS["signs"]._replace(driver=inexact))
+        monkeypatch.setitem(cli.SWEEPS, "signs", cli.SWEEPS["signs"]._replace(driver=faulty))
         code, out, err = run_cli(capsys, "verify", "signs", "--max-size", "3")
         assert code == 3
         assert out == ""
-        assert err == "internal error: inexact division during elimination\n"
-
-    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
-        def mismatched(**_):
-            raise ValueError("degree mismatch: 2 vs 3")
-
-        monkeypatch.setitem(cli.SWEEPS, "signs", cli.SWEEPS["signs"]._replace(driver=mismatched))
-        code, out, err = run_cli(capsys, "verify", "signs", "--max-size", "3")
-        assert code == 3
-        assert out == ""
-        assert err == "internal error: degree mismatch: 2 vs 3\n"
+        assert err == line + "\n"
 
     def test_broken_self_duality_is_a_verdict(self, capsys, monkeypatch):
         build = cli.qdual.build_quadratic_dual
@@ -457,9 +466,9 @@ class TestTargetOptions:
         targets = TARGETS[command]
         monkeypatch.setitem(targets, target, targets[target]._replace(driver=no_run))
         argv = [command, target, *option_argv(targets[target].flags)]
-        with pytest.raises(AssertionError, match="the driver ran"):
-            main(argv)  # the target's own options reach its driver
-        capsys.readouterr()
+        # the target's own options reach its driver
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (3, "internal error: AssertionError: the driver ran\n")
         err = usage_error(capsys, *argv, *option_argv([flag]))
         assert err.startswith("error: unrecognized arguments: " + flag)
 
@@ -484,6 +493,19 @@ class TestTargetOptions:
             for target, entry in targets.items()
         }
         assert sum(map(len, accepted.values())) == 29
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [(command, target) for command, targets in TARGETS.items() for target in targets],
+    )
+    def test_option_names_are_driver_parameters(self, command, target):
+        entry = TARGETS[command][target]
+        # the dest argparse gives each flag by itself, with no dest= override
+        dests = [argparse.ArgumentParser().add_argument(flag).dest for flag in entry.flags]
+        signature = inspect.signature(entry.driver)
+        assert dests == [name for name in signature.parameters if name != "bounds"]
+        for args in entry.battery:
+            signature.bind(*args)
 
     @pytest.mark.parametrize(
         "argv",
@@ -534,7 +556,8 @@ class TestFrontier:
         captured = capsys.readouterr()
         passed, failed = [line for line in captured.out.splitlines() if line[:4] in ("PASS", "FAIL")]
         assert passed.startswith("PASS ") and passed.endswith(" s  verify signs --max-size 3")
-        assert failed.startswith("FAIL ") and failed.endswith(" s  verify qdual --max-size 19")
+        assert failed.startswith("FAIL ")
+        assert failed.endswith(" s  verify qdual --max-size 19  exit 2")  # a refusal
         assert captured.err == "error: quadratic dual size 19 exceeds configured bound 18\n"
 
 
