@@ -1,24 +1,26 @@
 """Command-line entry point for verification sweeps and table exports.
 
-Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = usage or bounds
-error (a bad option, including one the target does not read, a bad partition,
-integer or config value, a configured bound exceeded, or a file that cannot
-be read or written; each prints one ``error:`` line), 3 = internal error (any
-other exception raised inside the toolkit, never a verdict; it prints one
-``internal error: <Type>: <message>`` line).  ``main`` alone writes output
-and picks the exit code.  Certificates go to stdout as JSON (or to --out);
-every sweep is deterministic, so certificates are byte-stable across runs
-apart from the elapsed_ms field.
+Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = bad input (a
+``config.UsageError``, raised where an option, a partition, an integer, the
+config file or a bound is checked, or an ``OSError`` from a file), 3 =
+internal error (any other exception raised inside the toolkit, never a
+verdict).  Each error prints one ``error: <message>`` or ``internal error:
+<Type>: <message>`` line; a failed write of that line leaves the exit code
+as it is.  ``main`` alone writes output and picks the exit code.
+Certificates go to stdout as JSON (or to --out); every sweep is
+deterministic, so certificates are byte-stable across runs apart from the
+elapsed_ms field.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Callable, NamedTuple
 
 from . import qdual, quiver, resolution
 from ._version import __version__
-from .config import BoundExceededError, load_bounds
+from .config import UsageError, load_bounds
 from .partitions import (
     contains,
     format_partition,
@@ -37,10 +39,6 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-class UsageError(ValueError):
-    """An option, partition or config value the command cannot run with."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises each grammar error as a ``UsageError``, which ``main`` reports
     on one line like any other bad input."""
@@ -54,7 +52,8 @@ def _non_negative(text: str) -> int:
     take "1_0", "+3" and non-ASCII digits."""
     digits = text.strip()
     if digits.isascii() and digits.isdigit():
-        return int(digits)
+        with contextlib.suppress(ValueError):  # past int()'s limit on digits
+            return int(digits)
     if digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit():
         raise argparse.ArgumentTypeError(f"must be non-negative, got {digits}")
     raise argparse.ArgumentTypeError(f"cannot parse non-negative integer {text!r}")
@@ -201,8 +200,6 @@ def _run(args, targets: dict[str, Sweep], bounds):
 
 
 def _cmd_verify(args, bounds) -> tuple[str, int]:
-    if args.target == "resolution" and args.depth == 0:
-        raise UsageError("verify resolution requires --depth of at least 1, got 0")
     certificate = _run(args, SWEEPS, bounds)
     code = 0 if certificate.passed else MATH_FAILURE
     if args.format == "json":
@@ -222,30 +219,24 @@ def _cmd_table(args, bounds) -> tuple[str, int]:
     return "\n".join(f"{key}: {value}" for key, value in rows), 0
 
 
-def _load_bounds():
-    try:
-        return load_bounds()
-    except ValueError as exc:  # a bad config file is bad input
-        raise UsageError(exc) from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = {"quiver": _cmd_quiver, "verify": _cmd_verify, "table": _cmd_table}
-        text, code = command[args.command](args, _load_bounds())
+        text, code = command[args.command](args, load_bounds())
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:
             print(text)
         return code
-    except (BoundExceededError, UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (UsageError, OSError) as exc:
+        line, code = f"error: {exc}", USAGE_ERROR
     except Exception as exc:  # any fault in the toolkit, never a verdict
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        line, code = f"internal error: {type(exc).__name__}: {exc}", INTERNAL_ERROR
+    with contextlib.suppress(OSError):  # a closed stderr must not change the code
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

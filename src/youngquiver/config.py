@@ -2,13 +2,15 @@
 
 Everything here is exact arithmetic, so cost explodes combinatorially with
 the inputs.  Every expensive operation checks an explicit bound and raises
-``BoundExceededError`` instead of truncating silently.  The slowest inputs
-the defaults admit are the rungs of ``cli.FRONTIER``, which
-``scripts/run_frontier.py`` runs and times.
+``BoundExceededError`` instead of truncating silently.  That is a
+``UsageError``, the one class of bad input, which the CLI reports on one
+line with exit code 2.  The slowest inputs the defaults admit are the rungs
+of ``cli.FRONTIER``, which ``scripts/run_frontier.py`` runs and times.
 
 A JSON config file can override the defaults; its path is taken from the
 ``YOUNGQUIVER_CONFIG`` environment variable (keys matching ``Bounds`` field
-names).
+names).  Every fault of that file, from bytes that are not UTF-8 to a value
+that is not a non-negative integer, raises a ``UsageError`` that names it.
 """
 
 import json
@@ -18,7 +20,12 @@ from typing import NamedTuple
 ENV_CONFIG_PATH = "YOUNGQUIVER_CONFIG"
 
 
-class BoundExceededError(ValueError):
+class UsageError(ValueError):
+    """Bad input: an option, partition or config value the command cannot
+    run with, raised where that input is checked."""
+
+
+class BoundExceededError(UsageError):
     """A requested computation exceeds the configured size bound."""
 
 
@@ -55,17 +62,20 @@ def load_bounds(path: str | None = None) -> Bounds:
         path = os.environ.get(ENV_CONFIG_PATH)
     if not path:
         return DEFAULT_BOUNDS
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise UsageError(f"cannot parse {path} as UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ValueError(f"{path} must hold a JSON object of bound names and values")
+        raise UsageError(f"{path} must hold a JSON object of bound names and values")
     unknown = set(raw) - set(Bounds._fields)
     if unknown:
-        raise ValueError(f"unknown bound names in {path}: {sorted(unknown)}")
+        raise UsageError(f"unknown bound names in {path}: {sorted(unknown)}")
     for name, value in raw.items():
         # bool is a subclass of int, but true/false is not a size
         if type(value) is not int:
-            raise ValueError(f"bound {name} in {path} must be an integer, got {value!r}")
+            raise UsageError(f"bound {name} in {path} must be an integer, got {value!r}")
         if value < 0:
-            raise ValueError(f"bound {name} in {path} must be non-negative, got {value}")
+            raise UsageError(f"bound {name} in {path} must be non-negative, got {value}")
     return DEFAULT_BOUNDS._replace(**raw)

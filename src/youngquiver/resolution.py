@@ -114,8 +114,6 @@ def build_resolution(xi: Partition, depth: int, bounds: Bounds = DEFAULT_BOUNDS)
     object with that key, and every later object with the same key holds
     that same ``ObjectChain``.  Objects with no member share the chain with
     no component."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
     strata = tuple(map(tuple, _strata_rows(xi.rows, depth, bounds)))
     objects = partition_rows_up_to(xi.size + depth, bounds)
     where = {
@@ -230,8 +228,8 @@ def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None
     diamond cancellation; the count of those is reported.
 
     Returns the counts, which cover every object even after a failure, and
-    the first failure, or None.  Every object counts depth - 1 products,
-    one per adjacent pair of positions.
+    the first failure, or None.  Every object counts max(depth - 1, 0)
+    products, one per adjacent pair of positions.
     """
     depth = complex_.depth
     cancellations = 0
@@ -249,7 +247,7 @@ def verify_complex(complex_: GradedComplex) -> tuple[dict[str, int], dict | None
             }
     counts = {
         # every adjacent pair counts; one with an absent factor is zero
-        "products_checked": len(complex_.objects) * (depth - 1),
+        "products_checked": len(complex_.objects) * max(depth - 1, 0),
         "diamond_cancellations": cancellations,
     }
     return counts, first_failure

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import pathlib
 import runpy
 import shlex
@@ -160,9 +161,13 @@ class TestVerifyCommand:
         err = usage_error(capsys, "verify", "resolution", "--xi", "2,1_1", "--depth", "3")
         assert err == "error: argument --xi: cannot parse partition '2,1_1'\n"
 
-    @pytest.mark.parametrize("value", ["1_0", "+3", "\uff13", "\u0663", "3.0", "", "0x3"])
+    @pytest.mark.parametrize(
+        "value",
+        ["1_0", "+3", "\uff13", "\u0663", "3.0", "", "0x3", pytest.param("9" * 4301, id="4301-digits")],
+    )
     def test_integer_options_take_ascii_digits_only(self, capsys, value):
-        # int() takes the first four: 10, 3, full-width 3, Arabic-Indic 3
+        # int() takes the first four: 10, 3, full-width 3, Arabic-Indic 3;
+        # it refuses the last, past its limit on digits, with its own message
         err = usage_error(capsys, "verify", "signs", "--max-size", value)
         assert err == f"error: argument --max-size: cannot parse non-negative integer {value!r}\n"
 
@@ -240,9 +245,36 @@ class TestVerifyCommand:
             "transposed_hom_dim": 0,
         }
 
-    def test_zero_resolution_depth_is_usage_error(self, capsys):
-        err = usage_error(capsys, "verify", "resolution", "--xi", "1", "--depth", "0")
-        assert err == "error: verify resolution requires --depth of at least 1, got 0\n"
+    def test_zero_resolution_depth_is_a_passing_certificate(self, capsys):
+        # position 0 alone, checked at the 7 objects of size at most 3
+        code, out, _ = run_cli(capsys, "verify", "resolution", "--xi", "2,1", "--depth", "0")
+        certificate = json.loads(out)
+        assert (code, certificate["verdict"]) == (0, "pass")
+        assert certificate["counts"] == {
+            "objects_checked": 7,
+            "positions_checked": 7,
+            "products_checked": 0,
+            "diamond_cancellations": 0,
+        }
+        for xi in ("0", "5,4,3,2,1,1,1"):
+            assert main(["verify", "resolution", "--xi", xi, "--depth", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"{bad", id="not-json"),
+            pytest.param(b'{"a":' * 100_000, id="nested-100000-deep"),
+            pytest.param(b"\xff\xfe", id="not-utf-8"),
+        ],
+    )
+    def test_config_fault_is_one_line_naming_the_file(
+        self, capsys, monkeypatch, tmp_path, content
+    ):
+        path = tmp_path / "bounds.json"
+        path.write_bytes(content)
+        monkeypatch.setenv("YOUNGQUIVER_CONFIG", str(path))
+        err = usage_error(capsys, "verify", "signs", "--max-size", "2")
+        assert str(path) in err, err
 
     @pytest.mark.parametrize(
         "argv, message, config",
@@ -615,3 +647,19 @@ class TestModuleEntryPoint:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: unrecognized arguments: --xi 3\n"
+
+    @pytest.mark.parametrize("max_size", ["3", "99"], ids=["pass", "bound-exceeded"])
+    def test_closed_stdout_and_stderr_exit_2(self, max_size):
+        # the certificate or the error line cannot be written, and the error
+        # line's own failed write leaves the code of the first failure
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "youngquiver", "verify", "signs", "--max-size", max_size],
+                stdout=write_end,
+                stderr=write_end,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2

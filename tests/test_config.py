@@ -7,6 +7,7 @@ from youngquiver.config import (
     Bounds,
     DEFAULT_BOUNDS,
     ENV_CONFIG_PATH,
+    UsageError,
     check_bound,
     load_bounds,
 )
@@ -36,7 +37,7 @@ def test_env_var_points_at_file(tmp_path, monkeypatch):
 def test_unknown_keys_rejected(tmp_path):
     config = tmp_path / "bounds.json"
     config.write_text(json.dumps({"max_banana": 1}))
-    with pytest.raises(ValueError, match="max_banana"):
+    with pytest.raises(UsageError, match="max_banana"):
         load_bounds(str(config))
 
 
@@ -84,7 +85,7 @@ def test_retired_resolution_depth_bound_is_unknown(tmp_path, monkeypatch, capsys
 def test_malformed_config_rejected(tmp_path, payload, match):
     config = tmp_path / "bounds.json"
     config.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(UsageError, match=match):
         load_bounds(str(config))
 
 
@@ -111,6 +112,7 @@ def test_negative_bound_is_cli_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_check_bound():
     check_bound(5, 5, "thing")
+    assert issubclass(BoundExceededError, UsageError)
     with pytest.raises(BoundExceededError, match="exceeds"):
         check_bound(6, 5, "thing")
 
