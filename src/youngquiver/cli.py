@@ -2,19 +2,18 @@
 
 Exit codes: 0 = pass, 1 = a mathematical check failed, 2 = bad input (a
 ``config.UsageError``, raised where an option, a partition, an integer, the
-config file or a bound is checked, or an ``OSError`` from a file), 3 =
-internal error (any other exception raised inside the toolkit, never a
+config file or a bound is checked, or an ``OSError`` from a file or stdout),
+3 = internal error (any other exception raised inside the toolkit, never a
 verdict).  Each error prints one ``error: <message>`` or ``internal error:
-<Type>: <message>`` line; a failed write of that line leaves the exit code
-as it is.  ``main`` alone writes output and picks the exit code.
-Certificates go to stdout as JSON (or to --out); every sweep is
-deterministic, so certificates are byte-stable across runs apart from the
-elapsed_ms field.
+<Type>: <message>`` line, whose failed write leaves the code as it is.
+``main`` alone writes output and picks the exit code.  Certificates go to
+stdout as JSON (or to --out), byte-stable across runs but for elapsed_ms.
 """
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -40,8 +39,7 @@ INTERNAL_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises each grammar error as a ``UsageError``, which ``main`` reports
-    on one line like any other bad input."""
+    """Raises each grammar error as a ``UsageError``, like any other bad input."""
 
     def error(self, message):
         raise UsageError(message)
@@ -85,9 +83,7 @@ OPTIONS = {
     "--xi": dict(type=_partition, required=True, help="base partition, e.g. 2,1"),
     "--depth": dict(type=_non_negative, required=True, help="resolution truncation depth"),
     "--n": dict(type=_non_negative, required=True, help="symmetric group degree bound"),
-    "--direct-n": dict(
-        type=_non_negative, default=3, help="degree cap for direct idempotent ranks"
-    ),
+    "--direct-n": dict(type=_non_negative, default=3, help="degree cap for direct idempotent ranks"),
     "--dump-matrices": dict(action="store_true", help="add every nonzero differential"),
     "--mu": dict(type=_partition, required=True, help="source partition, e.g. 2"),
     "--m": dict(type=_non_negative, required=True, help="number of added nodes"),
@@ -205,8 +201,7 @@ def _cmd_verify(args, bounds) -> tuple[str, int]:
     if args.format == "json":
         return certificate.to_json(), code
     lines = [f"{certificate.command}: {certificate.verdict}"]
-    for key, value in certificate.counts.items():
-        lines.append(f"  {key}: {value}")
+    lines += (f"  {key}: {value}" for key, value in certificate.counts.items())
     if certificate.first_failure:
         lines.append(f"  first failure: {certificate.first_failure}")
     return "\n".join(lines), code
@@ -219,6 +214,16 @@ def _cmd_table(args, bounds) -> tuple[str, int]:
     return "\n".join(f"{key}: {value}" for key, value in rows), 0
 
 
+def _write_line(stream, line: str) -> None:
+    """Prints and flushes ``line``; on failure, first points the stream at
+    os.devnull, so its unwritten bytes cannot make the exit code 120."""
+    try:
+        print(line, file=stream, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -228,14 +233,14 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:
-            print(text)
+            _write_line(sys.stdout, text)
         return code
     except (UsageError, OSError) as exc:
         line, code = f"error: {exc}", USAGE_ERROR
     except Exception as exc:  # any fault in the toolkit, never a verdict
         line, code = f"internal error: {type(exc).__name__}: {exc}", INTERNAL_ERROR
     with contextlib.suppress(OSError):  # a closed stderr must not change the code
-        print(line, file=sys.stderr)
+        _write_line(sys.stderr, line)
     return code
 
 

@@ -53,13 +53,9 @@ def check_bound(value: int, limit: int, what: str) -> None:
 
 
 def load_bounds(path: str | None = None) -> Bounds:
-    """Bounds from a JSON file, falling back to defaults.
-
-    With no explicit ``path``, the ``YOUNGQUIVER_CONFIG`` environment
-    variable is consulted; if it is unset the defaults are returned.
-    """
-    if path is None:
-        path = os.environ.get(ENV_CONFIG_PATH)
+    """Bounds from the JSON file at ``path``, by default the one that
+    ``YOUNGQUIVER_CONFIG`` names; the defaults if there is none."""
+    path = os.environ.get(ENV_CONFIG_PATH) if path is None else path
     if not path:
         return DEFAULT_BOUNDS
     try:
@@ -69,8 +65,7 @@ def load_bounds(path: str | None = None) -> Bounds:
         raise UsageError(f"cannot parse {path} as UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{path} must hold a JSON object of bound names and values")
-    unknown = set(raw) - set(Bounds._fields)
-    if unknown:
+    if unknown := set(raw) - set(Bounds._fields):
         raise UsageError(f"unknown bound names in {path}: {sorted(unknown)}")
     for name, value in raw.items():
         # bool is a subclass of int, but true/false is not a size

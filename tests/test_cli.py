@@ -165,9 +165,16 @@ class TestVerifyCommand:
         "value",
         ["1_0", "+3", "\uff13", "\u0663", "3.0", "", "0x3", pytest.param("9" * 4301, id="4301-digits")],
     )
-    def test_integer_options_take_ascii_digits_only(self, capsys, value):
+    def test_integer_options_take_ascii_digits_only(self, capsys, request, value):
         # int() takes the first four: 10, 3, full-width 3, Arabic-Indic 3;
         # it refuses the last, past its limit on digits, with its own message
+        if len(value) > 4300:  # pin the default limit, which the environment can lift
+            if not hasattr(sys, "set_int_max_str_digits"):
+                pytest.skip("this Python has no limit on int() digits")
+            request.addfinalizer(
+                lambda limit=sys.get_int_max_str_digits(): sys.set_int_max_str_digits(limit)
+            )
+            sys.set_int_max_str_digits(4300)
         err = usage_error(capsys, "verify", "signs", "--max-size", value)
         assert err == f"error: argument --max-size: cannot parse non-negative integer {value!r}\n"
 
@@ -648,10 +655,15 @@ class TestModuleEntryPoint:
         assert result.stdout == ""
         assert result.stderr == "error: unrecognized arguments: --xi 3\n"
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("max_size", ["3", "99"], ids=["pass", "bound-exceeded"])
-    def test_closed_stdout_and_stderr_exit_2(self, max_size):
+    def test_closed_stdout_and_stderr_exit_2(self, max_size, unbuffered):
         # the certificate or the error line cannot be written, and the error
-        # line's own failed write leaves the code of the first failure
+        # line's own failed write leaves the code of the first failure; a
+        # buffered stream must not fail again in the flush at exit (code 120)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -659,6 +671,7 @@ class TestModuleEntryPoint:
                 [sys.executable, "-m", "youngquiver", "verify", "signs", "--max-size", max_size],
                 stdout=write_end,
                 stderr=write_end,
+                env=env,
             )
         finally:
             os.close(write_end)
