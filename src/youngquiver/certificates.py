@@ -1,9 +1,10 @@
 """Machine-readable verdicts for verification sweeps.
 
 A certificate records what was swept, how much of it, the verdict, and a
-minimal reproducer on failure.  Serialization is deterministic: given the
-same inputs and tool version, everything except ``elapsed_ms`` is
-byte-identical between runs.
+minimal reproducer on failure, but no text that is the same in every run;
+bulky per-object ``details`` are opt-in.  Serialization is deterministic:
+given the same inputs and tool version, everything except ``elapsed_ms``
+is byte-identical between runs.
 """
 
 import json
@@ -11,7 +12,7 @@ import time
 
 from ._version import __version__
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class Certificate:

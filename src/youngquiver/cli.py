@@ -204,6 +204,10 @@ def _cmd_verify(args, bounds) -> tuple[str, int]:
     lines += (f"  {key}: {value}" for key, value in certificate.counts.items())
     if certificate.first_failure:
         lines.append(f"  first failure: {certificate.first_failure}")
+    for section, texts in (certificate.details or {}).items():  # opt-in, e.g. matrices
+        lines.append(f"  {section}:")
+        for key, text in texts.items():
+            lines += [f"    {key}:", *(f"      {line}" for line in text.splitlines())]
     return "\n".join(lines), code
 
 

@@ -348,5 +348,4 @@ def verify_quadratic_duality(max_size: int, bounds: Bounds = DEFAULT_BOUNDS) -> 
         parameters={"max_size": max_size},
         counts={**self_counts, **lattice_counts},
         first_failure=self_failure or lattice_failure,
-        details={"generator_convention": "dual arrow mu->nu composes like path concatenation"},
     )

@@ -392,17 +392,14 @@ def verify_resolution(
         first_failure = dict(complex_failure, failing_check="complex")
     elif exact_failure:
         first_failure = dict(exact_failure, failing_check="exactness")
-    details: dict = {"linear": complex_.linear}
+    details = None
     if dump_matrices:
-        stored = [
-            (offset - depth, mu, matrix)
+        stored = sorted(
+            (offset - depth, mu, matrix.to_text())
             for mu, chain in zip(complex_.objects, complex_.chains)
             for offset, matrix in chain.maps.items()
-        ]
-        stored.sort(key=lambda item: item[:2])
-        details["matrices"] = {
-            f"{i}@{format_partition(mu)}": matrix.to_text() for i, mu, matrix in stored
-        }
+        )
+        details = {"matrices": {f"{i}@{format_partition(mu)}": text for i, mu, text in stored}}
     return Certificate(
         start,
         command="verify resolution",

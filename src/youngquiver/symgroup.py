@@ -516,10 +516,6 @@ def verify_branching(
         parameters={"n": n, "direct_n": direct_n},
         counts=counts,
         first_failure=first_failure,
-        details={
-            "transversal": "injection bimodule basis is S_{n+1}; "
-            "one product per double coset of the stabilizers of e_lam, e_mu"
-        },
     )
 
 

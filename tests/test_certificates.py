@@ -51,22 +51,22 @@ class TestHonestVerdicts:
 # ``elapsed_ms``, dumped as JSON with indent 2, keyed by target and
 # arguments.  A change to any of them must be deliberate.
 GOLDEN = {
-    "signs 10": "fc5cf9dd4421967a98d4e637ac7be769a5f1a46ff97b821f0783564b789bfb86",
-    "resolution 0 6": "bf30cd52f174fc5284af983545edf903efba0a7347250185a4ea60549b271a8e",
-    "resolution 1 6": "49fc02431177928089ce8f129845e6e73d6c0c74c54a7b805999cfa908b1c908",
-    "resolution 2 6": "28a8e414681e8c69e04fb3da66acbbd844479bd3dc29287df3e4a78a0a369394",
-    "resolution 1,1 6": "5443187057c9a963d93155b48c800d5058f15d2db9509462ffab12e172a97940",
-    "resolution 3 6": "96fbd60807e132dac7ef526d367d00252cae1d93790b0e1dba00139ba3d157bd",
-    "resolution 2,1 6": "d5359f7aca500d918eefb694150cf30c3bc7cec639bebc6e4c7c074554fe96ff",
-    "resolution 1,1,1 6": "facac943405c3f965cbc1c72906be2310013a0e253b0b539e4c588ac25e661d9",
-    "resolution 4 6": "ac457ab743ccf5694d2d7924d5cbf01392ecb6f5e8f6f422ba302e25ac4a88aa",
-    "resolution 3,1 6": "e3e82a196546bdaea53fc922300aa69cc43217a1ce5785441d4a4ed97bf82cb8",
-    "resolution 2,2 6": "63d3b6b14ed652d4d48083a44c3068570be8e4354f4bf0dd4e76e985d39db96d",
-    "resolution 2,1,1 6": "d3d0e5a54801f043b5c1d5a4c77322370f94ae55f535ac820d977583491aeea2",
-    "resolution 1,1,1,1 6": "8462b683b0e394b4ef9fbe029433d1368c876758be8e465408303aa738d9b8e0",
-    "qdual 7": "0034791cb3d9e8101d652fa710bca15a32fad0feece314bee168b31d6ffdb8ff",
-    "morita 5 3": "fb2abeb709f212678e820ff48a585ee66a0862c17ae54c9188cf32760a25b623",
-    "idempotents 5": "13e23a6f68bf79694abcb3fd15720b79d83ea9781586ef27b2ba5e1d43fe6d5e",
+    "signs 10": "290c60a2a7d31f411af9d0fa98eedd443c1ddb01f9094ae1a56f1da2ee8b7cd5",
+    "resolution 0 6": "45f447faac8f5e3245d19faf33adb3e5eb69a3209c9c82ab0bcf31b588c511ca",
+    "resolution 1 6": "ac6a073148f8212d142585337a636b2dc4fc2906c8956c0c060f659532ce8de5",
+    "resolution 2 6": "88ce85e2563eea14f859c6ad8e71510682f8b451b1ca99ec56f9e4e127040e33",
+    "resolution 1,1 6": "b7f6a249df740c0290c3b7ba1fa9a9db89cac7cd90f238a21fcb7343244a17be",
+    "resolution 3 6": "9ee1fac778b37dbc0d54a60407f71412c4b19b8a538a719041c688b165683ebc",
+    "resolution 2,1 6": "b5e38ae06d8fba1e8d426aaea7c9d7a38f25cb1650cd6c8626633e0f554c6a64",
+    "resolution 1,1,1 6": "be61107d47421f384fb3bc696191a4675f14164d45acb738574e14a7ae4a965c",
+    "resolution 4 6": "2a98f7c1e209843c3f3e2e44c7b8a608731cb17f32fee96f6d19091c52c9ca05",
+    "resolution 3,1 6": "63036b9e7ec8b2a60dd268ade88c0a799531b8e04c72857423ece9bcd5bdadd1",
+    "resolution 2,2 6": "937f1a44512d66bdb5f0ebaf239637d862a18382787295f66753d8491ef1bd79",
+    "resolution 2,1,1 6": "8ba9d6d5ac5cb73f4fdbe66cdf3064822a9f8799dafa39cefce6588043184376",
+    "resolution 1,1,1,1 6": "76253c11dffcf10c71346b40783104cac4dd8cb27b1843dd047b6092a9cfcc20",
+    "qdual 7": "5e6a239bf0213d5aef2b86c0210a9d05964cc17aa766976b44df592965abd687",
+    "morita 5 3": "1910e9e3ca67dadbe63909fc9325ab61bdc9603f8fdd31e8eacde72b7d0a2f0a",
+    "idempotents 5": "1e56e17f340e6bf3ae3026310329f802c2334032e95c652c161597ebcec5d324",
 }
 
 BATTERY = {
@@ -87,3 +87,17 @@ def test_battery_certificate_is_unchanged(run):
     del fields["elapsed_ms"]
     digest = hashlib.sha256(json.dumps(fields, indent=2).encode()).hexdigest()
     assert digest == GOLDEN[run]
+
+
+SCHEMA_KEYS = ["schema_version", "tool_version", "command", "parameters", "verdict", "counts",
+               "first_failure", "elapsed_ms"]
+
+
+@pytest.mark.parametrize("run", list(BATTERY))
+def test_only_a_matrix_dump_adds_details(run):
+    driver, args = BATTERY[run]
+    assert list(driver(*args).to_dict()) == SCHEMA_KEYS
+    if "--dump-matrices" in SWEEPS[run.split()[0]].flags:
+        dumped = driver(*args, dump_matrices=True).to_dict()
+        assert list(dumped) == [*SCHEMA_KEYS[:-1], "details", "elapsed_ms"]
+        assert list(dumped["details"]) == ["matrices"]

@@ -108,7 +108,7 @@ class TestVerifyCommand:
         certificate = json.loads(out)
         assert certificate["verdict"] == "pass"
         assert certificate["counts"]["diamonds_checked"] > 0
-        assert certificate["schema_version"] == 1
+        assert certificate["schema_version"] == 2
 
     def test_resolution_pass(self, capsys):
         code, out, _ = run_cli(
@@ -118,7 +118,7 @@ class TestVerifyCommand:
         certificate = json.loads(out)
         assert certificate["verdict"] == "pass"
         assert certificate["parameters"] == {"xi": "2,1", "depth": 4}
-        assert certificate["details"]["linear"] is True
+        assert "details" not in certificate
 
     def test_resolution_matrix_dump(self, capsys):
         code, out, _ = run_cli(
@@ -133,6 +133,25 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "matrices" in json.loads(out)["details"]
+
+    def test_text_format_prints_the_matrix_dump(self, capsys):
+        argv = "verify resolution --xi 1 --depth 1 --dump-matrices --format text"
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out == (
+            "verify resolution: pass\n"
+            "  objects_checked: 4\n"
+            "  positions_checked: 8\n"
+            "  products_checked: 0\n"
+            "  diamond_cancellations: 0\n"
+            "  matrices:\n"
+            "    -1@1,1:\n"
+            "      1 1 1\n"
+            "      1 1 -1\n"
+            "    -1@2:\n"
+            "      1 1 1\n"
+            "      1 1 1\n"
+        )
 
     def test_qdual_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "qdual", "--max-size", "4")

@@ -478,7 +478,7 @@ class TestCombinedCertificate:
         assert cert.passed
         assert "pairs_checked" in cert.counts
         assert "lattice_pairs_checked" in cert.counts
-        assert cert.details["generator_convention"]
+        assert cert.details is None
 
 
 def test_bench_gate_counts():
