@@ -4,7 +4,8 @@ sweep into ./certificates/ (or the directory given as the first argument).
 
 The battery is the ``battery`` of each entry of ``youngquiver.cli.SWEEPS``.
 A target with several runs (resolution, one per base partition) writes one
-file per run, named after its first argument.
+file per run, named after its first argument.  A FAIL line ends with the
+first failure, which names its check.
 """
 
 import pathlib
@@ -34,9 +35,9 @@ def main() -> int:
         path = out_dir / f"{name}.json"
         path.write_text(certificate.to_json() + "\n", encoding="utf-8")
         status = certificate.verdict.upper()
-        if not certificate.passed:
-            failures += 1
-        print(f"{status:4}  {name:24}  {certificate.elapsed_ms:6d} ms  -> {path}")
+        failure = "" if certificate.passed else f"  {certificate.first_failure}"
+        failures += not certificate.passed
+        print(f"{status:4}  {name:24}  {certificate.elapsed_ms:6d} ms  -> {path}{failure}")
 
     total = time.perf_counter() - started
     print(f"\n{len(certificates)} sweeps, {failures} failures, {total:.1f}s total")

@@ -12,7 +12,7 @@ import time
 
 from ._version import __version__
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class Certificate:

@@ -10,8 +10,8 @@ reduces to ranks computed here.  No floating point anywhere.
   a nonzero single row or column, the shape of most resolution maps, has
   rank 1 without elimination.
 - ``rref`` is reduced row echelon form over the rationals, the quadratic
-  dual's one engine: each quotient space of the walk and its projection,
-  and the sign-twist span test, are read from it.  It takes ``Scalar``
+  dual's one engine: the annihilator of C's relations, the walk's quotients
+  and projections, and the span tests are read from it.  It takes ``Scalar``
   rows, since a relation of the dual may have rational coefficients.
 """
 

@@ -1,35 +1,33 @@
 """Quadratic duals of the Young-lattice categories, computed on path spaces.
 
 The dual category is presented by one dual generator per lattice arrow and
-by degree-2 relation spaces: for each two-node containment pair the
-relations are the image of the transposed multiplication map from length-2
-paths onto the (at most one-dimensional) degree-2 hom space.  With canonical
-generators the multiplication matrix over the path basis is a row of ones
-when the hom space survives and zero otherwise, which yields the three
-cases: no relation (column pair), the full path space (row pair), or the
-anticommutativity line spanned by the sum of the two paths (diamond).
+by degree-2 relation spaces: on each pair's length-2 paths, the annihilator
+of C's own relations (Polishchuk-Positselski, *Quadratic Algebras*, ch. 1).
+Those are stated once, as the paper presents C (``_c_relations``): a
+diamond's two paths commute, a column pair's path is killed and a row pair's
+path is free.
 
 Higher dual hom dimensions are never assumed: they are computed as the free
 path space modulo the two-sided ideal generated by the degree-2 relations.
 The engine walks up from each bottom mu one size at a time, with the
 recursion for a quadratic algebra A_k = (A_{k-1} (x) V) / image(A_{k-2} (x) R)
-(Polishchuk-Positselski, *Quadratic Algebras*, ch. 1): A(mu, nu) is the
-quotient of the sum of A(mu, kappa) over the arrows kappa -> nu by the
-relations of R(kappa', nu) applied to A(mu, kappa'), reduced by the general
-exact eliminator ``exactlinalg.rref``, so any relation vectors work.  One
-walk per bottom gives every dimension above it.  The test oracle ranks the
-same quotient over whole paths: every prefix x relation x suffix row over
-the saturated chains from mu to lam, ranked by a signed union-find and by
-Bareiss rank.
+(ibid.): A(mu, nu) is the quotient of the sum of A(mu, kappa) over the
+arrows kappa -> nu by the relations of R(kappa', nu) applied to
+A(mu, kappa'), reduced by the general exact eliminator ``exactlinalg.rref``,
+so any relation vectors work.  One walk per bottom gives every dimension
+above it.  The test oracle ranks the same quotient over whole paths: every
+prefix x relation x suffix row over the saturated chains from mu to lam,
+ranked by a signed union-find and by Bareiss rank.
 
 The presentation is one relation table, keyed by the row tuples of each
 pair, with row-tuple mids; the walk, the checks and the test oracles all
-read it.  The relation-case check expects dimension 0 on a column pair and
-1 on every other pair, from ``skew_classify`` alone: a row pair has one
-path and a diamond two.  The sign-twisted duality functor is checked
-diamond by diamond (``partitions.diamonds_up_to``), with the arrow signs
-of ``signs.path_signs``: whether the twisted difference lies in the span
-of the transposed pair's relation vectors is again decided by ``rref``.
+read it.  The relation-case check compares each span with the paper's table
+for the dual, read from ``skew_classify``: nothing on a column pair, the
+full path on a row pair, p1 + p2 on a diamond.  The sign-twisted duality
+functor is checked diamond by diamond (``partitions.diamonds_up_to``), with
+the arrow signs of ``signs.path_signs``: whether the twisted difference lies
+in the span of the transposed pair's relation vectors is again decided by
+``rref``.
 
 Convention: a dual generator is stored as a morphism mu -> nu along the
 lattice arrow and composition mirrors path concatenation; the dimension
@@ -43,7 +41,6 @@ from .certificates import Certificate
 from .config import DEFAULT_BOUNDS, Bounds, check_bound
 from .exactlinalg import Scalar, normalize, rref
 from .partitions import (
-    Partition,
     Rows,
     add_node,
     addable_rows,
@@ -57,7 +54,6 @@ from .partitions import (
     strip_tops,
     transpose,
 )
-from .quiver import hom_dim_C
 from .signs import path_signs
 
 
@@ -67,10 +63,6 @@ class RelationSpace(NamedTuple):
 
     mids: tuple[Rows, ...]
     vectors: tuple[tuple[Scalar, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 class QuadraticPresentation:
@@ -95,34 +87,38 @@ class QuadraticPresentation:
         return dims
 
 
-def _middle_vertices(mu: Partition, lam: Partition) -> list[Partition]:
-    return [nu for nu in (add_node(mu, r) for r in addable_rows(mu.rows)) if lam.contains(nu)]
+def _c_relations(mu: Rows, lam: Rows, n_paths: int, of_lattice: bool) -> tuple:
+    """C's degree-2 relations on the paths from mu to lam: a diamond's two commute,
+    a column pair's one is killed (not with ``of_lattice``), a row pair's is free."""
+    if n_paths == 2:
+        return ((1, -1),)
+    if not of_lattice and skew_classify(mu, lam).has_column_pair:
+        return ((1,),)
+    return ()
 
 
 def build_quadratic_dual(
     max_size: int, bounds: Bounds = DEFAULT_BOUNDS, of_lattice: bool = False
 ) -> QuadraticPresentation:
     """The dual of C, or with ``of_lattice`` of the plain incidence category.
-    Objects, relation keys and mids are row tuples."""
+    A pair's relations, the annihilator of ``_c_relations``, are the
+    transposed ``_quotient_images``, once per case.  Diagrams are row tuples."""
     check_bound(max_size, bounds.max_qdual_size, "quadratic dual size")
     objects = partitions_up_to(max_size, bounds)
     relations: dict[tuple[Rows, Rows], RelationSpace] = {}
+    annihilators: dict[tuple, tuple] = {}
     for lam in objects:
         if lam.size < 2:
             continue
         for mu in partitions_of(lam.size - 2, bounds):
             if not lam.contains(mu):
                 continue
-            mids = tuple(nu.rows for nu in _middle_vertices(mu, lam))
-            # row space of the multiplication map from length-2 paths onto
-            # the degree-2 hom space: with canonical generators every
-            # surviving composite is the canonical generator itself, so it
-            # is the all-ones row when that space is nonzero
-            if of_lattice or hom_dim_C(mu.rows, lam.rows):
-                vectors = ((1,) * len(mids),)
-            else:
-                vectors = ()
-            relations[(mu.rows, lam.rows)] = RelationSpace(mids, vectors)
+            grown = (add_node(mu, r) for r in addable_rows(mu.rows))
+            mids = tuple(nu.rows for nu in grown if lam.contains(nu))
+            case = (len(mids), _c_relations(mu.rows, lam.rows, len(mids), of_lattice))
+            if case not in annihilators:
+                annihilators[case] = tuple(zip(*_quotient_images(*case)))
+            relations[(mu.rows, lam.rows)] = RelationSpace(mids, annihilators[case])
     return QuadraticPresentation(max_size, tuple(p.rows for p in objects), relations)
 
 
@@ -204,16 +200,28 @@ def dual_hom_dim(mu: Rows, lam: Rows, presentation: QuadraticPresentation) -> in
     return presentation.walk(mu).get(lam, 0)
 
 
-def _expected_relation_dimension(mu: Rows, lam: Rows) -> int:
-    """The three-case table: 0 for a column pair, and 1 otherwise, since a
-    row pair has a single path, killed entirely, and a diamond two, cut to
-    the anticommutativity line.  The tests keep the path count as oracle."""
-    return 0 if skew_classify(mu, lam).has_column_pair else 1
+def _expected_relations(mu: Rows, lam: Rows) -> list[list[int]]:
+    """The paper's table for the dual over the distinct mids: nothing on a
+    column pair, the full path on a row pair, p1 + p2 on a diamond."""
+    sk = skew_classify(mu, lam)
+    if sk.has_column_pair:
+        return []
+    return [[1]] if sk.has_row_pair else [[1, 1]]
 
 
-def _transposes(presentation: QuadraticPresentation) -> dict[Rows, Rows]:
-    """Every object's transposed row tuple, keyed by the object's row tuple."""
-    return {p: transpose(p) for p in presentation.objects}
+def _over(mids: dict, rel: RelationSpace) -> list[list[Scalar]]:
+    """``rel``'s vectors over ``mids``, where a repeated mid is one column."""
+    return [
+        [sum(c for m, c in zip(rel.mids, vector) if m == mid) for mid in mids]
+        for vector in rel.vectors
+    ]
+
+
+def _span(rows: list[list[Scalar]]) -> list[list[Scalar]]:
+    """The nonzero rows of the reduced echelon form: equal exactly when the
+    spans of two sets of rows of one width are."""
+    reduced, pivots = rref(rows)
+    return reduced[: len(pivots)]
 
 
 def _first_dimension_failure(
@@ -265,7 +273,7 @@ def verify_self_duality(
     presentation = build_quadratic_dual(max_size, bounds)
     counts = {"pairs_checked": 0, "relation_pairs_checked": 0, "diamonds_checked": 0}
     counts["pairs_checked"], failure = _first_dimension_failure(
-        presentation, False, "dimension", "transposed_hom_dim"
+        presentation, False, check="dimension", expected_key="transposed_hom_dim"
     )
     if failure:
         return counts, failure
@@ -273,15 +281,17 @@ def verify_self_duality(
         presentation.relations.items(), key=lambda kv: (kv[0][1], kv[0][0])
     ):
         counts["relation_pairs_checked"] += 1
-        expected = _expected_relation_dimension(mu, lam)
-        if rel.dimension != expected:
+        stored = _over(dict.fromkeys(rel.mids), rel)
+        expected = _expected_relations(mu, lam)
+        # equal rows span one space; only rows that differ are reduced
+        if stored != expected and _span(stored) != _span(expected):
             return counts, {
                 "check": "relation_cases",
                 "pair": [format_partition(mu), format_partition(lam)],
-                "relation_dim": rel.dimension,
+                "vectors": stored,
                 "expected": expected,
             }
-    transposed = _transposes(presentation)
+    transposed = {p: transpose(p) for p in presentation.objects}
     for bottom, r1, r2 in diamonds_up_to(max_size, bounds):
         counts["diamonds_checked"] += 1
         failure = _twisted_image_failure(bottom, r1, r2, presentation, transposed)
@@ -308,10 +318,7 @@ def _twisted_image_failure(
     mu_t, left_t, right_t, lam_t = (transposed[rows] for rows in vertices)
     rel = presentation.relations[(mu_t, lam_t)]
     mids = dict.fromkeys([left_t, right_t, *rel.mids])
-    base = [
-        [sum(c for m, c in zip(rel.mids, vector) if m == mid) for mid in mids]
-        for vector in rel.vectors
-    ]
+    base = _over(mids, rel)
     sign_left, sign_right = path_signs(bottom, r1, r2)
     twisted = [sign_left, -sign_right] + [0] * (len(mids) - 2)
     if len(rref(base + [twisted])[1]) != len(rref(base)[1]):
@@ -331,7 +338,7 @@ def verify_lattice_dual(
     first failure, or None."""
     presentation = build_quadratic_dual(max_size, bounds, of_lattice=True)
     pairs_checked, first_failure = _first_dimension_failure(
-        presentation, True, "lattice_dual_dimension", "expected"
+        presentation, True, check="lattice_dual_dimension", expected_key="expected"
     )
     return {"lattice_pairs_checked": pairs_checked}, first_failure
 

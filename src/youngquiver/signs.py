@@ -114,6 +114,7 @@ def verify_growth_agreement(
             grown_rows, _ = growth_signs(order)
             if grown_rows != expected_rows:
                 return counts, {
+                    "check": "growth_agreement",
                     "partition": format_partition(rows),
                     "order": [[r + 1, order[: k + 1].count(r)] for k, r in enumerate(order)],
                     "grown_rows": grown_rows,
@@ -132,6 +133,7 @@ def _first_diamond_failure(max_size: int, bounds: Bounds) -> tuple[int, dict | N
         checked += 1
         if left != -right:
             return checked, {
+                "check": "anticommutation",
                 "diamond": [format_partition(rows) for rows in diamond_vertices(bottom, r1, r2)],
                 "products": [left, right],
             }

@@ -108,11 +108,11 @@ def hook_length_dimension(lam):
 
 
 def path_count_relation_dimension(mu, lam):
-    """The three-case relation table by counting the paths from mu to lam
-    (row tuples two nodes apart): 0 for a column pair, every path (the
-    single one) for a row pair, and one less than the paths across a
-    diamond, whose anticommutativity line is left.  The oracle for
-    ``qdual._expected_relation_dimension``."""
+    """The dimension of the dual's three-case relation table by counting
+    the paths from mu to lam (row tuples two nodes apart): 0 for a column
+    pair, every path (the single one) for a row pair, and one less than the
+    paths across a diamond, whose anticommutativity line is left.  The
+    oracle for the number of rows of ``qdual._expected_relations``."""
     sk = skew_classify(mu, lam)
     if sk.has_column_pair:
         return 0

@@ -94,7 +94,7 @@ def test_criterion_4_linear_resolutions(capsys):
         certificate = sweep.driver(xi, depth)
         assert certificate.passed, (str(xi), certificate.first_failure)
     runs = f"{len(sweep.battery)} bases at depth {depth}"
-    elapsed = _report(capsys, 4, f"complex + exactness + linearity, {runs}", started, budget)
+    elapsed = _report(capsys, 4, f"complex + exactness on linear strata, {runs}", started, budget)
     assert elapsed < budget
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import pathlib
@@ -51,22 +52,22 @@ class TestHonestVerdicts:
 # ``elapsed_ms``, dumped as JSON with indent 2, keyed by target and
 # arguments.  A change to any of them must be deliberate.
 GOLDEN = {
-    "signs 10": "290c60a2a7d31f411af9d0fa98eedd443c1ddb01f9094ae1a56f1da2ee8b7cd5",
-    "resolution 0 6": "45f447faac8f5e3245d19faf33adb3e5eb69a3209c9c82ab0bcf31b588c511ca",
-    "resolution 1 6": "ac6a073148f8212d142585337a636b2dc4fc2906c8956c0c060f659532ce8de5",
-    "resolution 2 6": "88ce85e2563eea14f859c6ad8e71510682f8b451b1ca99ec56f9e4e127040e33",
-    "resolution 1,1 6": "b7f6a249df740c0290c3b7ba1fa9a9db89cac7cd90f238a21fcb7343244a17be",
-    "resolution 3 6": "9ee1fac778b37dbc0d54a60407f71412c4b19b8a538a719041c688b165683ebc",
-    "resolution 2,1 6": "b5e38ae06d8fba1e8d426aaea7c9d7a38f25cb1650cd6c8626633e0f554c6a64",
-    "resolution 1,1,1 6": "be61107d47421f384fb3bc696191a4675f14164d45acb738574e14a7ae4a965c",
-    "resolution 4 6": "2a98f7c1e209843c3f3e2e44c7b8a608731cb17f32fee96f6d19091c52c9ca05",
-    "resolution 3,1 6": "63036b9e7ec8b2a60dd268ade88c0a799531b8e04c72857423ece9bcd5bdadd1",
-    "resolution 2,2 6": "937f1a44512d66bdb5f0ebaf239637d862a18382787295f66753d8491ef1bd79",
-    "resolution 2,1,1 6": "8ba9d6d5ac5cb73f4fdbe66cdf3064822a9f8799dafa39cefce6588043184376",
-    "resolution 1,1,1,1 6": "76253c11dffcf10c71346b40783104cac4dd8cb27b1843dd047b6092a9cfcc20",
-    "qdual 7": "5e6a239bf0213d5aef2b86c0210a9d05964cc17aa766976b44df592965abd687",
-    "morita 5 3": "1910e9e3ca67dadbe63909fc9325ab61bdc9603f8fdd31e8eacde72b7d0a2f0a",
-    "idempotents 5": "1e56e17f340e6bf3ae3026310329f802c2334032e95c652c161597ebcec5d324",
+    "signs 10": "1e389249067c849fdb2074ad77525400bf79c3b0a135528488da40b8624598f3",
+    "resolution 0 6": "6c90323fbec0b514fa08a8c4eeb96b7ba3df74c74cd527a8cc96047785ad365b",
+    "resolution 1 6": "a439a0d0a50aa65ea772aecb139bd507f0f0aba496024ab7fd5ac632c294cc03",
+    "resolution 2 6": "571efdfbde3207284cbeb674907ecea058c74973b2f89aea707c54ada3c91d46",
+    "resolution 1,1 6": "e17ea94c507bb39d8ba3fbceb179a82fa511da11294a81ff673d477d565ebad2",
+    "resolution 3 6": "5abb41c873a69d857efe1a2e4d0a15bd8e59a32d089ed852060986a851df1c18",
+    "resolution 2,1 6": "6a4e20c6642697da1ddf4f49aea0457561a0f24fd7072b297b98de72a9e919c1",
+    "resolution 1,1,1 6": "b4d3c3f5abbcf2d701f2e799c48eae6112e1402b39cd5e520620eb249adabf30",
+    "resolution 4 6": "01e58f984d6bfd818a4dc7ef4cb885d2f3360f2fc7da7a4be9211671fad46eef",
+    "resolution 3,1 6": "07d7665e56ff3c5f7099d728c3a734e242b0ca6b4c7c1bfa04577982ae873971",
+    "resolution 2,2 6": "af825694f7183d935f17e5a54647d7bc17ed9bec1d423551190c521d6e64bf88",
+    "resolution 2,1,1 6": "b9e3e5fb756864238147fc215e0a9c495b7196252a3c81e8f065a123f1291ed1",
+    "resolution 1,1,1,1 6": "51e153aee69455ba1c8d009cb1b6c4038f22a53095a66ea6562c4a6fbb4d1db8",
+    "qdual 7": "fe2ad26d57a03c61619e39f1f5e33b0e35c069be7de258715423a4853d4d6653",
+    "morita 5 3": "3b474f34170073bd50f1ef375818cde3b0714d9bbd885ab629ea03af5dc3529f",
+    "idempotents 5": "d33c941ba0e5ac0001fc30b9e7d455b130dc5c501fb6d3648f683a5477458b89",
 }
 
 BATTERY = {
@@ -101,3 +102,62 @@ def test_only_a_matrix_dump_adds_details(run):
         dumped = driver(*args, dump_matrices=True).to_dict()
         assert list(dumped) == [*SCHEMA_KEYS[:-1], "details", "elapsed_ms"]
         assert list(dumped["details"]) == ["matrices"]
+
+
+# A check name as a locator in src/youngquiver carries it: "check": "<name>",
+# check="<name>", or assigned to ``check``, alone, with a key, or in an
+# if/else.
+CHECK_NAME = re.compile(r'\bcheck(?:": |=| = |, key = )"(\w+)"(?: if .* else "(\w+)")?')
+
+# One mutant test per check name: a test that breaks the code under the
+# check and pins a locator that names it.
+MUTANT_TESTS = {
+    "anticommutation": "test_signs.py::TestFailureLocator::test_flip_on_a_left_path",
+    "growth_agreement": "test_signs.py::TestGrowthLocator::test_exhaustive_order",
+    "complex": "test_resolution.py::TestMutants::test_flipped_sign_fails_the_complex",
+    "exactness": "test_resolution.py::TestMutants::test_reversed_strata_fail_exactness",
+    "dimension": "test_cli.py::TestVerifyCommand::test_broken_self_duality_is_a_verdict",
+    "relation_cases":
+        "test_qdual.py::TestSelfDuality::test_anticommuting_c_diamond_fails_relation_cases",
+    "sign_twist": "test_qdual.py::TestSelfDuality::test_sign_twist_locator",
+    "lattice_dual_dimension":
+        "test_qdual.py::TestLatticeDual::test_lattice_dual_dimension_locator",
+    "character_branching":
+        "test_symgroup.py::TestBranchingLocators::test_character_branching_locator",
+    "direct_idempotent_rank":
+        "test_symgroup.py::TestBranchingLocators::test_direct_idempotent_rank_locator",
+    "idempotent":
+        "test_symgroup.py::TestCentralityByGenerators::test_sweep_stops_at_the_failing_degree",
+    "central":
+        "test_symgroup.py::TestCentralityByGenerators::test_sweep_finds_a_non_central_idempotent",
+    "orthogonal":
+        "test_symgroup.py::TestCentralityByGenerators::test_sweep_finds_a_non_orthogonal_pair",
+    "symmetrizer_idempotent":
+        "test_symgroup.py::TestCentralityByGenerators::test_symmetrizer_mutant_locators",
+    "sum_to_identity":
+        "test_symgroup.py::TestCentralityByGenerators::"
+        "test_sweep_locators_match_the_multiply_oracle",
+}
+
+
+def test_every_check_has_a_mutant_test():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    names = set()
+    for path in (root / "src" / "youngquiver").glob("*.py"):
+        for match in CHECK_NAME.finditer(path.read_text()):
+            names.update(name for name in match.groups() if name)
+    assert names == set(MUTANT_TESTS)
+    for name, test in MUTANT_TESTS.items():
+        module, cls, function = test.split("::")
+        source = (root / "tests" / module).read_text()
+        (node,) = [
+            item
+            for c in ast.parse(source).body
+            if isinstance(c, ast.ClassDef) and c.name == cls
+            for item in c.body
+            if isinstance(item, ast.FunctionDef) and item.name == function
+        ]
+        # the test's text, its decorators included, pins the check by name
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        text = "\n".join(source.splitlines()[start - 1 : node.end_lineno])
+        assert f'"check": "{name}"' in text, test

@@ -108,7 +108,7 @@ class TestVerifyCommand:
         certificate = json.loads(out)
         assert certificate["verdict"] == "pass"
         assert certificate["counts"]["diamonds_checked"] > 0
-        assert certificate["schema_version"] == 2
+        assert certificate["schema_version"] == 3
 
     def test_resolution_pass(self, capsys):
         code, out, _ = run_cli(

@@ -119,15 +119,15 @@ def presentation8():
 class TestRelationSpaces:
     def test_column_pair_no_relation(self, presentation):
         rel = presentation.relations[((1,), (1, 1, 1))]
-        assert len(rel.mids) == 1 and rel.dimension == 0
+        assert len(rel.mids) == 1 and rel.vectors == ()
 
     def test_row_pair_full_relation(self, presentation):
         rel = presentation.relations[((1,), (3,))]
-        assert len(rel.mids) == 1 and rel.dimension == 1
+        assert len(rel.mids) == 1 and rel.vectors == ((1,),)
 
     def test_diamond_anticommutativity_line(self, presentation):
         rel = presentation.relations[((1,), (2, 1))]
-        assert len(rel.mids) == 2 and rel.dimension == 1
+        assert len(rel.mids) == 2 and len(rel.vectors) == 1
         (vector,) = rel.vectors
         assert vector[0] == vector[1] != 0  # the sum of the two dual paths
 
@@ -135,11 +135,11 @@ class TestRelationSpaces:
         for (mu, lam), rel in presentation.relations.items():
             sk = skew_classify(mu, lam)
             if sk.has_column_pair:
-                assert rel.dimension == 0
+                assert len(rel.mids) == 1 and rel.vectors == ()
             elif sk.has_row_pair:
-                assert rel.dimension == len(rel.mids) == 1
+                assert len(rel.mids) == 1 and rel.vectors == ((1,),)
             else:
-                assert (len(rel.mids), rel.dimension) == (2, 1)
+                assert len(rel.mids) == 2 and rel.vectors == ((1, 1),)
 
     @pytest.mark.parametrize("of_lattice", [False, True])
     def test_expected_dimension_matches_path_count_through_size_ten(self, of_lattice):
@@ -147,9 +147,9 @@ class TestRelationSpaces:
         relations = build_quadratic_dual(10, of_lattice=of_lattice).relations
         assert len(relations) == 410
         for mu, lam in relations:
-            assert qdual._expected_relation_dimension(
-                mu, lam
-            ) == path_count_relation_dimension(mu, lam)
+            expected = qdual._expected_relations(mu, lam)
+            assert len(expected) == path_count_relation_dimension(mu, lam)
+            assert all(len(row) == len(saturated_chains(mu, lam)) for row in expected)
 
     def test_one_table_through_size_ten(self):
         # both presentations: the keys of an independent row-tuple scan, lam
@@ -171,7 +171,7 @@ class TestRelationSpaces:
 
     def test_lattice_relations_always_full_image(self, lattice_presentation):
         for rel in lattice_presentation.relations.values():
-            assert rel.dimension == 1
+            assert rel.vectors == ((1,) * len(rel.mids),)
 
     @pytest.mark.parametrize("of_lattice", [False, True])
     def test_relations_have_at_most_two_terms(self, of_lattice):
@@ -327,14 +327,16 @@ class TestSelfDuality:
         assert first_failure is None
         assert counts["pairs_checked"] > 0
 
-    def test_sign_twist_locator(self, monkeypatch, presentation):
-        # the diamond relation of (1) -> (2,1) made the difference of the two
-        # paths: every dimension survives, the twisted image does not
-        pair = ((1,), (2, 1))
-        mutant = with_relations(
-            presentation, {pair: RelationSpace(presentation.relations[pair].mids, ((1, -1),))}
-        )
-        monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
+    def test_sign_twist_locator(self, monkeypatch):
+        # the arrow-sign products of every diamond made to commute: the
+        # presentation is untouched, the twisted difference leaves its span
+        original = qdual.path_signs
+
+        def commuting(bottom, r1, r2):
+            left, right = original(bottom, r1, r2)
+            return left, -right
+
+        monkeypatch.setattr(qdual, "path_signs", commuting)
         counts, first_failure = verify_self_duality(7)
         assert counts == {
             "pairs_checked": 1230,
@@ -344,24 +346,40 @@ class TestSelfDuality:
         assert first_failure == {
             "check": "sign_twist",
             "diamond": ["1", "1,1", "2", "2,1"],
-            "signs": [-1, 1],
+            "signs": [-1, -1],
+        }
+
+    def test_anticommuting_c_diamond_fails_relation_cases(self, monkeypatch):
+        # C's diamonds made to anticommute: the dual's relation becomes the
+        # difference of the two paths, a sign every dimension absorbs
+        original = qdual._c_relations
+
+        def anticommuting(mu, lam, n_paths, of_lattice):
+            return ((1, 1),) if n_paths == 2 else original(mu, lam, n_paths, of_lattice)
+
+        monkeypatch.setattr(qdual, "_c_relations", anticommuting)
+        counts, first_failure = verify_self_duality(7)
+        assert counts == {
+            "pairs_checked": 1230,
+            "relation_pairs_checked": 8,
+            "diamonds_checked": 0,
+        }
+        assert first_failure == {
+            "check": "relation_cases",
+            "pair": ["1", "2,1"],
+            "vectors": [[-1, 1]],
+            "expected": [[1, 1]],
         }
 
     @pytest.mark.parametrize(
-        "pair,vectors,relation_pairs,relation_dim,expected",
-        [
-            # a column pair given a zero vector: the walk drops it, so only
-            # the relation table sees the extra dimension
-            (((1,), (1, 1, 1)), ((0,),), 2, 1, 0),
-            # a diamond given a second, zero vector
-            (((1,), (2, 1)), ((1, 1), (0, 0)), 8, 2, 1),
-        ],
+        "pair,relation_pairs",
+        [(((1,), (2, 1)), 8), (((2,), (3, 1)), 33)],
     )
-    def test_relation_cases_locator(
-        self, monkeypatch, presentation, pair, vectors, relation_pairs, relation_dim, expected
-    ):
+    def test_relation_cases_locator(self, monkeypatch, presentation, pair, relation_pairs):
+        # a diamond's relation made the difference of its two paths: every
+        # dimension survives, the span is not the table's
         mutant = with_relations(
-            presentation, {pair: RelationSpace(presentation.relations[pair].mids, vectors)}
+            presentation, {pair: RelationSpace(presentation.relations[pair].mids, ((1, -1),))}
         )
         monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
         counts, first_failure = verify_self_duality(7)
@@ -373,19 +391,44 @@ class TestSelfDuality:
         assert first_failure == {
             "check": "relation_cases",
             "pair": [format_partition(pair[0]), format_partition(pair[1])],
-            "relation_dim": relation_dim,
-            "expected": expected,
+            "vectors": [[1, -1]],
+            "expected": [[1, 1]],
         }
 
+    @pytest.mark.parametrize(
+        "pair,vectors",
+        [
+            # a column pair given a zero vector, which the walk drops too
+            (((1,), (1, 1, 1)), ((0,),)),
+            # a diamond given a second, zero vector
+            (((1,), (2, 1)), ((1, 1), (0, 0))),
+        ],
+    )
+    def test_zero_vectors_add_no_relation(self, monkeypatch, presentation, pair, vectors):
+        # the relation table compares spans, and a zero vector spans nothing
+        mutant = with_relations(
+            presentation, {pair: RelationSpace(presentation.relations[pair].mids, vectors)}
+        )
+        monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
+        assert verify_self_duality(7) == (
+            {"pairs_checked": 1230, "relation_pairs_checked": 90, "diamonds_checked": 34},
+            None,
+        )
+
     def test_three_term_relations_get_a_verdict(self, monkeypatch, presentation):
-        # a three-term line over (left, right, left) keeps every dimension
-        # and the relation table, and the twist's rref span test judges it
+        # a three-term line over (left, right, left) is 2 left + 5 right: it
+        # keeps every dimension, and the relation table compares its span
+        # over the two distinct mids
         mutant = widened(presentation)
         monkeypatch.setattr(qdual, "build_quadratic_dual", lambda *args, **kwargs: mutant)
         counts, first_failure = verify_self_duality(7)
-        assert counts["diamonds_checked"] == 1
-        assert first_failure["check"] == "sign_twist"
-        assert first_failure["diamond"] == ["1", "1,1", "2", "2,1"]
+        assert counts["relation_pairs_checked"] == 8
+        assert first_failure == {
+            "check": "relation_cases",
+            "pair": ["1", "2,1"],
+            "vectors": [[2, 5]],
+            "expected": [[1, 1]],
+        }
 
     def test_repeated_mid_is_one_column(self, monkeypatch, presentation):
         # over (left, right, left) the vector (0, 1, 1) is left + right, the
@@ -416,6 +459,23 @@ class TestLatticeDual:
         assert dual_hom_dim((1,), (2, 1), lattice_presentation) == 1
         assert dual_hom_dim((1,), (3,), lattice_presentation) == 0
         assert dual_hom_dim((1,), (1, 1, 1), lattice_presentation) == 0
+
+    def test_lattice_dual_dimension_locator(self, monkeypatch):
+        # a column pair's path killed in the incidence category too: the
+        # lattice dual then has C^!'s dimensions, which are not rook strips
+        original = qdual._c_relations
+        monkeypatch.setattr(
+            qdual, "_c_relations", lambda mu, lam, n_paths, _: original(mu, lam, n_paths, False)
+        )
+        assert verify_lattice_dual(7) == (
+            {"lattice_pairs_checked": 8},
+            {
+                "check": "lattice_dual_dimension",
+                "pair": ["0", "1,1"],
+                "dual_dim": 1,
+                "expected": 0,
+            },
+        )
 
     def test_rook_strip_rule(self, lattice_presentation):
         for lam in partition_rows_up_to(6):
@@ -469,7 +529,7 @@ class TestInvolution:
         presentation = build_quadratic_dual(5)
         double = annihilator_presentation(presentation)
         for pair, rel in presentation.relations.items():
-            assert rel.dimension + double.relations[pair].dimension == len(rel.mids)
+            assert len(rel.vectors) + len(double.relations[pair].vectors) == len(rel.mids)
 
 
 class TestCombinedCertificate:

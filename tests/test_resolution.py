@@ -134,7 +134,6 @@ class TestBuild:
             ((1,),),
             ((),),
         )
-        assert complex_.linear
 
     def test_summand_counts_single_box(self):
         complex_ = build_resolution(P(1), 2)
@@ -277,10 +276,7 @@ def strip_built_resolution(xi, depth):
             if entries:
                 maps[offset] = IntMatrix(len(rows), len(cols), entries)
         chains.append(ObjectChain(tuple(map(tuple, cells)), maps))
-    linear = all(
-        sum(lam) == max_size - offset for offset, members in enumerate(strata) for lam in members
-    )
-    return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains), linear)
+    return GradedComplex(xi, depth, strata, tuple(objects), tuple(chains))
 
 
 def assembly_mismatch(complex_):
@@ -833,10 +829,10 @@ class TestMutants:
             "diamond_cancellations": 3,
         }
         assert cert.first_failure == {
+            "check": "complex",
             "object": "2,1,1",
             "position": -3,
             "nonzero_entries": [[0, 0, "-2"]],
-            "failing_check": "complex",
         }
 
     def test_dropped_arrow_fails_the_complex(self, monkeypatch):
@@ -850,10 +846,10 @@ class TestMutants:
             "diamond_cancellations": 3,
         }
         assert cert.first_failure == {
+            "check": "complex",
             "object": "2,1,1",
             "position": -3,
             "nonzero_entries": [[0, 0, "-1"]],
-            "failing_check": "complex",
         }
 
     def test_dropped_arrow_fails_exactness(self, monkeypatch):
@@ -869,6 +865,7 @@ class TestMutants:
             "diamond_cancellations": 6,
         }
         assert cert.first_failure == {
+            "check": "exactness",
             "object": "1,1,1,1,1",
             "position": -4,
             "dim": 1,
@@ -876,17 +873,26 @@ class TestMutants:
             "rank_in": 0,
             "cohomology": 1,
             "expected": 0,
-            "failing_check": "exactness",
         }
 
-    def test_reversed_strata_fail_linearity(self, monkeypatch):
+    def test_reversed_strata_fail_exactness(self, monkeypatch):
         # position -depth then holds the base itself, generated in the
-        # wrong internal degree; linearity is reported before the other checks
+        # wrong internal degree: the base object's chain has one component
+        # there and no map in or out
         original = resolution._strata_rows
         monkeypatch.setattr(resolution, "_strata_rows", lambda *args: original(*args)[::-1])
-        cert = verify_resolution(P(1), 3)
-        assert cert.verdict == "fail"
-        assert cert.first_failure == {"check": "linearity"}
+        for xi, depth in [(P(1), 3), (P(2, 1), 4), (EMPTY, 5), (P(3, 1), 2)]:
+            cert = verify_resolution(xi, depth)
+            assert cert.first_failure == {
+                "check": "exactness",
+                "object": format_partition(xi.rows),
+                "position": -depth,
+                "dim": 1,
+                "rank_out": 0,
+                "rank_in": 0,
+                "cohomology": 1,
+                "expected": 0,
+            }
 
 
 def mutated_members(kind):
@@ -917,6 +923,7 @@ class TestRowRuleMutants:
         cert = verify_resolution(xi, 3)
         assert_one_extent(cert, 3)
         assert cert.first_failure == {
+            "check": "exactness",
             "object": "3,1",
             "position": 0,
             "dim": 1,
@@ -924,7 +931,6 @@ class TestRowRuleMutants:
             "rank_in": 0,
             "cohomology": 1,
             "expected": 0,
-            "failing_check": "exactness",
         }
         assert assembly_mismatch(build_resolution(xi, 3)) == {
             "object": "3,1",
@@ -938,10 +944,10 @@ class TestRowRuleMutants:
         cert = verify_resolution(xi, 3)
         assert_one_extent(cert, 3)
         assert cert.first_failure == {
+            "check": "complex",
             "object": "2,1,1,1",
             "position": -2,
             "nonzero_entries": [[0, 0, "-1"]],
-            "failing_check": "complex",
         }
         assert assembly_mismatch(build_resolution(xi, 3)) == {
             "object": "2,1,1,1",
@@ -1131,7 +1137,7 @@ class TestSharedChains:
 # verify resolution --xi 1 --depth 3 --dump-matrices --format json, as
 # printed by the assembly on Partitions with the rational matrix
 DUMP_XI_1_DEPTH_3 = {
-    "schema_version": 2,
+    "schema_version": 3,
     "tool_version": "0.1.0",
     "command": "verify resolution",
     "parameters": {"xi": "1", "depth": 3},

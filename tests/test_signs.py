@@ -225,7 +225,11 @@ class TestFailureLocator:
         cert = verify_signs_sweep(10)
         assert cert.verdict == "fail"
         assert cert.counts["diamonds_checked"] == 2
-        assert cert.first_failure == {"diamond": ["2", "2,1", "3", "3,1"], "products": [-1, -1]}
+        assert cert.first_failure == {
+            "check": "anticommutation",
+            "diamond": ["2", "2,1", "3", "3,1"],
+            "products": [-1, -1],
+        }
         assert verify_growth_agreement(8)[1]["partition"] == "2,1"
 
     def test_flip_on_a_right_path(self, monkeypatch):
@@ -235,6 +239,7 @@ class TestFailureLocator:
         assert cert.verdict == "fail"
         assert cert.counts["diamonds_checked"] == 47
         assert cert.first_failure == {
+            "check": "anticommutation",
             "diamond": ["3,2,1", "3,2,2", "4,2,1", "4,2,2"],
             "products": [-1, -1],
         }
@@ -273,6 +278,7 @@ class TestGrowthLocator:
             "orders_checked": 32,
         }
         assert cert.first_failure == {
+            "check": "growth_agreement",
             "partition": "3,1,1",
             "order": [[1, 1], [2, 1], [1, 2], [1, 3], [3, 1]],
             "grown_rows": [1, 1, 1, -1, -1, -1],
@@ -290,6 +296,7 @@ class TestGrowthLocator:
             "orders_checked": 552,
         }
         assert cert.first_failure == {
+            "check": "growth_agreement",
             "partition": "4,3,1",
             "order": [[1, 1], [1, 2], [2, 1], [1, 3], [3, 1], [2, 2], [2, 3], [1, 4]],
             "grown_rows": [1, -1, -1, 1, 1, 1, 1, 1, 1],
